@@ -20,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import Grid, GridFn, HilferOrder
-from .mittag_leffler import MlParams, SeriesCtl, ml_eval
+from .grid import Grid, GridFn, HilferOrder, SingularGammaError
+from .mittag_leffler import MlParams, SeriesConvergenceError, SeriesCtl, ml_eval
 from .solvers import (
     IvpSpec,
     Linear,
@@ -37,6 +37,7 @@ from .solvers import (
 from .stability import existence_report, uniqueness_report
 from .transforms import (
     LaplaceCtl,
+    TruncationError,
     delta_laplace,
     laplace_of_fractional_sum_check,
     laplace_of_hilfer_check,
@@ -368,6 +369,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
+    except (SingularGammaError, SeriesConvergenceError, TruncationError) as exc:
+        # the arguments ask for a value the library cannot deliver
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 
 

@@ -17,6 +17,17 @@ a nonzero value) consistent with the successive-approximation solutions.
 Off the solution lattice the series is truncated once terms stay below
 ``SeriesCtl.tol`` (the |lam| < 1 restriction is what makes that sound);
 non-convergence within ``max_terms`` raises.
+
+Solvers need the plain family at every lattice point at once, and
+:func:`ml_lattice` tabulates it without scalar gamma calls.  At
+z = n + eta - 1 the k-th term is lam^k C_{k mu + eta}[n - k], where
+
+    C_alpha[m] = Gamma(m + alpha) / (Gamma(m + 1) Gamma(alpha))
+               = prod_{i=1}^{m} (i - 1 + alpha) / i,
+
+so term row k is a cumulative sum of logs, exponentiated and added into
+every point n >= k.  The table sums all n + 1 terms of each point, with
+no tolerance cut and no term cap, and holds one row at a time.
 """
 
 from __future__ import annotations
@@ -24,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.special import gammaln, gammasgn
 
 from .grid import _pole_index, falling_factorial_sign_logmag
@@ -34,6 +46,7 @@ __all__ = [
     "MlEvaluation",
     "pochhammer",
     "ml_eval",
+    "ml_lattice",
     "ml_plain",
     "ml_bold",
 ]
@@ -191,3 +204,27 @@ def ml_plain(p: MlParams, z: float, ctl: SeriesCtl = SeriesCtl()) -> float:
 def ml_bold(p: MlParams, z: float, ctl: SeriesCtl = SeriesCtl()) -> float:
     """Shifted-argument variant; equals ml_plain at z + eta - 1."""
     return ml_eval(p, z, ctl, bold=True).value
+
+
+def ml_lattice(p: MlParams, count: int) -> np.ndarray:
+    """Plain-family values E_[mu,eta](lam, n + eta - 1) for n = 0..count-1.
+
+    Every point's finite series is summed in full (n + 1 terms at point
+    n).  Only gamma = 1 is supported.  Values past the float range come
+    out as inf or nan; callers decide what that means.
+    """
+    if p.gamma != 1.0:
+        raise ValueError(f"ml_lattice supports gamma = 1 only, got {p.gamma}")
+    out = np.zeros(count)
+    m = np.arange(1, count, dtype=float)
+    log_abs_lam = math.log(abs(p.lam)) if p.lam else 0.0  # lam = 0: row 0 only
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(count if p.lam else min(count, 1)):
+            # log|lam|^k + log C_alpha[j] for j < count - k; log1p keeps
+            # each log((j - 1 + alpha) / j) accurate when alpha is near 1
+            log_term = np.empty(count - k)
+            log_term[0] = k * log_abs_lam
+            log_term[1:] = np.log1p((k * p.mu + p.eta - 1.0) / m[: count - k - 1])
+            np.cumsum(log_term, out=log_term)
+            out[k:] += math.copysign(1.0, p.lam) ** k * np.exp(log_term)
+    return out

@@ -11,32 +11,36 @@ which is equivalent to the summation equation
     u(x) = zeta h_{eta-1}(x, a+1-eta)
            - sum_{tau = a+1-mu}^{x-mu} h_{mu-1}(x, tau+1) g(tau+mu-1, u(tau+mu-1)).
 
-At x = a+n the sum only references u at a..a+n-1, so every solver here
-steps forward explicitly; the result is the exact fixed point of the
-summation operator on the finite grid, no iteration needed.  The n = 0
-value is the monomial term's limit, u(a) = zeta, which anchors the
-recursion.
+At x = a+n the sum only references u at a..a+n-1, so the stepping
+solvers run one forward Volterra engine, y[n] = zeta c_eta[n] -
+dot(k_mu[n-1::-1], g[:n]), one numpy dot per step; the result is the
+exact fixed point of the summation operator on the finite grid, no
+iteration needed.  The n = 0 value is the monomial term's limit,
+u(a) = zeta, which anchors the recursion.  The engine takes a raw
+(mu, eta), so the Gronwall series (where mu = 1 is allowed) runs on it.
+Each right-hand side has a method g(w, u, x): g at w = x+mu-1 with
+u = u(w), where x is the equation point the forcing is sampled at.
 
 For the linear right-hand side two independent evaluations are provided:
-the forward recursion with cached gamma-ratio kernel weights, and the
-closed-form discrete Mittag-Leffler series (terms terminate exactly after
-n+1 of them).  The non-homogeneous closed form adds a Mittag-Leffler
-kernel convolution of the forcing.
+the forward recursion, and the closed-form discrete Mittag-Leffler series
+tabulated on the solution lattice (terms terminate exactly after n+1 of
+them).  The non-homogeneous closed form adds a Mittag-Leffler kernel
+convolution of the forcing.
 
-The recursion solvers are inherently sequential in n; the series solvers
-are pure per-point and may run in parallel across points.
+The engine is sequential in n; the series solvers are whole-array
+computations.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .grid import CoverageError, Grid, GridFn, HilferOrder
-from .mittag_leffler import MlParams, SeriesCtl, ml_eval
+from .mittag_leffler import MlParams, SeriesCtl, ml_eval, ml_lattice
 from .operators import fractional_sum, hilfer_difference_fn, sum_kernel
 
 __all__ = [
@@ -71,12 +75,18 @@ class Linear:
 
     lam: float
 
+    def g(self, w: float, u: float, x: float) -> float:
+        return -self.lam * u
+
 
 @dataclass(frozen=True)
 class Nonlinear:
-    """General right-hand side g(x, u), supplied as a callable."""
+    """General right-hand side g(x, u), supplied as the callable ``fn``."""
 
-    g: Callable[[float, float], float]
+    fn: Callable[[float, float], float]
+
+    def g(self, w: float, u: float, x: float) -> float:
+        return self.fn(w, u)
 
 
 @dataclass(frozen=True)
@@ -85,6 +95,9 @@ class NonHomogeneous:
 
     lam: float
     forcing: GridFn
+
+    def g(self, w: float, u: float, x: float) -> float:
+        return -self.lam * u - self.forcing(x)
 
 
 @dataclass(frozen=True)
@@ -141,59 +154,71 @@ class Solution:
         return self.values(x)
 
 
-def _monomial_coeffs(eta: float, steps: int) -> np.ndarray:
-    """c[n] = Gamma(n+eta) / (Gamma(eta) Gamma(n+1)): the zeta-term weights."""
-    c = np.empty(steps + 1)
-    c[0] = 1.0
-    for n in range(1, steps + 1):
-        c[n] = c[n - 1] * (n - 1 + eta) / n
-    return c
+def _volterra(
+    mu: float,
+    eta: float,
+    zeta: float,
+    steps: int,
+    g_at: Callable[[int, float], float],
+) -> np.ndarray:
+    """Forward Volterra engine: y[n] = zeta c_eta[n] - sum_j k_mu[n-j] g_j.
 
-
-def _step(
-    spec: IvpSpec,
-    g_of_index: Callable[[int, float], float],
-    solver_name: str,
-) -> Solution:
-    """Shared forward-stepping engine.
-
-    ``g_of_index(j, u)`` must return g evaluated at the j-th summation
-    slot, i.e. at the point a + j - 1 of the base grid (j = 1..steps),
-    with u the trajectory value there.
+    ``g_at(j, y[j])`` is the right-hand side at base-grid index j
+    (j = 0..steps-1).  Stepping stops at the first value that is
+    non-finite or above OVERFLOW_LIMIT; that value and all later ones
+    read nan.  ``(mu, eta)`` are raw, so the integer edge mu = 1 works.
     """
-    mu, eta = spec.order.mu, spec.order.eta
-    c = _monomial_coeffs(eta, spec.steps)
-    # plain-float accumulation: near the overflow limit IEEE inf propagates
-    # silently and is caught below, instead of tripping numpy warnings
-    kernel = [float(w) for w in sum_kernel(mu, spec.steps)]
-    y = [float(spec.zeta)]
-    overflow_at = None
-    for n in range(1, spec.steps + 1):
-        acc = 0.0
-        for j in range(1, n + 1):
-            acc += kernel[n - j] * g_of_index(j, y[j - 1])
-        value = spec.zeta * float(c[n]) - acc
+    c = sum_kernel(eta, steps + 1).tolist()
+    k_rev = sum_kernel(mu, steps)[::-1].copy()
+    y = np.full(steps + 1, np.nan)
+    g = np.empty(steps)
+    y[0] = zeta
+    for n in range(1, steps + 1):
+        g[n - 1] = g_at(n - 1, float(y[n - 1]))
+        # plain-float arithmetic: an inf or nan from the dot product
+        # propagates silently and is caught below without numpy warnings
+        value = zeta * c[n] - float(np.dot(k_rev[steps - n :], g[:n]))
         if not math.isfinite(value) or abs(value) > OVERFLOW_LIMIT:
-            overflow_at = n
             break
-        y.append(value)
-    grid = Grid(spec.a, len(y))
-    return Solution(GridFn(grid, np.array(y)), SolverMeta(solver_name, 0, overflow_at))
+        y[n] = value
+    return y
+
+
+def _truncated(spec: IvpSpec, y: np.ndarray, meta: SolverMeta) -> Solution:
+    """Cut y before its first non-finite or overflowing value, if any."""
+    bad = ~(np.abs(y) <= OVERFLOW_LIMIT)
+    if bad.any():
+        n = int(np.argmax(bad))
+        y, meta = y[:n], replace(meta, overflow_at=n)
+    return Solution(GridFn(Grid(spec.a, len(y)), y), meta)
+
+
+def _stepped(spec: IvpSpec, solver_name: str) -> Solution:
+    rhs, a, mu = spec.rhs, spec.a, spec.order.mu
+    y = _volterra(
+        mu,
+        spec.order.eta,
+        spec.zeta,
+        spec.steps,
+        lambda j, u: rhs.g(a + j, u, a + j + 1.0 - mu),
+    )
+    return _truncated(spec, y, SolverMeta(solver_name))
+
+
+def _lattice(p: MlParams, count: int) -> tuple[np.ndarray, int]:
+    """Plain-family table at n + eta - 1, n < count, and the terms it summed."""
+    terms = count * (count + 1) // 2 if p.lam != 0.0 else count
+    return ml_lattice(p, count), terms
 
 
 def solve_linear(spec: IvpSpec) -> Solution:
-    """Exact forward recursion for the linear problem.
-
-    Kernel weights depend only on the lag n-j and are cached once, so the
-    whole trajectory costs O(steps^2) multiply-adds.
-    """
+    """Exact forward recursion for the linear problem, O(steps^2) multiply-adds."""
     if not isinstance(spec.rhs, Linear):
         raise TypeError("solve_linear needs a Linear right-hand side")
-    lam = spec.rhs.lam
-    return _step(spec, lambda j, u: -lam * u, "linear-recursion")
+    return _stepped(spec, "linear-recursion")
 
 
-def solve_linear_series(spec: IvpSpec, ctl: SeriesCtl = SeriesCtl()) -> Solution:
+def solve_linear_series(spec: IvpSpec) -> Solution:
     """Closed-form series solution u(a+n) = zeta E_[mu,eta](lam, n+eta-1).
 
     The series terminates exactly after n+1 terms at the n-th grid point;
@@ -201,30 +226,18 @@ def solve_linear_series(spec: IvpSpec, ctl: SeriesCtl = SeriesCtl()) -> Solution
     """
     if not isinstance(spec.rhs, Linear):
         raise TypeError("solve_linear_series needs a Linear right-hand side")
-    mu, eta = spec.order.mu, spec.order.eta
-    params = MlParams(mu=mu, eta=eta, lam=spec.rhs.lam)
-    y = np.empty(spec.steps + 1)
-    terms = 0
-    overflow_at = None
-    for n in range(spec.steps + 1):
-        ev = ml_eval(params, n + eta - 1.0, ctl)
-        y[n] = spec.zeta * ev.value
-        terms += ev.terms_used
-        if not math.isfinite(y[n]) or abs(y[n]) > OVERFLOW_LIMIT:
-            overflow_at = n
-            y = y[:n]
-            break
-    grid = Grid(spec.a, len(y))
-    return Solution(GridFn(grid, y), SolverMeta("linear-series", terms, overflow_at))
+    params = MlParams(mu=spec.order.mu, eta=spec.order.eta, lam=spec.rhs.lam)
+    values, terms = _lattice(params, spec.steps + 1)
+    with np.errstate(invalid="ignore"):
+        y = spec.zeta * values
+    return _truncated(spec, y, SolverMeta("linear-series", terms))
 
 
 def solve_nonlinear(spec: IvpSpec) -> Solution:
     """Explicit forward stepping for a general right-hand side."""
     if not isinstance(spec.rhs, Nonlinear):
         raise TypeError("solve_nonlinear needs a Nonlinear right-hand side")
-    g = spec.rhs.g
-    a = spec.a
-    return _step(spec, lambda j, u: g(a + j - 1.0, u), "nonlinear-stepping")
+    return _stepped(spec, "nonlinear-stepping")
 
 
 def solve_nonhomogeneous(
@@ -235,48 +248,32 @@ def solve_nonhomogeneous(
         u(a+n) = zeta E_[mu,eta](lam, n+eta-1)
                  + sum_{j=1}^{n} E_[mu,mu](lam, n-j+mu-1) f(a+j-mu).
 
-    With ``use_bold`` the shifted-argument series family evaluates the
-    same two ingredients (a consistency check of the two families).
+    Both Mittag-Leffler ingredients come from :func:`ml_lattice`.  With
+    ``use_bold`` the scalar shifted-argument series family (truncated by
+    ``ctl``) evaluates them instead, a consistency check of the two
+    families.
     """
     if not isinstance(spec.rhs, NonHomogeneous):
         raise TypeError("solve_nonhomogeneous needs a NonHomogeneous right-hand side")
     mu, eta = spec.order.mu, spec.order.eta
-    lam = spec.rhs.lam
-    forcing = spec.rhs.forcing
-    p_eta = MlParams(mu=mu, eta=eta, lam=lam)
-    p_mu = MlParams(mu=mu, eta=mu, lam=lam)
+    lam, steps = spec.rhs.lam, spec.steps
 
-    def ml_at(params: MlParams, z: float) -> tuple[float, int]:
-        if use_bold:
-            # bold family at z - (eta-1): same value, independently assembled
-            ev = ml_eval(params, z - (params.eta - 1.0), ctl, bold=True)
-        else:
-            ev = ml_eval(params, z, ctl)
-        return ev.value, ev.terms_used
+    def bold(p: MlParams, count: int) -> tuple[np.ndarray, int]:
+        # bold family at z - (eta-1): same value, independently assembled
+        evs = [
+            ml_eval(p, (n + p.eta - 1.0) - (p.eta - 1.0), ctl, bold=True)
+            for n in range(count)
+        ]
+        return np.array([ev.value for ev in evs]), sum(ev.terms_used for ev in evs)
 
-    # Kernel values depend on the lag n-j only; tabulate once.
-    kernel = np.empty(spec.steps)
-    terms = 0
-    for lag in range(spec.steps):
-        kernel[lag], used = ml_at(p_mu, lag + mu - 1.0)
-        terms += used
-
-    y = np.empty(spec.steps + 1)
-    overflow_at = None
-    for n in range(spec.steps + 1):
-        head, used = ml_at(p_eta, n + eta - 1.0)
-        terms += used
-        acc = spec.zeta * head
-        for j in range(1, n + 1):
-            acc += kernel[n - j] * float(forcing.values[j - 1])
-        y[n] = acc
-        if not math.isfinite(y[n]) or abs(y[n]) > OVERFLOW_LIMIT:
-            overflow_at = n
-            y = y[:n]
-            break
-    grid = Grid(spec.a, len(y))
+    table = bold if use_bold else _lattice
+    head, head_terms = table(MlParams(mu=mu, eta=eta, lam=lam), steps + 1)
+    kernel, kernel_terms = table(MlParams(mu=mu, eta=mu, lam=lam), steps)
+    with np.errstate(invalid="ignore"):
+        y = spec.zeta * head
+        y[1:] += np.convolve(kernel, spec.rhs.forcing.values[:steps])[:steps]
     name = "nonhomogeneous-series-bold" if use_bold else "nonhomogeneous-series"
-    return Solution(GridFn(grid, y), SolverMeta(name, terms, overflow_at))
+    return _truncated(spec, y, SolverMeta(name, head_terms + kernel_terms))
 
 
 def solve(spec: IvpSpec) -> Solution:
@@ -288,13 +285,10 @@ def solve(spec: IvpSpec) -> Solution:
     return solve_nonhomogeneous(spec)
 
 
-def _g_term(spec: IvpSpec, w: float, u_at_w: float, x: float) -> float:
-    """g(x+mu-1, u(x+mu-1)) for the problem's right-hand side, with w = x+mu-1."""
-    if isinstance(spec.rhs, Linear):
-        return -spec.rhs.lam * u_at_w
-    if isinstance(spec.rhs, Nonlinear):
-        return spec.rhs.g(w, u_at_w)
-    return -spec.rhs.lam * u_at_w - spec.rhs.forcing(x)
+def _g_values(spec: IvpSpec, u: np.ndarray) -> np.ndarray:
+    """g(x+mu-1, u(x+mu-1)) at every point of u's base grid {a, a+1, ...}."""
+    rhs, a, mu = spec.rhs, spec.a, spec.order.mu
+    return np.array([rhs.g(a + j, float(u[j]), a + j + 1.0 - mu) for j in range(len(u))])
 
 
 def apply_summation_operator(spec: IvpSpec, u: GridFn) -> GridFn:
@@ -306,19 +300,10 @@ def apply_summation_operator(spec: IvpSpec, u: GridFn) -> GridFn:
     if abs(u.base - spec.a) > 1e-9:
         raise CoverageError(f"u must be based at {spec.a!r}")
     n_pts = u.count
-    mu, eta = spec.order.mu, spec.order.eta
-    c = _monomial_coeffs(eta, n_pts - 1)
-    kernel = [float(w) for w in sum_kernel(mu, max(n_pts - 1, 1))]
-    out = np.empty(n_pts)
-    out[0] = spec.zeta
-    for n in range(1, n_pts):
-        acc = 0.0
-        for j in range(1, n + 1):
-            w = spec.a + j - 1.0
-            acc += kernel[n - j] * _g_term(
-                spec, w, float(u.values[j - 1]), spec.a + j - mu
-            )
-        out[n] = spec.zeta * float(c[n]) - acc
+    out = spec.zeta * sum_kernel(spec.order.eta, n_pts)
+    if n_pts > 1:
+        g = _g_values(spec, u.values[: n_pts - 1])
+        out[1:] -= np.convolve(sum_kernel(spec.order.mu, n_pts - 1), g)[: n_pts - 1]
     return GridFn(u.grid, out)
 
 
@@ -332,14 +317,8 @@ def defining_equation_residual(solution: Solution, spec: IvpSpec) -> GridFn:
     solver together.
     """
     u = solution.values
-    mu = spec.order.mu
     diff = hilfer_difference_fn(u, spec.order)
-    out = np.empty(diff.count)
-    for j in range(diff.count):
-        x = diff.base + j  # = a + 1 - mu + j
-        w = spec.a + j  # = x + mu - 1
-        out[j] = float(diff.values[j]) + _g_term(spec, w, float(u.values[j]), x)
-    return GridFn(diff.grid, out)
+    return GridFn(diff.grid, diff.values + _g_values(spec, u.values[: diff.count]))
 
 
 def initial_condition_value(solution: Solution, spec: IvpSpec) -> float:

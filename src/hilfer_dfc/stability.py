@@ -7,7 +7,7 @@ computes that threshold and :func:`verify_contraction` checks it both
 ways (threshold comparison plus an empirical sup-norm ratio over random
 trajectory pairs).
 
-The Gronwall side iterates the kernel operator
+The Gronwall side sums the Neumann series of the kernel operator
 
     (E_v phi)(a+n) = sum_{j=1}^{n} h_{mu-1}(a+n, a+j-mu+1) v(a+j-1) phi(a+j-1)
 
@@ -15,7 +15,10 @@ on the monomial seed; any nonnegative u below the summation inequality is
 below the resulting series, which for constant v is a discrete
 Mittag-Leffler value.  The series terminates exactly after n+1 terms at
 the n-th point because every pass of E_v starts from a zero value at the
-base point.
+base point, so its sum is the exact solution of the summation equality
+w = u_a c_eta + E_v w.  That is one forward solve of the solvers'
+Volterra engine with g = -v w, O(n^2) for every point at once;
+:func:`ev_operator` stays as the single pass the series is built from.
 
 Ulam experiments solve the exact system and a perturbed one, measure the
 sup-norm deviation, and compare it to a certified constant:
@@ -25,6 +28,9 @@ sup-norm deviation, and compare it to a certified constant:
 * residual perturbations (|residual| <= eps): deviation is bounded by
   eps * sup_x (E_[mu](K, x-a) - 1)/K, the Gronwall iteration of the
   kernel's running sum.
+
+Both envelopes are Mittag-Leffler values on the solution lattice, taken
+from :func:`ml_lattice`.
 
 Both certificates require K below the contraction threshold; otherwise
 the experiment still runs but the certificate is marked non-applicable.
@@ -45,14 +51,14 @@ from .grid import (
     HilferOrder,
     falling_factorial,
 )
-from .mittag_leffler import MlParams, SeriesCtl, ml_plain
+from .mittag_leffler import MlParams, ml_lattice
 from .operators import sum_kernel
 from .solvers import (
     IvpSpec,
     Linear,
     NonHomogeneous,
     Nonlinear,
-    Solution,
+    _volterra,
     apply_summation_operator,
     solve,
 )
@@ -199,42 +205,39 @@ def ev_operator(v: GridFn, phi: GridFn, mu: float, a: float) -> GridFn:
     return GridFn(Grid(a, n), out)
 
 
+def _gronwall_solve(
+    u_a: float, v: GridFn, mu: float, eta: float, n_pts: int
+) -> np.ndarray:
+    """The series at the first n_pts points: w = u_a c_eta + E_v w, stepped.
+
+    Values past the float range read as inf.
+    """
+    if n_pts == 0:
+        return np.empty(0)
+    if float(np.max(np.abs(v.values[:n_pts]))) >= 1.0:
+        raise ValueError("the comparison series requires |v| < 1 on the grid")
+    vals = v.values
+    w = _volterra(mu, eta, u_a, n_pts - 1, lambda j, y: -float(vals[j]) * y)
+    w[np.isnan(w)] = math.inf
+    return w
+
+
 def gronwall_series(
     u_a: float,
     v: GridFn,
     order: HilferOrder | tuple[float, float],
     x: float,
-    ctl: SeriesCtl = SeriesCtl(),
 ) -> float:
     """Value at x of the series solution of the summation equality.
 
-    Iterates the kernel operator on the monomial seed
-    (x + eta - a - 1)^[eta-1] / Gamma(eta) and sums; at x = a+n the terms
-    past the n-th vanish identically, so the sum is exact.  The |v| < 1
-    hypothesis of the comparison bound is validated here.
+    Sums the kernel-operator iterates of the monomial seed
+    (x + eta - a - 1)^[eta-1] / Gamma(eta); at x = a+n the terms past the
+    n-th vanish identically, so the sum is exact.  The |v| < 1 hypothesis
+    of the comparison bound is validated here.
     """
     mu, eta = _order_params(order)
-    a = v.base
-    n = Grid(a, v.count).index_of(x)
-    if float(np.max(np.abs(v.values[: n + 1]))) >= 1.0:
-        raise ValueError("the comparison series requires |v| < 1 on the grid")
-    if n + 1 > ctl.max_terms:
-        raise ValueError(
-            f"{n + 1} terms exceed ctl.max_terms = {ctl.max_terms}"
-        )
-    seed_grid = Grid(a, n + 1)
-    seed = GridFn(
-        seed_grid,
-        np.array(
-            [falling_factorial(i + eta - 1.0, eta - 1.0) for i in range(n + 1)]
-        ),
-    )
-    total = float(seed.values[n])
-    phi = seed
-    for _ in range(1, n + 1):
-        phi = ev_operator(v, phi, mu, a)
-        total += float(phi.values[n])
-    return u_a * total / math.gamma(eta)
+    n = Grid(v.base, v.count).index_of(x)
+    return float(_gronwall_solve(u_a, v, mu, eta, n + 1)[n])
 
 
 @dataclass(frozen=True)
@@ -260,7 +263,6 @@ def gronwall_check(
     u_a: float,
     v: GridFn,
     order: HilferOrder | tuple[float, float],
-    ctl: SeriesCtl = SeriesCtl(),
     *,
     slack: float = 1e-12,
 ) -> GronwallCheck:
@@ -276,25 +278,14 @@ def gronwall_check(
     if abs(u.base - a) > 1e-9:
         raise CoverageError(f"u must be based at {a!r}")
     n_pts = min(u.count, v.count)
-    kernel = sum_kernel(mu, max(n_pts - 1, 1))
-    mono = np.array(
-        [
-            falling_factorial(i + eta - 1.0, eta - 1.0) / math.gamma(eta)
-            for i in range(n_pts)
-        ]
-    )
-    hypothesis_ok = np.empty(n_pts, dtype=bool)
-    verdict = np.empty(n_pts, dtype=bool)
-    series = np.empty(n_pts)
-    product = v.values[: n_pts - 1] * u.values[: n_pts - 1] if n_pts > 1 else np.empty(0)
-    conv = np.convolve(kernel, product)[: n_pts - 1] if n_pts > 1 else np.empty(0)
-    for n in range(n_pts):
-        rhs = u_a * mono[n] + (conv[n - 1] if n > 0 else 0.0)
-        tol = slack * max(1.0, abs(rhs))
-        hypothesis_ok[n] = float(u.values[n]) <= rhs + tol
-        series[n] = gronwall_series(u_a, v, order, a + n, ctl)
-        tol_s = slack * max(1.0, abs(series[n]))
-        verdict[n] = float(u.values[n]) <= series[n] + tol_s
+    uv = u.values[:n_pts]
+    rhs = u_a * sum_kernel(eta, n_pts)
+    if n_pts > 1:
+        product = v.values[: n_pts - 1] * uv[:-1]
+        rhs[1:] += np.convolve(sum_kernel(mu, n_pts - 1), product)[: n_pts - 1]
+    hypothesis_ok = uv <= rhs + slack * np.maximum(1.0, np.abs(rhs))
+    series = _gronwall_solve(u_a, v, mu, eta, n_pts)
+    verdict = uv <= series + slack * np.maximum(1.0, np.abs(series))
     return GronwallCheck(Grid(a, n_pts).points, series, hypothesis_ok, verdict)
 
 
@@ -360,16 +351,12 @@ def _perturbed_spec(spec: IvpSpec, residual: GridFn) -> IvpSpec:
         raise NotImplementedError(
             "perturb the underlying Nonlinear or Linear form instead"
         )
-
-    def original_g(w: float, u: float) -> float:
-        if isinstance(spec.rhs, Linear):
-            return -spec.rhs.lam * u
-        assert isinstance(spec.rhs, Nonlinear)
-        return spec.rhs.g(w, u)
+    rhs = spec.rhs
 
     def g(w: float, u: float) -> float:
         # w = x + mu - 1 maps back to the equation point x = w + 1 - mu
-        return original_g(w, u) - residual(w + 1.0 - mu)
+        x = w + 1.0 - mu
+        return rhs.g(w, u, x) - residual(x)
 
     return replace(spec, rhs=Nonlinear(g))
 
@@ -383,7 +370,6 @@ def ulam_experiment(
     zeta_n: float | None = None,
     psi: Callable[[float], float] | None = None,
     psi_arg_convention: str = "rho_plus_nu",
-    ctl: SeriesCtl = SeriesCtl(),
 ) -> StabilityReport:
     """Solve the exact and a perturbed system and certify the deviation.
 
@@ -407,9 +393,7 @@ def ulam_experiment(
     exact = solve(spec)
 
     if k is None:
-        if isinstance(spec.rhs, Linear):
-            k_val, k_source = abs(spec.rhs.lam), "derived"
-        elif isinstance(spec.rhs, NonHomogeneous):
+        if isinstance(spec.rhs, (Linear, NonHomogeneous)):
             k_val, k_source = abs(spec.rhs.lam), "derived"
         else:
             pts = Grid(spec.a, spec.steps).points
@@ -417,7 +401,7 @@ def ulam_experiment(
             hi = float(np.max(exact.values.values))
             pad = 0.25 * (hi - lo) + 1e-3
             k_val = _estimate_lipschitz(
-                spec.rhs.g, pts, (lo - pad, hi + pad)
+                spec.rhs.fn, pts, (lo - pad, hi + pad)
             )
             k_source = "estimated"
     else:
@@ -431,9 +415,7 @@ def ulam_experiment(
         eps_eff = abs(spec.zeta - zeta_n)
         perturbed = solve(replace(spec, zeta=zeta_n))
         params = MlParams(mu=mu, eta=eta, lam=min(k_val, 1.0 - 1e-12))
-        envelope = np.array(
-            [ml_plain(params, n + eta - 1.0, ctl) for n in range(spec.steps + 1)]
-        )
+        envelope = ml_lattice(params, spec.steps + 1)
         constant = float(np.max(envelope))
         psi_vals = None
     else:
@@ -462,19 +444,10 @@ def ulam_experiment(
         lam_k = min(k_val, 1.0 - 1e-12)
         params = MlParams(mu=mu, eta=1.0, lam=lam_k)
         if k_val > 0:
-            growth = np.array(
-                [
-                    (ml_plain(params, float(n), ctl) - 1.0) / lam_k
-                    for n in range(spec.steps + 1)
-                ]
-            )
+            growth = (ml_lattice(params, spec.steps + 1) - 1.0) / lam_k
         else:
-            growth = np.array(
-                [
-                    falling_factorial(n - 1.0 + mu, mu) / math.gamma(mu + 1.0)
-                    for n in range(spec.steps + 1)
-                ]
-            )
+            # the lam -> 0 limit: (n-1+mu)^[mu] / Gamma(mu+1) = c_{mu+1}[n-1]
+            growth = np.concatenate(([0.0], sum_kernel(mu + 1.0, spec.steps)))
         base_constant = float(np.max(growth))
         if psi is None:
             constant = base_constant

@@ -138,10 +138,13 @@ def delta_laplace(f: GridFn, y: float, ctl: LaplaceCtl = LaplaceCtl()) -> Laplac
         total += float(f.values[k]) * qpow
         growth = max(growth, abs(float(f.values[k])) / rpow)
         tail = growth * ratio ** (k + 1) / (1.0 - ratio)
-        if tail < ctl.tol:
+        # a zero prefix says nothing about the samples after it
+        if growth > 0.0 and tail < ctl.tol:
             return LaplaceResult(total, tail, k + 1)
         qpow /= q
         rpow *= ctl.r
+    if growth == 0.0 and limit == f.count:
+        return LaplaceResult(0.0, 0.0, limit)  # zero everywhere
     raise TruncationError(
         f"tail bound {ctl.tol!r} not met within {limit} samples; "
         "either supply more samples or raise ctl.r/.tol"

@@ -230,3 +230,51 @@ class TestEvaluators:
     def test_ml_bad_params(self, capsys):
         code = main(["ml", "--mu", "1.0", "--lambda", "1.5", "--z", "3"])
         assert code == 2
+
+
+class TestLibraryErrorsExitTwo:
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["ml", "--mu", "0.7", "--lambda", "0.2", "--z", "3.5"], "SingularGammaError"),
+            (
+                ["ml", "--mu", "0.5", "--lambda", "0.5", "--z", "25.3", "--tol", "1e-300"],
+                "SeriesConvergenceError",
+            ),
+            (
+                ["laplace", "--y", "2", "--f-kind", "geometric", "--count", "5"],
+                "TruncationError",
+            ),
+        ],
+        ids=["singular-gamma", "series-convergence", "truncation"],
+    )
+    def test_one_line_on_stderr_and_exit_two(self, argv, error, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {error}: ")
+        assert err.count("\n") == 1
+
+
+class TestLongHorizonSeries:
+    def test_series_route_runs_past_512_terms(self, tmp_path):
+        code = main(
+            [
+                "solve", "--linear", "--series", "--lambda", "0.9", "--mu", "0.6",
+                "--nu", "0.5", "--steps", "600", "--out", str(tmp_path),
+            ]
+        )
+        assert code == 0
+        meta = json.loads((tmp_path / "solution.json").read_text())
+        assert meta["solver"] == "linear-series"
+        assert meta["overflow_at"] is None
+        assert meta["terms_used"] == 601 * 602 // 2
+
+
+class TestLaplaceZeroFirstSample:
+    def test_ramp_transform_and_identities(self, capsys):
+        code = main(["laplace", "--y", "2", "--f-kind", "ramp"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert abs(payload["transform"] - 0.25) < 1e-10
+        assert payload["fractional_sum_identity"]["error"] < 1e-8
+        assert payload["hilfer_identity"]["error"] < 1e-8

@@ -12,6 +12,7 @@ from hilfer_dfc import (
     falling_factorial,
     ml_bold,
     ml_eval,
+    ml_lattice,
     ml_plain,
     pochhammer,
 )
@@ -164,3 +165,72 @@ class TestSeriesStructure:
         t2 = ml_eval(p2, 6.0).terms
         assert t2[0] == pytest.approx(t1[0])
         assert t2[1] == pytest.approx(2.0 * t1[1], rel=1e-13)
+
+
+def _mp_lattice_point(mp, mu, eta, lam, n):
+    """50-digit sum of the n+1 lattice terms, and the sum of their sizes."""
+    mu, eta, lam = mp.mpf(mu), mp.mpf(eta), mp.mpf(lam)
+    total = size = mp.mpf(0)
+    for k in range(n + 1):
+        alpha = k * mu + eta
+        term = lam**k * mp.rf(alpha, n - k) / mp.factorial(n - k)
+        total += term
+        size += abs(term)
+    return total, size
+
+
+class TestLatticeTable:
+    TOL = 1e-12  # relative to the sum of |terms|, fixed from float64 eps
+
+    @pytest.mark.parametrize(
+        "mu, eta, lam",
+        [
+            (0.05, 0.3, 0.5),
+            (0.35, 1.0, 0.99),
+            (0.6, 0.8, 0.9),
+            (0.8, 0.05, -0.5),
+            (1.0, 1.0, 0.99),
+            (1.0, 0.45, -0.3),
+            (0.5, 0.5, 0.3),
+            (0.9, 0.95, 0.01),
+        ],
+    )
+    def test_matches_high_precision_sum(self, mu, eta, lam):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 50
+        table = ml_lattice(MlParams(mu=mu, eta=eta, lam=lam), 301)
+        for n in (0, 1, 2, 3, 10, 57, 150, 233, 300):
+            expect, size = _mp_lattice_point(mp, mu, eta, lam, n)
+            assert abs(mp.mpf(float(table[n])) - expect) <= self.TOL * size
+
+    @pytest.mark.parametrize("mu, nu", [(0.7, 0.5), (0.5, 0.0), (0.5, 1.0), (0.3, 0.8)])
+    @pytest.mark.parametrize("lam", [0.3, -0.4, 0.0])
+    def test_matches_exactly_terminating_scalar_series(self, mu, nu, lam):
+        eta = mu + nu - mu * nu
+        p = MlParams(mu=mu, eta=eta, lam=lam)
+        table = ml_lattice(p, 40)
+        compared = 0
+        for n in range(40):
+            ev = ml_eval(p, n + eta - 1.0)
+            if ev.exact:  # otherwise the scalar series cut its tail by tolerance
+                size = sum(abs(t) for t in ev.terms)
+                assert abs(table[n] - ev.value) <= self.TOL * size
+                compared += 1
+        assert compared >= 10
+
+    def test_zero_lambda_is_the_monomial(self):
+        p = MlParams(mu=0.8, eta=0.6, lam=0.0)
+        table = ml_lattice(p, 10)
+        for n in range(10):
+            expect = math.gamma(n + 0.6) / (math.gamma(0.6) * math.factorial(n))
+            assert table[n] == pytest.approx(expect, rel=1e-13)
+
+    def test_short_tables(self):
+        p = MlParams(mu=0.7, eta=0.4, lam=0.5)
+        assert ml_lattice(p, 0).shape == (0,)
+        assert ml_lattice(p, 1).tolist() == [1.0]
+        assert ml_lattice(MlParams(mu=0.7, eta=0.4, lam=0.0), 1).tolist() == [1.0]
+
+    def test_rejects_gamma_other_than_one(self):
+        with pytest.raises(ValueError):
+            ml_lattice(MlParams(mu=0.7, gamma=1.3, lam=0.2), 5)

@@ -25,6 +25,7 @@ from hilfer_dfc import (
     solve_linear_series,
     solve_nonhomogeneous,
     solve_nonlinear,
+    sum_kernel,
     taylor_monomial,
 )
 
@@ -255,3 +256,113 @@ class TestWholePipeline:
 
     def test_dispatch(self):
         assert solve(linear_spec()).meta.solver == "linear-recursion"
+
+
+def reference_step(spec, g_of_index):
+    """The scalar forward-stepping loop the solvers were first written with.
+
+    ``g_of_index(j, u)`` is g at the j-th summation slot (point a+j-1).
+    Each slot's g value is computed once and reused, which leaves the
+    accumulation order of the original loop unchanged.  Returns the
+    trajectory, the overflow index and the error scale
+    |zeta| c_eta + conv(k_mu, |g|).
+    """
+    mu, eta = spec.order.mu, spec.order.eta
+    c = [1.0]
+    for n in range(1, spec.steps + 1):
+        c.append(c[-1] * (n - 1 + eta) / n)
+    kernel = [float(w) for w in sum_kernel(mu, spec.steps)]
+    y, gs = [float(spec.zeta)], []
+    overflow_at = None
+    for n in range(1, spec.steps + 1):
+        gs.append(g_of_index(n, y[n - 1]))
+        acc = 0.0
+        for j in range(1, n + 1):
+            acc += kernel[n - j] * gs[j - 1]
+        value = spec.zeta * c[n] - acc
+        if not math.isfinite(value) or abs(value) > 1e300:
+            overflow_at = n
+            break
+        y.append(value)
+    m = len(y)
+    scale = abs(spec.zeta) * np.array(c[:m])
+    with np.errstate(invalid="ignore", over="ignore"):
+        scale[1:] += np.convolve(kernel[: m - 1], np.abs(gs[: m - 1]))[: m - 1]
+    return np.array(y), overflow_at, scale
+
+
+def _forced_g(w, u):
+    return -0.4 * u - 0.2 * math.cos(0.3 * w) + 0.05 * math.sin(u)
+
+
+class TestEngineAgainstScalarLoop:
+    TOL = 1e-13  # relative to |zeta| c + conv(k, |g|), fixed from float64 eps
+
+    @pytest.mark.parametrize("steps", [1, 2, 50, 2000])
+    @pytest.mark.parametrize("lam", [0.7, -0.9])
+    def test_linear(self, steps, lam):
+        spec = IvpSpec(0.3, steps, HilferOrder(0.35, 0.6), 1.3, Linear(lam))
+        ref, ref_overflow, scale = reference_step(spec, lambda j, u: -lam * u)
+        sol = solve_linear(spec)
+        assert sol.meta.overflow_at == ref_overflow
+        got = sol.values.values
+        assert len(got) == len(ref)
+        assert np.max(np.abs(got - ref) / scale) < self.TOL
+
+    @pytest.mark.parametrize("steps", [1, 2, 50, 2000])
+    def test_nonlinear(self, steps):
+        a = 2.5
+        spec = IvpSpec(a, steps, HilferOrder(0.8, 0.25), 0.7, Nonlinear(_forced_g))
+        ref, ref_overflow, scale = reference_step(
+            spec, lambda j, u: _forced_g(a + j - 1.0, u)
+        )
+        sol = solve_nonlinear(spec)
+        assert sol.meta.overflow_at == ref_overflow is None
+        assert np.max(np.abs(sol.values.values - ref) / scale) < self.TOL
+
+    @pytest.mark.parametrize(
+        "rhs",
+        [Linear(0.99), Nonlinear(lambda w, u: -u * u * u - 10.0)],
+        ids=["linear-growth", "cubic-blowup"],
+    )
+    def test_overflow_index_matches(self, rhs):
+        spec = IvpSpec(0.0, 2000, HilferOrder(0.3, 0.5), 1.0, rhs)
+        ref, ref_overflow, scale = reference_step(
+            spec, lambda j, u: rhs.g(j - 1.0, u, j - 0.3)
+        )
+        sol = solve(spec)
+        assert ref_overflow is not None
+        assert sol.meta.overflow_at == ref_overflow
+        assert sol.values.count == ref_overflow
+        assert np.max(np.abs(sol.values.values - ref) / scale) < self.TOL
+
+
+class TestRightHandSideMethod:
+    def test_each_kind_evaluates_g_at_its_points(self):
+        forcing = GridFn(Grid(0.4, 3), np.array([1.0, 2.0, 3.0]))
+        assert Linear(0.5).g(1.0, 2.0, 1.4) == -1.0
+        assert Nonlinear(lambda w, u: w * u).g(1.0, 2.0, 1.4) == 2.0
+        assert NonHomogeneous(0.5, forcing).g(1.0, 2.0, 1.4) == -1.0 - 2.0
+
+
+class TestLatticeSeries:
+    def test_long_horizon_matches_recursion(self):
+        # the scalar series needed n+1 > 512 terms here and raised
+        spec = IvpSpec(0.0, 600, HilferOrder(0.6, 0.5), 1.0, Linear(0.9))
+        ser = solve_linear_series(spec)
+        rec = solve_linear(spec)
+        assert ser.meta.overflow_at is None
+        rel = np.abs(ser.values.values - rec.values.values) / np.abs(rec.values.values)
+        assert np.max(rel) < 1e-10
+
+    def test_terms_used_counts_the_summed_terms(self):
+        assert solve_linear_series(linear_spec(steps=5)).meta.terms_used == 21
+        assert solve_linear_series(linear_spec(steps=5, lam=0.0)).meta.terms_used == 6
+
+    def test_overflow_is_truncated_like_the_recursion(self):
+        spec = IvpSpec(0.0, 2000, HilferOrder(0.3, 0.5), 1.0, Linear(0.99))
+        ser = solve_linear_series(spec)
+        rec = solve_linear(spec)
+        assert ser.meta.overflow_at is not None
+        assert abs(ser.meta.overflow_at - rec.meta.overflow_at) <= 1
+        assert ser.values.count == ser.meta.overflow_at

@@ -361,3 +361,44 @@ class TestUlamExperiments:
         rep = ulam_experiment(self._spec(), 0.15, zeta_n=1.01)
         assert rep.k_source == "asserted"
         assert rep.k == 0.15
+
+
+def neumann_series(u_a, v: GridFn, mu, eta, n_pts):
+    """Explicit Neumann iteration: the seed plus n_pts-1 passes of ev_operator."""
+    a = v.base
+    seed = np.array([falling_factorial(i + eta - 1.0, eta - 1.0) for i in range(n_pts)])
+    seed /= math.gamma(eta)
+    phi = GridFn(Grid(a, n_pts), u_a * seed)
+    total, size = phi.values.copy(), np.abs(phi.values)
+    for _ in range(1, n_pts):
+        phi = ev_operator(v, phi, mu, a)
+        total += phi.values
+        size += np.abs(phi.values)
+    return total, size
+
+
+class TestGronwallSingleSolve:
+    TOL = 1e-12  # relative to the sum of |Neumann terms|
+
+    @pytest.mark.parametrize(
+        "order", [HilferOrder(0.7, 0.5), HilferOrder(0.2, 0.0), (1.0, 1.0), (0.4, 1.0)]
+    )
+    def test_series_matches_neumann_iteration(self, order, rng):
+        mu, eta = (order.mu, order.eta) if isinstance(order, HilferOrder) else order
+        n_pts = 40
+        grid = Grid(0.3, n_pts)
+        v = GridFn(grid, rng.uniform(-0.3, 0.9, n_pts))
+        u = GridFn(grid, np.zeros(n_pts))
+        got = gronwall_check(u, 1.7, v, order).series
+        expect, size = neumann_series(1.7, v, mu, eta, n_pts)
+        assert np.all(np.abs(got - expect) <= self.TOL * size)
+        for n in (0, 1, 17, n_pts - 1):
+            assert gronwall_series(1.7, v, order, 0.3 + n) == got[n]
+
+    def test_series_past_the_float_range_reads_inf(self):
+        grid = Grid(0.0, 1200)
+        v = GridFn.constant(grid, 0.99)
+        res = gronwall_check(GridFn.constant(grid, 1.0), 1.0, v, (1.0, 1.0))
+        assert np.isinf(res.series[-1]) and res.series[-1] > 0
+        assert np.all(np.isfinite(res.series[:100]))
+        assert res.all_ok

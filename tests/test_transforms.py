@@ -183,3 +183,24 @@ class TestTransformIdentities:
         f = bounded_oscillator()
         lhs, rhs = laplace_base_shift_check(f, y, CTL)
         assert abs(lhs - rhs) < 1e-8
+
+
+class TestZeroPrefix:
+    def test_ramp_is_inverse_square(self):
+        ramp = GridFn.from_callable(Grid(0.0, 400), lambda x: x)
+        for y in (2.0, 3.5, 9.0):
+            assert abs(delta_laplace(ramp, y).value - 1.0 / y**2) < 1e-10
+
+    def test_delayed_step(self):
+        # sum_{x >= 2} 3^-(x+1) = 1/18
+        f = GridFn(Grid(0.0, 400), np.r_[0.0, 0.0, np.ones(398)])
+        assert abs(delta_laplace(f, 2.0).value - 1.0 / 18.0) < 1e-10
+
+    def test_all_zero_input_transforms_to_zero(self):
+        res = delta_laplace(GridFn.constant(Grid(0.0, 50), 0.0), 2.0)
+        assert res.value == 0.0
+
+    def test_zero_prefix_longer_than_max_terms_raises(self):
+        f = GridFn(Grid(0.0, 50), np.r_[np.zeros(20), np.ones(30)])
+        with pytest.raises(TruncationError):
+            delta_laplace(f, 2.0, LaplaceCtl(max_terms=20))
