@@ -8,6 +8,8 @@ the library relies on is numerically checkable on desk-scale grids via
 :mod:`hilfer_dfc.verification` or the ``hilfer-dfc`` command line tool.
 """
 
+import logging
+
 from .grid import (
     DEFAULT_REL_TOL,
     CoverageError,
@@ -35,6 +37,7 @@ from .mittag_leffler import (
     pochhammer,
 )
 from .operators import (
+    causal_convolve,
     caputo_difference,
     caputo_difference_fn,
     forward_difference_fn,
@@ -56,6 +59,7 @@ from .solvers import (
     apply_summation_operator,
     defining_equation_residual,
     initial_condition_value,
+    residual_scale,
     solve,
     solve_linear,
     solve_linear_series,
@@ -92,6 +96,10 @@ from .transforms import (
 
 __version__ = "0.1.0"
 
+# silent unless the application configures logging (e.g. DEBUG records
+# of the convolution path that ran)
+logging.getLogger(__name__).addHandler(logging.NullHandler())
+
 __all__ = [
     "__version__",
     # grid
@@ -109,6 +117,7 @@ __all__ = [
     "CoverageError",
     "SingularGammaError",
     # operators
+    "causal_convolve",
     "sum_kernel",
     "fractional_sum",
     "fractional_sum_fn",
@@ -155,6 +164,7 @@ __all__ = [
     "solve_nonhomogeneous",
     "apply_summation_operator",
     "defining_equation_residual",
+    "residual_scale",
     "initial_condition_value",
     # stability
     "BoundReport",

@@ -29,6 +29,7 @@ from .solvers import (
     Nonlinear,
     Solution,
     defining_equation_residual,
+    residual_scale,
     solve_linear,
     solve_linear_series,
     solve_nonhomogeneous,
@@ -132,10 +133,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
     _write_lines(out / "solution.csv", lines)
 
     overflowed = sol.meta.overflow_at is not None
-    max_residual = None
+    max_residual = max_relative_residual = None
     if not overflowed:
-        res = defining_equation_residual(sol, spec)
-        max_residual = float(np.max(np.abs(res.values))) if res.count else 0.0
+        res = np.abs(defining_equation_residual(sol, spec).values)
+        scale = residual_scale(sol, spec).values
+        relative = res / np.maximum(scale, np.finfo(float).tiny)
+        max_residual = float(np.max(res, initial=0.0))
+        max_relative_residual = float(np.max(relative, initial=0.0))
     meta = {
         "solver": sol.meta.solver,
         "terms_used": sol.meta.terms_used,
@@ -147,6 +151,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "zeta": spec.zeta,
         "rhs": type(spec.rhs).__name__,
         "max_residual": max_residual,
+        "max_relative_residual": max_relative_residual,
         "overflow_at": sol.meta.overflow_at,
     }
     if isinstance(spec.rhs, (Linear, NonHomogeneous)):

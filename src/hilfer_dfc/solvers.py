@@ -41,7 +41,12 @@ import numpy as np
 
 from .grid import CoverageError, Grid, GridFn, HilferOrder
 from .mittag_leffler import MlParams, SeriesCtl, ml_eval, ml_lattice
-from .operators import fractional_sum, hilfer_difference_fn, sum_kernel
+from .operators import (
+    causal_convolve,
+    fractional_sum,
+    hilfer_difference_fn,
+    sum_kernel,
+)
 
 __all__ = [
     "Linear",
@@ -58,6 +63,7 @@ __all__ = [
     "solve",
     "apply_summation_operator",
     "defining_equation_residual",
+    "residual_scale",
     "initial_condition_value",
 ]
 
@@ -271,7 +277,7 @@ def solve_nonhomogeneous(
     kernel, kernel_terms = table(MlParams(mu=mu, eta=mu, lam=lam), steps)
     with np.errstate(invalid="ignore"):
         y = spec.zeta * head
-        y[1:] += np.convolve(kernel, spec.rhs.forcing.values[:steps])[:steps]
+        y[1:] += causal_convolve(kernel, spec.rhs.forcing.values[:steps])
     name = "nonhomogeneous-series-bold" if use_bold else "nonhomogeneous-series"
     return _truncated(spec, y, SolverMeta(name, head_terms + kernel_terms))
 
@@ -301,9 +307,8 @@ def apply_summation_operator(spec: IvpSpec, u: GridFn) -> GridFn:
         raise CoverageError(f"u must be based at {spec.a!r}")
     n_pts = u.count
     out = spec.zeta * sum_kernel(spec.order.eta, n_pts)
-    if n_pts > 1:
-        g = _g_values(spec, u.values[: n_pts - 1])
-        out[1:] -= np.convolve(sum_kernel(spec.order.mu, n_pts - 1), g)[: n_pts - 1]
+    g = _g_values(spec, u.values[: n_pts - 1])
+    out[1:] -= causal_convolve(sum_kernel(spec.order.mu, n_pts - 1), g)
     return GridFn(u.grid, out)
 
 
@@ -319,6 +324,25 @@ def defining_equation_residual(solution: Solution, spec: IvpSpec) -> GridFn:
     u = solution.values
     diff = hilfer_difference_fn(u, spec.order)
     return GridFn(diff.grid, diff.values + _g_values(spec, u.values[: diff.count]))
+
+
+def residual_scale(solution: Solution, spec: IvpSpec) -> GridFn:
+    """Size |D|(|u|) + |g| of the terms the defining-equation residual adds up.
+
+    |D| is the composed difference with every term made nonnegative: the
+    inner sum of |u|, neighbouring values added instead of differenced,
+    then the outer sum.  It bounds |D u|, so residual / scale is a
+    relative residual that keeps its meaning at long horizons and where u
+    is close to the operator's kernel (|D u| itself vanishes there).
+    Lives on the residual's grid, based at a+1-mu.
+    """
+    u, order = solution.values, spec.order
+    n = u.count
+    inner = causal_convolve(sum_kernel(order.inner_sum_order, n), np.abs(u.values))
+    spread = inner[1:] + inner[:-1]
+    size = causal_convolve(sum_kernel(order.outer_sum_order, n - 1), spread)
+    g = _g_values(spec, u.values[: n - 1])
+    return GridFn(Grid(spec.a + 1.0 - order.mu, n - 1), size + np.abs(g))
 
 
 def initial_condition_value(solution: Solution, spec: IvpSpec) -> float:

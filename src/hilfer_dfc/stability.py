@@ -52,7 +52,7 @@ from .grid import (
     falling_factorial,
 )
 from .mittag_leffler import MlParams, ml_lattice
-from .operators import sum_kernel
+from .operators import causal_convolve, sum_kernel
 from .solvers import (
     IvpSpec,
     Linear,
@@ -198,10 +198,8 @@ def ev_operator(v: GridFn, phi: GridFn, mu: float, a: float) -> GridFn:
     if n == 0:
         return GridFn(Grid(a, 0), np.empty(0))
     product = v.values[: n - 1] * phi.values[: n - 1]
-    kernel = sum_kernel(mu, max(n - 1, 1))
     out = np.zeros(n)
-    if n > 1:
-        out[1:] = np.convolve(kernel, product)[: n - 1]
+    out[1:] = causal_convolve(sum_kernel(mu, n - 1), product)
     return GridFn(Grid(a, n), out)
 
 
@@ -282,7 +280,7 @@ def gronwall_check(
     rhs = u_a * sum_kernel(eta, n_pts)
     if n_pts > 1:
         product = v.values[: n_pts - 1] * uv[:-1]
-        rhs[1:] += np.convolve(sum_kernel(mu, n_pts - 1), product)[: n_pts - 1]
+        rhs[1:] += causal_convolve(sum_kernel(mu, n_pts - 1), product)
     hypothesis_ok = uv <= rhs + slack * np.maximum(1.0, np.abs(rhs))
     series = _gronwall_solve(u_a, v, mu, eta, n_pts)
     verdict = uv <= series + slack * np.maximum(1.0, np.abs(series))

@@ -119,6 +119,7 @@ class TestSolve:
         assert 1 < len(lines) < 66
         meta = json.loads((tmp_path / "solution.json").read_text())
         assert meta["overflow_at"] is not None
+        assert meta["max_relative_residual"] is None
 
 
 class TestFigures:
@@ -268,6 +269,25 @@ class TestLongHorizonSeries:
         assert meta["solver"] == "linear-series"
         assert meta["overflow_at"] is None
         assert meta["terms_used"] == 601 * 602 // 2
+
+
+class TestRelativeResidual:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # absolute residual 6e109 on a trajectory right to 1e-10
+            ["--linear", "--series", "--lambda", "0.9", "--mu", "0.6",
+             "--nu", "0.5", "--steps", "600"],
+            ["--linear", "--lambda", "0.1", "--mu", "0.8", "--nu", "0.5",
+             "--steps", "30"],
+            ["--nonhomogeneous", "--lambda", "-0.3", "--mu", "0.4",
+             "--nu", "0.75", "--forcing-const", "2", "--steps", "40"],
+        ],
+    )
+    def test_relative_residual_is_written(self, argv, tmp_path):
+        assert main(["solve", *argv, "--out", str(tmp_path)]) == 0
+        meta = json.loads((tmp_path / "solution.json").read_text())
+        assert 0.0 <= meta["max_relative_residual"] <= 1e-12
 
 
 class TestLaplaceZeroFirstSample:

@@ -8,6 +8,8 @@ order kernel, and the two-parameter difference as a fully expanded
 double sum.
 """
 
+import itertools
+import logging
 import math
 
 import numpy as np
@@ -18,6 +20,7 @@ from hilfer_dfc import (
     GridFn,
     HilferOrder,
     OffGridError,
+    causal_convolve,
     caputo_difference,
     caputo_difference_fn,
     delta_sum,
@@ -28,8 +31,10 @@ from hilfer_dfc import (
     hilfer_difference_fn,
     rl_difference,
     rl_difference_fn,
+    sum_kernel,
     taylor_monomial,
 )
+from hilfer_dfc.operators import _FFT_MIN
 
 from conftest import random_grid_fn
 
@@ -144,6 +149,94 @@ class TestFractionalSum:
                 )
 
 
+def shaped_input(rng, kind, n):
+    """Random signs times a flat, an e^60-growing or an e^-30-decaying profile."""
+    exponent = {"random": 0.0, "growing": 60.0, "decaying": -30.0}[kind]
+    return rng.uniform(-1.0, 1.0, n) * np.exp(np.linspace(0.0, exponent, n))
+
+
+class TestCausalConvolve:
+    @pytest.mark.parametrize("n", [_FFT_MIN - 1, _FFT_MIN, 3000, 20000])
+    def test_per_point_error_against_fsum_oracle(self, rng, n):
+        # each product rounds once, so fsum of the products is within
+        # eps * conv(|k|, |f|) of the exact sum at every point
+        for mu in (0.1, 0.5, 0.9):
+            kernel = sum_kernel(mu, n)
+            for kind in ("random", "growing", "decaying"):
+                f = shaped_input(rng, kind, n)
+                out = causal_convolve(kernel, f)
+                assert out.shape == (n,)
+                points = np.unique(
+                    np.concatenate(([0, 1, n - 1], rng.integers(0, n, 20)))
+                )
+                for j in points:
+                    terms = kernel[j::-1] * f[: j + 1]
+                    exact = math.fsum(terms)
+                    size = math.fsum(np.abs(terms))
+                    assert abs(out[j] - exact) <= 1e-12 * size, (mu, kind, j)
+
+    def test_zero_prefix_is_exactly_zero(self, rng):
+        n = 3000
+        f = rng.uniform(-1.0, 1.0, n)
+        f[:700] = 0.0
+        out = causal_convolve(sum_kernel(0.5, n), f)
+        assert np.all(out[:700] == 0.0)
+        assert np.all(out[700:] != 0.0)
+
+    def test_all_zero_input_gives_zeros(self):
+        out = causal_convolve(sum_kernel(0.5, 5000), np.zeros(5000))
+        assert np.array_equal(out, np.zeros(5000))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_matches_direct_pattern(self, rng, bad):
+        n = 3000
+        kernel = sum_kernel(0.4, n)
+        f = rng.uniform(-1.0, 1.0, n)
+        f[1800] = bad
+        out = causal_convolve(kernel, f)
+        direct = np.convolve(kernel, f)[:n]
+        assert np.array_equal(np.isnan(out), np.isnan(direct))
+        assert np.array_equal(np.isinf(out), np.isinf(direct))
+        assert np.array_equal(out[:1800], direct[:1800])
+
+    def test_short_and_empty_inputs_are_the_direct_sum(self, rng):
+        f = rng.uniform(-1.0, 1.0, _FFT_MIN - 1)
+        kernel = sum_kernel(0.3, len(f))
+        direct = np.convolve(kernel, f)[: len(f)]
+        assert np.array_equal(causal_convolve(kernel, f), direct)
+        assert causal_convolve(kernel, np.empty(0)).shape == (0,)
+
+    def test_long_random_sum_takes_the_transform(self, rng, caplog):
+        # a guard that quietly sends everything to the direct sum shows here
+        n = 20000
+        f = GridFn(Grid(0.0, n), rng.uniform(-1.0, 1.0, n))
+        with caplog.at_level(logging.DEBUG, logger="hilfer_dfc"):
+            fractional_sum_fn(f, 0.5)
+        records = [r for r in caplog.records if r.name == "hilfer_dfc.operators"]
+        assert len(records) == 1
+        count, length, head = records[0].args
+        assert count == n and length >= 2 * n - 1
+        assert head < n / 10
+
+    def test_logger_is_silent_by_default(self):
+        handlers = logging.getLogger("hilfer_dfc").handlers
+        assert any(isinstance(h, logging.NullHandler) for h in handlers)
+
+
+class TestSumKernel:
+    def test_long_kernel_against_mpmath(self, rng):
+        mp = pytest.importorskip("mpmath")
+        n = 20000
+        lags = np.unique(np.concatenate(([0, 1, 2, n - 1], rng.integers(0, n, 40))))
+        with mp.workdps(50):
+            for mu in (0.05, 0.5, 0.95, 1.6):
+                c = sum_kernel(mu, n)
+                for lag in lags:
+                    lag = int(lag)
+                    exact = mp.rf(mu, lag) / mp.factorial(lag)
+                    assert abs(c[lag] - exact) <= 1e-12 * abs(exact), (mu, lag)
+
+
 class TestRlDifference:
     def test_constant_against_both_oracles(self):
         f = GridFn.constant(Grid(0.0, 30), 1.0)
@@ -206,17 +299,18 @@ class TestCaputoDifference:
 
 
 class TestHilferDifference:
+    # count 3000 runs every stage through the transform path
     def test_type_zero_matches_rl_exactly(self, rng):
-        for mu in (0.1, 0.5, 0.9):
-            f = random_grid_fn(rng, count=31)
+        for mu, count in itertools.product((0.1, 0.5, 0.9), (31, 3000)):
+            f = random_grid_fn(rng, count=count)
             h = hilfer_difference_fn(f, HilferOrder(mu, 0.0))
             r = rl_difference_fn(f, mu)
             assert h.grid == r.grid
             assert np.array_equal(h.values, r.values)
 
     def test_type_one_matches_caputo_exactly(self, rng):
-        for mu in (0.1, 0.5, 0.9):
-            f = random_grid_fn(rng, count=31)
+        for mu, count in itertools.product((0.1, 0.5, 0.9), (31, 3000)):
+            f = random_grid_fn(rng, count=count)
             h = hilfer_difference_fn(f, HilferOrder(mu, 1.0))
             c = caputo_difference_fn(f, mu)
             assert h.grid == c.grid

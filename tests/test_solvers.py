@@ -18,8 +18,10 @@ from hilfer_dfc import (
     apply_summation_operator,
     defining_equation_residual,
     falling_factorial,
+    hilfer_difference_fn,
     initial_condition_value,
     ml_plain,
+    residual_scale,
     solve,
     solve_linear,
     solve_linear_series,
@@ -226,6 +228,29 @@ class TestWholePipeline:
         sol = solve_nonhomogeneous(spec)
         res = defining_equation_residual(sol, spec)
         assert float(np.max(np.abs(res.values))) < 1e-8
+
+    @pytest.mark.parametrize("nu", [0.0, 0.3, 1.0])
+    def test_residual_scale_bounds_both_terms(self, nu):
+        spec = linear_spec(nu=nu, steps=25, lam=-0.4)
+        sol = solve_linear(spec)
+        diff = hilfer_difference_fn(sol.values, spec.order)
+        scale = residual_scale(sol, spec)
+        assert scale.grid == diff.grid
+        g = -spec.rhs.lam * sol.values.values[: diff.count]
+        assert np.all(np.abs(diff.values) <= scale.values * (1 + 1e-12))
+        assert np.all(np.abs(g) <= scale.values)
+        res = defining_equation_residual(sol, spec)
+        assert np.max(np.abs(res.values) / scale.values) < 1e-13
+
+    @pytest.mark.parametrize("lam", [0.2, 0.5, 0.9])
+    def test_relative_residual_of_growing_long_trajectory(self, lam):
+        # values span many orders of magnitude: the transform path must
+        # keep the small early terms (absolute residuals reach 1e100+)
+        spec = linear_spec(mu=0.6, nu=0.5, steps=2000, lam=lam)
+        sol = solve_linear(spec)
+        res = defining_equation_residual(sol, spec)
+        scale = residual_scale(sol, spec)
+        assert np.max(np.abs(res.values) / scale.values) < 1e-12
 
     @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0])
     def test_initial_condition_recovered(self, nu):
