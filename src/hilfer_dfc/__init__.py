@@ -52,6 +52,7 @@ from .operators import (
 from .solvers import (
     IvpSpec,
     Linear,
+    NonFiniteError,
     NonHomogeneous,
     Nonlinear,
     Solution,
@@ -157,6 +158,7 @@ __all__ = [
     "IvpSpec",
     "SolverMeta",
     "Solution",
+    "NonFiniteError",
     "solve",
     "solve_linear",
     "solve_linear_series",

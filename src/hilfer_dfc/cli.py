@@ -25,6 +25,7 @@ from .mittag_leffler import MlParams, SeriesConvergenceError, SeriesCtl, ml_eval
 from .solvers import (
     IvpSpec,
     Linear,
+    NonFiniteError,
     NonHomogeneous,
     Nonlinear,
     Solution,
@@ -375,7 +376,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    except (SingularGammaError, SeriesConvergenceError, TruncationError) as exc:
+    except (
+        SingularGammaError, SeriesConvergenceError, TruncationError, NonFiniteError
+    ) as exc:
         # the arguments ask for a value the library cannot deliver
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG

@@ -6,6 +6,10 @@ points are carried as (real base, integer index) so that shifted grids
 (base + mu, base + 1 - eta, ...) never accumulate floating-point drift
 in the step.
 
+Gamma is ``math.lgamma`` (log|Gamma(x)|) with the sign +1 for x > 0,
+else (-1)^floor(x).  Callers reject the poles (nonpositive integers, to
+within INTEGER_SNAP) first, so ``math.lgamma`` never sees one.
+
 All operations are pure functions of immutable inputs and are safe to
 share across threads.
 """
@@ -16,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, gammasgn
 
 #: Absolute snap distance used to decide whether a real is "on" an integer
 #: lattice: grid membership and gamma-pole detection both use it.  Grid
@@ -57,6 +60,12 @@ def _snap_int(x: float) -> int | None:
     if abs(x - n) <= INTEGER_SNAP:
         return n
     return None
+
+
+def _sign_lgamma(x: float) -> tuple[float, float]:
+    """(sign of Gamma(x), log|Gamma(x)|) for x off the poles."""
+    sign = 1.0 if x > 0.0 or math.floor(x) % 2 == 0 else -1.0
+    return sign, math.lgamma(x)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +219,10 @@ def falling_factorial(t: float, r: float) -> float:
     * non-integer r with a denominator pole only: returns exactly 0.0
       (this zero is what makes the discrete Mittag-Leffler series and the
       solution series terminate);
-    * non-integer r with a numerator pole only: raises SingularGammaError.
+    * non-integer r with a numerator pole: raises SingularGammaError.
+      That includes both arguments within INTEGER_SNAP of a pole, which
+      a non-integer r allows only for |r - round(r)| <= 2 INTEGER_SNAP;
+      the ratio there hangs on digits below the snap.
     """
     ri = _snap_int(r)
     if ri is not None:
@@ -229,18 +241,8 @@ def falling_factorial(t: float, r: float) -> float:
             out *= factor
         return 1.0 / out
 
-    num_pole = _pole_index(t + 1.0)
-    den_pole = _pole_index(t - r + 1.0)
-    if den_pole is not None and num_pole is None:
-        return 0.0
-    if num_pole is not None and den_pole is None:
-        raise SingularGammaError(f"falling_factorial({t!r}, {r!r}) is singular")
-    # Both poles would force r to be an integer, which was handled above.
-    return float(
-        gammasgn(t + 1.0)
-        * gammasgn(t - r + 1.0)
-        * math.exp(gammaln(t + 1.0) - gammaln(t - r + 1.0))
-    )
+    sign, logmag = falling_factorial_sign_logmag(t, r)
+    return sign * math.exp(logmag)
 
 
 def falling_factorial_sign_logmag(t: float, r: float) -> tuple[float, float]:
@@ -270,14 +272,13 @@ def falling_factorial_sign_logmag(t: float, r: float) -> tuple[float, float]:
             logmag -= math.log(abs(factor))
         return sign, logmag
 
-    num_pole = _pole_index(t + 1.0)
-    den_pole = _pole_index(t - r + 1.0)
-    if den_pole is not None and num_pole is None:
-        return 0.0, -math.inf
-    if num_pole is not None and den_pole is None:
+    if _pole_index(t + 1.0) is not None:
         raise SingularGammaError(f"falling_factorial({t!r}, {r!r}) is singular")
-    sign = float(gammasgn(t + 1.0) * gammasgn(t - r + 1.0))
-    return sign, float(gammaln(t + 1.0) - gammaln(t - r + 1.0))
+    if _pole_index(t - r + 1.0) is not None:
+        return 0.0, -math.inf
+    num_sign, num_log = _sign_lgamma(t + 1.0)
+    den_sign, den_log = _sign_lgamma(t - r + 1.0)
+    return num_sign * den_sign, num_log - den_log
 
 
 def taylor_monomial(r: float, t: float, s: float) -> float:
@@ -295,7 +296,8 @@ def taylor_monomial(r: float, t: float, s: float) -> float:
     sign, logmag = falling_factorial_sign_logmag(t - s, r)
     if sign == 0.0:
         return 0.0
-    return float(sign * gammasgn(r + 1.0) * math.exp(logmag - gammaln(r + 1.0)))
+    gamma_sign, gamma_log = _sign_lgamma(r + 1.0)
+    return sign * gamma_sign * math.exp(logmag - gamma_log)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,10 @@ any term is formed, which keeps resonant parameter combinations (where
 the polynomial continuation of the falling factorial would re-enter with
 a nonzero value) consistent with the successive-approximation solutions.
 
+Scalar terms are assembled in log space from the ``math.lgamma`` and
+sign pair of :mod:`hilfer_dfc.grid`; the lattice table below needs no
+gamma function.
+
 Off the solution lattice the series is truncated once terms stay below
 ``SeriesCtl.tol`` (the |lam| < 1 restriction is what makes that sound);
 non-convergence within ``max_terms`` raises.
@@ -36,9 +40,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, gammasgn
 
-from .grid import _pole_index, falling_factorial_sign_logmag
+from .grid import _pole_index, _sign_lgamma, falling_factorial_sign_logmag
 
 __all__ = [
     "SeriesCtl",
@@ -160,19 +163,9 @@ def _series(
         if ff_sign == 0.0 or _pole_index(denom_arg) is not None:
             term = 0.0
         else:
-            log_term = (
-                (k * log_abs_lam if k else 0.0)
-                + ff_log
-                + poch_log
-                - gammaln(denom_arg)
-            )
-            term = (
-                ff_sign
-                * poch_sign
-                * (sign_lam**k)
-                * float(gammasgn(denom_arg))
-                * math.exp(float(log_term))
-            )
+            gamma_sign, gamma_log = _sign_lgamma(denom_arg)
+            log_term = (k * log_abs_lam if k else 0.0) + ff_log + poch_log - gamma_log
+            term = ff_sign * poch_sign * (sign_lam**k) * gamma_sign * math.exp(log_term)
         terms.append(term)
         total += term
 

@@ -56,6 +56,7 @@ __all__ = [
     "SolverMeta",
     "Solution",
     "OverflowPolicyError",
+    "NonFiniteError",
     "solve_linear",
     "solve_linear_series",
     "solve_nonlinear",
@@ -73,6 +74,10 @@ OVERFLOW_LIMIT = 1e300
 
 class OverflowPolicyError(RuntimeError):
     """Raised when a solver is asked to continue past an overflowed index."""
+
+
+class NonFiniteError(ArithmeticError):
+    """A right-hand side returned nan at a finite trajectory value (not overflow)."""
 
 
 @dataclass(frozen=True)
@@ -170,9 +175,10 @@ def _volterra(
     """Forward Volterra engine: y[n] = zeta c_eta[n] - sum_j k_mu[n-j] g_j.
 
     ``g_at(j, y[j])`` is the right-hand side at base-grid index j
-    (j = 0..steps-1).  Stepping stops at the first value that is
-    non-finite or above OVERFLOW_LIMIT; that value and all later ones
-    read nan.  ``(mu, eta)`` are raw, so the integer edge mu = 1 works.
+    (j = 0..steps-1); a nan from it raises NonFiniteError naming j.
+    Stepping stops at the first value that is non-finite or above
+    OVERFLOW_LIMIT; that value and all later ones read nan.  ``(mu, eta)``
+    are raw, so the integer edge mu = 1 works.
     """
     c = sum_kernel(eta, steps + 1).tolist()
     k_rev = sum_kernel(mu, steps)[::-1].copy()
@@ -180,7 +186,10 @@ def _volterra(
     g = np.empty(steps)
     y[0] = zeta
     for n in range(1, steps + 1):
-        g[n - 1] = g_at(n - 1, float(y[n - 1]))
+        u = float(y[n - 1])
+        g[n - 1] = g_at(n - 1, u)
+        if math.isnan(g[n - 1]):
+            raise NonFiniteError(f"right-hand side is nan at index {n - 1} (u = {u!r})")
         # plain-float arithmetic: an inf or nan from the dot product
         # propagates silently and is caught below without numpy warnings
         value = zeta * c[n] - float(np.dot(k_rev[steps - n :], g[:n]))

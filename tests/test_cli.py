@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hilfer_dfc import HilferOrder, IvpSpec, Linear, solve_linear
+from hilfer_dfc import cli
 from hilfer_dfc.cli import main
 
 
@@ -255,6 +260,15 @@ class TestLibraryErrorsExitTwo:
         assert err.startswith(f"error: {error}: ")
         assert err.count("\n") == 1
 
+    def test_nan_from_right_hand_side(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(cli, "_nonlinear_registry", lambda name, a: lambda w, u: math.nan)
+        argv = ["solve", "--nonlinear", "--g", "nan", "--mu", "0.5", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: NonFiniteError: right-hand side is nan at index 0")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "solution.json").exists()
+
 
 class TestLongHorizonSeries:
     def test_series_route_runs_past_512_terms(self, tmp_path):
@@ -298,3 +312,40 @@ class TestLaplaceZeroFirstSample:
         assert abs(payload["transform"] - 0.25) < 1e-10
         assert payload["fractional_sum_identity"]["error"] < 1e-8
         assert payload["hilfer_identity"]["error"] < 1e-8
+
+
+_NO_SCIPY = """
+import json, sys
+if sys.argv[2] == "block":
+    sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+from hilfer_dfc import cli
+out = sys.argv[1]
+runs = [
+    ["verify", "--only", "ml-", "--out", out],
+    ["solve", "--linear", "--series", "--lambda", "0.4", "--mu", "0.6", "--nu", "0.5",
+     "--steps", "50", "--out", out],
+    ["ml", "--bold", "--mu", "0.7", "--eta", "0.8", "--gamma", "1.3", "--lambda", "0.4",
+     "--z", "12"],
+    ["laplace", "--y", "2"],
+    ["bound", "--a", "0.3", "--T", "20.3", "--mu", "0.4"],
+]
+codes = [cli.main(argv) for argv in runs]
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy" and sys.modules[name])
+print(json.dumps({"codes": codes, "scipy": loaded}))
+"""
+
+
+class TestWithoutScipy:
+    # "block" fails on any scipy import; "free" fails on one that is
+    # caught and falls back, since scipy is then loaded
+    @pytest.mark.parametrize("mode", ["block", "free"])
+    def test_cli_commands_load_no_scipy(self, mode, tmp_path):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-c", _NO_SCIPY, str(tmp_path), mode],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result == {"codes": [0, 0, 0, 0, 0], "scipy": []}

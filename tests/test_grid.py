@@ -20,6 +20,7 @@ from hilfer_dfc import (
     jump_forward,
     taylor_monomial,
 )
+from hilfer_dfc.grid import INTEGER_SNAP, _sign_lgamma
 
 
 class TestFallingFactorial:
@@ -115,6 +116,96 @@ class TestTaylorMonomial:
         a = taylor_monomial(r, t, s)
         b = taylor_monomial(r, t + shift, s + shift)
         assert a == pytest.approx(b, rel=1e-10, abs=1e-10)
+
+
+def _via_logmag(t, r):
+    sign, logmag = falling_factorial_sign_logmag(t, r)
+    return sign * math.exp(logmag)
+
+
+def _monomial(t, r):
+    return taylor_monomial(r, t, 0.0)
+
+
+class TestGammaOracle:
+    """The stdlib gamma layer against 50-digit mpmath."""
+
+    @staticmethod
+    def _mp():
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 50
+        return mp
+
+    def test_sign_and_log_gamma(self):
+        mp = self._mp()
+        rng = np.random.default_rng(11)
+        offsets = rng.choice([-1.0, 1.0], 400) * 10 ** rng.uniform(-13, -8, 400)
+        near = -rng.integers(1, 30, 400) + offsets
+        for x in map(float, np.concatenate([rng.uniform(-30.0, 170.0, 1500), near])):
+            gamma = mp.gamma(mp.mpf(x))
+            sign, log_abs = _sign_lgamma(x)
+            assert sign == (1.0 if gamma > 0 else -1.0), x
+            expect = float(mp.log(abs(gamma)))
+            # 2e-14 is about 90 eps of the log's size (measured worst 7e-15)
+            assert abs(log_abs - expect) <= 2e-14 * max(1.0, abs(expect)), x
+
+    def test_falling_factorial_and_monomial(self):
+        mp = self._mp()
+        rng = np.random.default_rng(12)
+        offsets = rng.choice([-1.0, 1.0], 200) * 10 ** rng.uniform(-8, -1, 200)
+        t_values = np.concatenate([rng.uniform(-30.0, 170.0, 600), -rng.integers(1, 30, 200) + offsets])
+        r_values = rng.uniform(-3.0, 6.0, t_values.size)
+        checked = 0
+        for t, r in zip(map(float, t_values), map(float, r_values)):
+            try:
+                ff = falling_factorial(t, r)
+                mono = _monomial(t, r)
+            except SingularGammaError:
+                continue
+            # the gamma arguments as the library forms them in float64: next
+            # to a pole the ratio amplifies the rounding of t - r + 1, which
+            # is conditioning of the inputs, not error of the gamma layer
+            num, den = mp.mpf(t + 1.0), mp.mpf(t - r + 1.0)
+            if den <= 0 and den == mp.floor(den):
+                expect = mp.mpf(0)
+            else:
+                expect = mp.gamma(num) / mp.gamma(den)
+            for got, ref in ((ff, expect), (mono, expect / mp.gamma(mp.mpf(r + 1.0)))):
+                assert abs(mp.mpf(got) - ref) <= 1e-12 * abs(ref), (t, r)
+            checked += 1
+        assert checked > 700
+
+    @pytest.mark.parametrize("base", [-4.0, -3.0, -5.0])
+    def test_integer_snap_boundary(self, base):
+        # math.lgamma raises at an exact pole where scipy returned inf, and a
+        # non-integer r lets both gamma arguments sit within INTEGER_SNAP of
+        # poles: t and r on each side of the snap distance, stepped at their
+        # own float resolution, and in a band around it, must give a finite
+        # value or SingularGammaError
+        def edge(x):
+            near = [x]
+            for _ in range(4):
+                near = [np.nextafter(near[0], -math.inf), *near, np.nextafter(near[-1], math.inf)]
+            return [float(v) for v in near]
+
+        band = np.linspace(0.99, 1.01, 11) * INTEGER_SNAP
+        ts = [base, *edge(base - INTEGER_SNAP), *edge(base + INTEGER_SNAP)]
+        ts += [base + float(d) for d in np.linspace(-2.2, 2.2, 11) * INTEGER_SNAP]
+        outcomes = {"finite": 0, "singular": 0}
+        for m in range(-3, 6):
+            rs = [*edge(m - INTEGER_SNAP), *edge(m + INTEGER_SNAP)]
+            rs += [m + sgn * float(d) for d in band for sgn in (-1.0, 1.0)]
+            for r in rs:
+                for t in ts:
+                    for call in (falling_factorial, _via_logmag, _monomial):
+                        try:
+                            value = call(t, r)
+                        except SingularGammaError:
+                            outcomes["singular"] += 1
+                            continue
+                        assert math.isfinite(value), (t, r)
+                        outcomes["finite"] += 1
+        assert min(outcomes.values()) > 1000
 
 
 class TestDeltaSum:

@@ -13,6 +13,7 @@ from hilfer_dfc import (
     IvpSpec,
     Linear,
     MlParams,
+    NonFiniteError,
     NonHomogeneous,
     Nonlinear,
     apply_summation_operator,
@@ -142,6 +143,19 @@ class TestNonlinear:
         assert sol.meta.overflow_at is not None
         assert sol.values.count == sol.meta.overflow_at
         assert np.all(np.isfinite(sol.values.values))
+
+    @pytest.mark.parametrize("first_nan", [0, 7])
+    def test_nan_from_g_is_not_overflow(self, first_nan):
+        g = lambda w, u: math.nan if w >= first_nan else -0.1 * u  # noqa: E731
+        spec = IvpSpec(0.0, 20, HilferOrder(0.5, 0.5), 1.0, Nonlinear(g))
+        with pytest.raises(NonFiniteError, match=rf"at index {first_nan} \(u = "):
+            solve_nonlinear(spec)
+
+    def test_inf_from_g_stays_overflow(self):
+        g = lambda w, u: math.inf if w >= 5.0 else 0.0  # noqa: E731
+        sol = solve_nonlinear(IvpSpec(0.0, 20, HilferOrder(0.5, 0.5), 1.0, Nonlinear(g)))
+        assert sol.meta.overflow_at == 6
+        assert sol.values.count == 6
 
 
 class TestNonHomogeneous:
