@@ -11,7 +11,6 @@ the library relies on is numerically checkable on desk-scale grids via
 import logging
 
 from .grid import (
-    DEFAULT_REL_TOL,
     CoverageError,
     Grid,
     GridFn,
@@ -113,7 +112,6 @@ __all__ = [
     "delta_sum",
     "jump_forward",
     "jump_backward",
-    "DEFAULT_REL_TOL",
     "OffGridError",
     "CoverageError",
     "SingularGammaError",

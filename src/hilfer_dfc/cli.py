@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -28,13 +27,11 @@ from .solvers import (
     NonFiniteError,
     NonHomogeneous,
     Nonlinear,
-    Solution,
     defining_equation_residual,
     residual_scale,
+    solve,
     solve_linear,
     solve_linear_series,
-    solve_nonhomogeneous,
-    solve_nonlinear,
 )
 from .stability import existence_report, uniqueness_report
 from .transforms import (
@@ -84,6 +81,8 @@ def _build_spec(args: argparse.Namespace) -> IvpSpec:
         raise ConfigError(
             "choose exactly one of --linear / --nonlinear / --nonhomogeneous"
         )
+    if args.series and args.nonlinear:
+        raise ConfigError("--series needs --linear or --nonhomogeneous")
     if args.linear:
         if args.lam is None:
             raise ConfigError("--linear requires --lambda")
@@ -113,17 +112,9 @@ def _build_spec(args: argparse.Namespace) -> IvpSpec:
     return IvpSpec(args.a, args.steps, order, args.zeta, rhs)
 
 
-def _solve_spec(spec: IvpSpec, use_series: bool) -> Solution:
-    if isinstance(spec.rhs, Linear):
-        return solve_linear_series(spec) if use_series else solve_linear(spec)
-    if isinstance(spec.rhs, Nonlinear):
-        return solve_nonlinear(spec)
-    return solve_nonhomogeneous(spec)
-
-
 def cmd_solve(args: argparse.Namespace) -> int:
     spec = _build_spec(args)
-    sol = _solve_spec(spec, args.series)
+    sol = solve_linear_series(spec) if args.series and args.linear else solve(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -176,7 +167,6 @@ _FIGURE_NUS = (0.0, 0.25, 0.5, 0.75, 1.0)
 def cmd_figures(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    status = EXIT_OK
     for tag, mu in (("fig1", 0.8), ("fig2", 0.5)):
         columns = []
         for nu in _FIGURE_NUS:
@@ -199,7 +189,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
         print(f"wrote {out / (tag + '.csv')} ({args.steps + 1} rows)")
-    return status
+    return EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -321,7 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_solve.add_argument("--forcing-csv", type=str, default=None)
     p_solve.add_argument("--forcing-const", type=float, default=None)
-    p_solve.add_argument("--series", action="store_true", help="use the series solver")
+    p_solve.add_argument("--series", action="store_true", help="series route for --linear")
     p_solve.add_argument("--out", type=str, default=".")
     p_solve.set_defaults(fn=cmd_solve)
 
@@ -377,7 +367,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     except (
-        SingularGammaError, SeriesConvergenceError, TruncationError, NonFiniteError
+        SingularGammaError, SeriesConvergenceError, TruncationError, NonFiniteError,
+        OverflowError,
     ) as exc:
         # the arguments ask for a value the library cannot deliver
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -26,9 +26,6 @@ import numpy as np
 #: arithmetic keeps offsets exact to ~1e-13, so 1e-9 has wide margin.
 INTEGER_SNAP = 1e-9
 
-#: Library-wide default relative tolerance for identity checks.
-DEFAULT_REL_TOL = 1e-10
-
 
 class OffGridError(ValueError):
     """A point does not lie on the grid it was evaluated against."""
@@ -88,12 +85,6 @@ class Grid:
             raise ValueError(f"count must be nonnegative, got {self.count}")
 
     @property
-    def last(self) -> float:
-        if self.count == 0:
-            raise ValueError("empty grid has no last point")
-        return self.base + (self.count - 1)
-
-    @property
     def points(self) -> np.ndarray:
         return self.base + np.arange(self.count, dtype=float)
 
@@ -124,9 +115,6 @@ class Grid:
         except (OffGridError, TypeError, ValueError):
             return False
         return True
-
-    def shifted(self, offset: float, count: int | None = None) -> "Grid":
-        return Grid(self.base + offset, self.count if count is None else count)
 
 
 @dataclass(frozen=True, eq=False)

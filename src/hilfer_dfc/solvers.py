@@ -40,7 +40,7 @@ from typing import Callable
 import numpy as np
 
 from .grid import CoverageError, Grid, GridFn, HilferOrder
-from .mittag_leffler import MlParams, SeriesCtl, ml_eval, ml_lattice
+from .mittag_leffler import MlParams, ml_lattice
 from .operators import (
     causal_convolve,
     fractional_sum,
@@ -55,7 +55,6 @@ __all__ = [
     "IvpSpec",
     "SolverMeta",
     "Solution",
-    "OverflowPolicyError",
     "NonFiniteError",
     "solve_linear",
     "solve_linear_series",
@@ -70,10 +69,6 @@ __all__ = [
 
 #: magnitude at which a trajectory is truncated instead of emitting inf
 OVERFLOW_LIMIT = 1e300
-
-
-class OverflowPolicyError(RuntimeError):
-    """Raised when a solver is asked to continue past an overflowed index."""
 
 
 class NonFiniteError(ArithmeticError):
@@ -255,40 +250,25 @@ def solve_nonlinear(spec: IvpSpec) -> Solution:
     return _stepped(spec, "nonlinear-stepping")
 
 
-def solve_nonhomogeneous(
-    spec: IvpSpec, ctl: SeriesCtl = SeriesCtl(), *, use_bold: bool = False
-) -> Solution:
+def solve_nonhomogeneous(spec: IvpSpec) -> Solution:
     """Closed-form solution with forcing:
 
         u(a+n) = zeta E_[mu,eta](lam, n+eta-1)
                  + sum_{j=1}^{n} E_[mu,mu](lam, n-j+mu-1) f(a+j-mu).
 
-    Both Mittag-Leffler ingredients come from :func:`ml_lattice`.  With
-    ``use_bold`` the scalar shifted-argument series family (truncated by
-    ``ctl``) evaluates them instead, a consistency check of the two
-    families.
+    Both Mittag-Leffler ingredients are :func:`ml_lattice` tables and the
+    forcing sum is one causal convolution.
     """
     if not isinstance(spec.rhs, NonHomogeneous):
         raise TypeError("solve_nonhomogeneous needs a NonHomogeneous right-hand side")
     mu, eta = spec.order.mu, spec.order.eta
     lam, steps = spec.rhs.lam, spec.steps
-
-    def bold(p: MlParams, count: int) -> tuple[np.ndarray, int]:
-        # bold family at z - (eta-1): same value, independently assembled
-        evs = [
-            ml_eval(p, (n + p.eta - 1.0) - (p.eta - 1.0), ctl, bold=True)
-            for n in range(count)
-        ]
-        return np.array([ev.value for ev in evs]), sum(ev.terms_used for ev in evs)
-
-    table = bold if use_bold else _lattice
-    head, head_terms = table(MlParams(mu=mu, eta=eta, lam=lam), steps + 1)
-    kernel, kernel_terms = table(MlParams(mu=mu, eta=mu, lam=lam), steps)
+    head, head_terms = _lattice(MlParams(mu=mu, eta=eta, lam=lam), steps + 1)
+    kernel, kernel_terms = _lattice(MlParams(mu=mu, eta=mu, lam=lam), steps)
     with np.errstate(invalid="ignore"):
         y = spec.zeta * head
         y[1:] += causal_convolve(kernel, spec.rhs.forcing.values[:steps])
-    name = "nonhomogeneous-series-bold" if use_bold else "nonhomogeneous-series"
-    return _truncated(spec, y, SolverMeta(name, head_terms + kernel_terms))
+    return _truncated(spec, y, SolverMeta("nonhomogeneous-series", head_terms + kernel_terms))
 
 
 def solve(spec: IvpSpec) -> Solution:

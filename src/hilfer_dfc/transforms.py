@@ -16,7 +16,6 @@ tolerance judgement to the caller.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .grid import Grid, GridFn, HilferOrder
@@ -89,9 +88,7 @@ def delta_exp(p, x: float, y: float) -> float:
     product 1.  A vanishing 1 + p(t) on the traversed range violates
     regressivity and raises.
     """
-    if isinstance(p, GridFn):
-        p_at = p
-    elif callable(p):
+    if callable(p):
         p_at = p
     else:
         pc = float(p)

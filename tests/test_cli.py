@@ -103,6 +103,17 @@ class TestSolve:
         assert code == 2
         assert not (tmp_path / "solution.csv").exists()
 
+    def test_series_with_nonlinear_is_config_error(self, tmp_path, capsys):
+        code = main(
+            ["solve", "--nonlinear", "--g", "example45", "--mu", "0.5", "--series",
+             "--out", str(tmp_path)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: --series needs --linear or --nonhomogeneous\n"
+        )
+        assert not (tmp_path / "solution.csv").exists()
+
     def test_invalid_order_is_config_error(self, tmp_path):
         code = main(
             ["solve", "--linear", "--lambda", "0.1", "--mu", "1.5",
@@ -251,8 +262,11 @@ class TestLibraryErrorsExitTwo:
                 ["laplace", "--y", "2", "--f-kind", "geometric", "--count", "5"],
                 "TruncationError",
             ),
+            (["ml", "--mu", "0.7", "--lambda", "0.2", "--z", "1e17"], "OverflowError"),
+            (["bound", "--a", "0", "--T", "1e306", "--mu", "0.5"], "OverflowError"),
         ],
-        ids=["singular-gamma", "series-convergence", "truncation"],
+        ids=["singular-gamma", "series-convergence", "truncation", "ml-overflow",
+             "bound-overflow"],
     )
     def test_one_line_on_stderr_and_exit_two(self, argv, error, capsys):
         assert main(argv) == 2

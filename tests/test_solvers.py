@@ -21,6 +21,7 @@ from hilfer_dfc import (
     falling_factorial,
     hilfer_difference_fn,
     initial_condition_value,
+    ml_bold,
     ml_plain,
     residual_scale,
     solve,
@@ -206,14 +207,26 @@ class TestNonHomogeneous:
         assert err < 1e-8
 
     def test_bold_route_agrees_with_plain(self, rng):
-        mu, nu, lam = 0.6, 0.25, 0.2
+        # the closed form rebuilt from scalar shifted-argument ("bold")
+        # values, a family that shares no code with the lattice tables:
+        # E_bold(lam, n) is the plain value at n + eta - 1
+        mu, nu, lam, zeta = 0.6, 0.25, 0.2, 1.3
         a, steps = 0.3, 12
         vals = rng.uniform(-1.0, 1.0, steps)
         forcing = GridFn(Grid(a + 1.0 - mu, steps), vals)
-        spec = IvpSpec(a, steps, HilferOrder(mu, nu), 1.0, NonHomogeneous(lam, forcing))
-        plain = solve_nonhomogeneous(spec)
-        bold = solve_nonhomogeneous(spec, use_bold=True)
-        assert np.max(np.abs(plain.values.values - bold.values.values)) < 1e-10
+        spec = IvpSpec(a, steps, HilferOrder(mu, nu), zeta, NonHomogeneous(lam, forcing))
+        head = MlParams(mu=mu, eta=spec.order.eta, lam=lam)
+        kernel = [ml_bold(MlParams(mu=mu, eta=mu, lam=lam), float(m)) for m in range(steps)]
+        expect = np.array(
+            [
+                zeta * ml_bold(head, float(n))
+                + sum(kernel[n - j] * vals[j - 1] for j in range(1, n + 1))
+                for n in range(steps + 1)
+            ]
+        )
+        got = solve_nonhomogeneous(spec)
+        assert got.meta.solver == "nonhomogeneous-series"
+        assert np.max(np.abs(got.values.values - expect)) < 1e-10
 
 
 class TestWholePipeline:

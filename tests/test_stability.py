@@ -12,6 +12,7 @@ from hilfer_dfc import (
     IvpSpec,
     Linear,
     MlParams,
+    NonHomogeneous,
     Nonlinear,
     ev_operator,
     existence_bound,
@@ -301,6 +302,41 @@ class TestUlamExperiments:
             assert rep.certificate_applies
             assert rep.verdict
             assert rep.deviation <= eps * rep.constant * (1 + 1e-9)
+
+    @pytest.mark.parametrize("mu", [0.3, 0.7])
+    @pytest.mark.parametrize("k", [0.0, 1e-12, 1e-8, 0.15, 0.9])
+    def test_residual_constant_against_mpmath(self, mu, k):
+        # constant = max_n (E_[mu](K, n) - 1)/K over n <= steps, K = 0 read
+        # as the limit; the difference (E - 1)/K cancels as K -> 0
+        mp = pytest.importorskip("mpmath")
+        steps = 40
+        spec = IvpSpec(0.0, steps, HilferOrder(mu, 0.5), 1.0, Linear(k))
+        residual = GridFn(Grid(1.0 - mu, steps), np.zeros(steps))
+        rep = ulam_experiment(spec, k, epsilon=1e-3, perturbation=residual)
+
+        def c(alpha, m):
+            return mp.gamma(m + alpha) / (mp.gamma(m + 1) * mp.gamma(alpha))
+
+        with mp.workdps(50):
+            mu_m, k_m = mp.mpf(mu), mp.mpf(k)
+            want = max(
+                mp.fsum(k_m**j * c((j + 1) * mu_m + 1, n - 1 - j) for j in range(n))
+                for n in range(1, steps + 1)
+            )
+        assert rep.kind == "residual"
+        assert abs(rep.constant - want) <= 1e-13 * want
+
+    def test_nonhomogeneous_residual_experiment(self, rng):
+        mu, a, steps, eps = 0.7, 0.3, 9, 0.01
+        forcing = GridFn(Grid(a + 1.0 - mu, steps), rng.uniform(-0.5, 0.5, steps))
+        spec = IvpSpec(a, steps, desk_order(), 1.0, NonHomogeneous(0.15, forcing))
+        residual = GridFn(Grid(a + 1.0 - mu, steps), rng.uniform(-eps, eps, steps))
+        rep = ulam_experiment(spec, epsilon=eps, perturbation=residual)
+        assert rep.kind == "residual"
+        assert rep.k_source == "derived" and rep.k == 0.15
+        assert rep.certificate_applies
+        assert rep.verdict
+        assert 0.0 < rep.deviation <= eps * rep.constant * (1 + 1e-9)
 
     def test_residual_perturbation_envelope_enforced(self):
         spec = self._spec()
