@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .grid import Grid, GridFn, HilferOrder, SingularGammaError
-from .mittag_leffler import MlParams, SeriesConvergenceError, SeriesCtl, ml_eval
+from .mittag_leffler import ContourError, MlParams, SeriesConvergenceError, SeriesCtl, ml_eval
 from .solvers import (
     IvpSpec,
     Linear,
@@ -74,13 +74,29 @@ def _nonlinear_registry(name: str, a: float):
     raise ConfigError(f"unknown --g registry entry {name!r}")
 
 
+#: right-hand-side flags (argparse dest -> flag) each kind of solve takes
+_RHS_FLAGS = {
+    "linear": {"lam": "--lambda"},
+    "nonlinear": {"g": "--g", "g_affine": "--g-affine"},
+    "nonhomogeneous": {
+        "lam": "--lambda", "forcing_csv": "--forcing-csv", "forcing_const": "--forcing-const",
+    },
+}
+
+
 def _build_spec(args: argparse.Namespace) -> IvpSpec:
     order = HilferOrder(args.mu, args.nu)
-    kinds = [bool(args.linear), bool(args.nonlinear), bool(args.nonhomogeneous)]
-    if sum(kinds) != 1:
+    kinds = [kind for kind in _RHS_FLAGS if getattr(args, kind)]
+    if len(kinds) != 1:
         raise ConfigError(
             "choose exactly one of --linear / --nonlinear / --nonhomogeneous"
         )
+    foreign = sorted(
+        {flag for flags in _RHS_FLAGS.values() for dest, flag in flags.items()
+         if dest not in _RHS_FLAGS[kinds[0]] and getattr(args, dest) is not None}
+    )
+    if foreign:
+        raise ConfigError(f"--{kinds[0]} does not take these flags: {', '.join(foreign)}")
     if args.series and args.nonlinear:
         raise ConfigError("--series needs --linear or --nonhomogeneous")
     if args.linear:
@@ -368,7 +384,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_BAD_CONFIG
     except (
         SingularGammaError, SeriesConvergenceError, TruncationError, NonFiniteError,
-        OverflowError,
+        OverflowError, ContourError,
     ) as exc:
         # the arguments ask for a value the library cannot deliver
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

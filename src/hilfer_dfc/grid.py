@@ -21,10 +21,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
+__all__ = [
+    "Grid",
+    "GridFn",
+    "HilferOrder",
+    "falling_factorial",
+    "falling_factorial_sign_logmag",
+    "taylor_monomial",
+    "delta_sum",
+    "jump_forward",
+    "jump_backward",
+    "OffGridError",
+    "CoverageError",
+    "SingularGammaError",
+]
+
 #: Absolute snap distance used to decide whether a real is "on" an integer
 #: lattice: grid membership and gamma-pole detection both use it.  Grid
 #: arithmetic keeps offsets exact to ~1e-13, so 1e-9 has wide margin.
 INTEGER_SNAP = 1e-9
+
+#: from this argument on, gamma ratios use Stirling's series, not lgamma
+_STIRLING_MIN = 16.0
+#: B_2k / (2k (2k-1)), k = 1..6; the next term is below 2e-18 at x = 16
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
 
 
 class OffGridError(ValueError):
@@ -63,6 +83,17 @@ def _sign_lgamma(x: float) -> tuple[float, float]:
     """(sign of Gamma(x), log|Gamma(x)|) for x off the poles."""
     sign = 1.0 if x > 0.0 or math.floor(x) % 2 == 0 else -1.0
     return sign, math.lgamma(x)
+
+
+def _ratio_correction(x: float, r: float) -> float:
+    """log Gamma(x) - log Gamma(x - r) - r log x, for x, x - r >= _STIRLING_MIN.
+
+    Stirling's series for both gammas less the r log x they share: the
+    rest is O(r^2 / x) with absolute error about eps |r|, where the
+    lgamma difference loses eps |lgamma(x)|.
+    """
+    tails = [sum(c * y ** -(2 * k + 1) for k, c in enumerate(_STIRLING)) for y in (x, x - r)]
+    return -(x - r - 0.5) * math.log1p(-r / x) - r + tails[0] - tails[1]
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +260,14 @@ def falling_factorial(t: float, r: float) -> float:
             out *= factor
         return 1.0 / out
 
+    if min(t + 1.0, t - r + 1.0) >= _STIRLING_MIN:
+        # pow keeps the value to an ulp where exp of the log form loses
+        # eps |r log t|; halved, it overflows only where the value does
+        half = math.pow(t + 1.0, 0.5 * r)
+        value = half * math.exp(_ratio_correction(t + 1.0, r)) * half
+        if math.isinf(value):
+            raise OverflowError(f"falling_factorial({t!r}, {r!r}) is past the float range")
+        return value
     sign, logmag = falling_factorial_sign_logmag(t, r)
     return sign * math.exp(logmag)
 
@@ -264,6 +303,8 @@ def falling_factorial_sign_logmag(t: float, r: float) -> tuple[float, float]:
         raise SingularGammaError(f"falling_factorial({t!r}, {r!r}) is singular")
     if _pole_index(t - r + 1.0) is not None:
         return 0.0, -math.inf
+    if min(t + 1.0, t - r + 1.0) >= _STIRLING_MIN:
+        return 1.0, r * math.log(t + 1.0) + _ratio_correction(t + 1.0, r)
     num_sign, num_log = _sign_lgamma(t + 1.0)
     den_sign, den_log = _sign_lgamma(t - r + 1.0)
     return num_sign * den_sign, num_log - den_log

@@ -15,23 +15,25 @@ the polynomial continuation of the falling factorial would re-enter with
 a nonzero value) consistent with the successive-approximation solutions.
 
 Scalar terms are assembled in log space from the ``math.lgamma`` and
-sign pair of :mod:`hilfer_dfc.grid`; the lattice table below needs no
-gamma function.
+sign pair of :mod:`hilfer_dfc.grid`.
 
 Off the solution lattice the series is truncated once terms stay below
 ``SeriesCtl.tol`` (the |lam| < 1 restriction is what makes that sound);
 non-convergence within ``max_terms`` raises.
 
-Solvers need the plain family at every lattice point at once, and
-:func:`ml_lattice` tabulates it without scalar gamma calls.  At
-z = n + eta - 1 the k-th term is lam^k C_{k mu + eta}[n - k], where
+Solvers need the plain family at every lattice point at once.  The
+values E_[mu,eta](lam, n + eta - 1) are the Taylor coefficients of
 
-    C_alpha[m] = Gamma(m + alpha) / (Gamma(m + 1) Gamma(alpha))
-               = prod_{i=1}^{m} (i - 1 + alpha) / i,
+    U(z) = (1-z)^-eta / D(z),   D(z) = 1 - lam z (1-z)^-mu,
 
-so term row k is a cumulative sum of logs, exponentiated and added into
-every point n >= k.  The table sums all n + 1 terms of each point, with
-no tolerance cut and no term cap, and holds one row at a time.
+and :func:`ml_lattice` takes them by the trapezoid rule on a circle
+|z| = r (Bornemann 2011, Found. Comput. Math. 11): U at M >= 16N points,
+one inverse real FFT, scaled by r^-n.  U is real on the real axis, so
+the half circle is sampled.  r sits a relative 2/N inside the nearest
+singularity, the branch point z = 1 for lam <= 0 and the real pole z* in
+(0, 1) of D for lam > 0, which bounds both the aliasing and the r^-n
+growth of roundoff.  The samples of D also certify the contour: its
+winding number around 0 must be 0, or ContourError is raised.
 """
 
 from __future__ import annotations
@@ -42,14 +44,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import _pole_index, _sign_lgamma, falling_factorial_sign_logmag
+from .operators import _smooth_length
 
 __all__ = [
     "SeriesCtl",
+    "SeriesConvergenceError",
+    "ContourError",
     "MlParams",
     "MlEvaluation",
     "pochhammer",
     "ml_eval",
     "ml_lattice",
+    "ml_lattice_solution",
     "ml_plain",
     "ml_bold",
 ]
@@ -74,6 +80,10 @@ class SeriesCtl:
 
 class SeriesConvergenceError(RuntimeError):
     """Series did not meet the truncation tolerance within max_terms."""
+
+
+class ContourError(ArithmeticError):
+    """The transform contour of :func:`ml_lattice` may enclose a pole."""
 
 
 @dataclass(frozen=True)
@@ -202,22 +212,67 @@ def ml_bold(p: MlParams, z: float, ctl: SeriesCtl = SeriesCtl()) -> float:
 def ml_lattice(p: MlParams, count: int) -> np.ndarray:
     """Plain-family values E_[mu,eta](lam, n + eta - 1) for n = 0..count-1.
 
-    Every point's finite series is summed in full (n + 1 terms at point
-    n).  Only gamma = 1 is supported.  Values past the float range come
-    out as inf or nan; callers decide what that means.
+    Only gamma = 1 is supported.  Values past the float range come out
+    as inf; callers decide what that means.  Raises ContourError when the
+    transform's contour is not certified.
+    """
+    return ml_lattice_solution(p, count)[0]
+
+
+def _pole(mu: float, lam: float) -> float:
+    """Lower bisection bound of the zero z* in (0, 1) of (1-z)^mu - lam z, lam > 0."""
+    lo, hi = 0.0, 1.0
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if (1.0 - mid) ** mu > lam * mid else (lo, mid)
+    return lo
+
+
+def _certify(denom: np.ndarray) -> None:
+    """Raise ContourError unless D, sampled from z = r to z = -r, has no
+    zero inside the circle.
+
+    D(conj z) = conj D(z), so the whole circle's winding number is the
+    half circle's turn over pi.  A step turning by pi/2 or more between
+    samples would make the count ambiguous.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        turns = np.angle(denom[1:] / denom[:-1])
+    if not (np.all(np.isfinite(denom) & (denom != 0)) and np.all(np.abs(turns) < np.pi / 2)):
+        raise ContourError("the contour samples do not resolve the winding of D")
+    if abs(float(np.sum(turns))) > np.pi / 2:
+        raise ContourError("a zero of D lies inside the contour")
+
+
+def ml_lattice_solution(
+    p: MlParams, count: int, zeta: float = 1.0, forcing: np.ndarray | None = None
+) -> tuple[np.ndarray, int]:
+    """Lattice solution zeta E_[mu,eta](lam, n + eta - 1)
+    + sum_{j<n} E_[mu,mu](lam, n - j + mu - 2) forcing[j] for n < count,
+    and the number of symbol samples taken.
+
+    These are the coefficients of zeta U(z) + z K(z) F(z), with K the
+    eta = mu symbol and F(z) = sum_j forcing[j] z^j, all from one
+    transform (module docstring).  Raises ContourError when the contour
+    is not certified.
     """
     if p.gamma != 1.0:
         raise ValueError(f"ml_lattice supports gamma = 1 only, got {p.gamma}")
-    out = np.zeros(count)
-    m = np.arange(1, count, dtype=float)
-    log_abs_lam = math.log(abs(p.lam)) if p.lam else 0.0  # lam = 0: row 0 only
+    n = max(count, 16)
+    r = (1.0 - 2.0 / n) * (_pole(p.mu, p.lam) if p.lam > 0 else 1.0)
+    m = 2 * _smooth_length(8 * n)
+    z = r * np.exp(-2j * np.pi / m * np.arange(m // 2 + 1))
+    log_1mz = np.log1p(-z)
+    k_mu = np.exp(-p.mu * log_1mz)
+    denom = 1.0 - p.lam * z * k_mu
+    _certify(denom)
+    samples = zeta * np.exp(-p.eta * log_1mz)
+    if forcing is not None:
+        f = np.asarray(forcing, dtype=float)[:count]
+        samples += z * k_mu * np.fft.rfft(f * r ** np.arange(len(f)), m)
+    # r^-n as two factors: the product overflows only where the value does
+    half = np.power(r, -0.5 * np.arange(count))
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(count if p.lam else min(count, 1)):
-            # log|lam|^k + log C_alpha[j] for j < count - k; log1p keeps
-            # each log((j - 1 + alpha) / j) accurate when alpha is near 1
-            log_term = np.empty(count - k)
-            log_term[0] = k * log_abs_lam
-            log_term[1:] = np.log1p((k * p.mu + p.eta - 1.0) / m[: count - k - 1])
-            np.cumsum(log_term, out=log_term)
-            out[k:] += math.copysign(1.0, p.lam) ** k * np.exp(log_term)
-    return out
+        out = np.fft.irfft(samples / denom, m)[:count] * half * half
+    out[:1] = zeta  # zeta U(0), exactly
+    return out, len(z)

@@ -22,13 +22,14 @@ Each right-hand side has a method g(w, u, x): g at w = x+mu-1 with
 u = u(w), where x is the equation point the forcing is sampled at.
 
 For the linear right-hand side two independent evaluations are provided:
-the forward recursion, and the closed-form discrete Mittag-Leffler series
-tabulated on the solution lattice (terms terminate exactly after n+1 of
-them).  The non-homogeneous closed form adds a Mittag-Leffler kernel
-convolution of the forcing.
+the forward recursion, and the closed-form discrete Mittag-Leffler
+solution on the lattice, taken as the Taylor coefficients of its
+generating function by one FFT (:func:`ml_lattice_solution`).  The
+non-homogeneous closed form adds the forcing's Mittag-Leffler kernel sum
+to the same generating function, so it is the same single transform.
 
 The engine is sequential in n; the series solvers are whole-array
-computations.
+computations, O(steps log steps).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from .grid import CoverageError, Grid, GridFn, HilferOrder
-from .mittag_leffler import MlParams, ml_lattice
+from .mittag_leffler import MlParams, ml_lattice_solution
 from .operators import (
     causal_convolve,
     fractional_sum,
@@ -215,12 +216,6 @@ def _stepped(spec: IvpSpec, solver_name: str) -> Solution:
     return _truncated(spec, y, SolverMeta(solver_name))
 
 
-def _lattice(p: MlParams, count: int) -> tuple[np.ndarray, int]:
-    """Plain-family table at n + eta - 1, n < count, and the terms it summed."""
-    terms = count * (count + 1) // 2 if p.lam != 0.0 else count
-    return ml_lattice(p, count), terms
-
-
 def solve_linear(spec: IvpSpec) -> Solution:
     """Exact forward recursion for the linear problem, O(steps^2) multiply-adds."""
     if not isinstance(spec.rhs, Linear):
@@ -231,16 +226,14 @@ def solve_linear(spec: IvpSpec) -> Solution:
 def solve_linear_series(spec: IvpSpec) -> Solution:
     """Closed-form series solution u(a+n) = zeta E_[mu,eta](lam, n+eta-1).
 
-    The series terminates exactly after n+1 terms at the n-th grid point;
-    values are identical to the forward recursion up to roundoff.
+    Values agree with the forward recursion to roundoff of the term scale;
+    ``terms_used`` counts the symbol samples the transform took.
     """
     if not isinstance(spec.rhs, Linear):
         raise TypeError("solve_linear_series needs a Linear right-hand side")
     params = MlParams(mu=spec.order.mu, eta=spec.order.eta, lam=spec.rhs.lam)
-    values, terms = _lattice(params, spec.steps + 1)
-    with np.errstate(invalid="ignore"):
-        y = spec.zeta * values
-    return _truncated(spec, y, SolverMeta("linear-series", terms))
+    y, samples = ml_lattice_solution(params, spec.steps + 1, spec.zeta)
+    return _truncated(spec, y, SolverMeta("linear-series", samples))
 
 
 def solve_nonlinear(spec: IvpSpec) -> Solution:
@@ -256,19 +249,16 @@ def solve_nonhomogeneous(spec: IvpSpec) -> Solution:
         u(a+n) = zeta E_[mu,eta](lam, n+eta-1)
                  + sum_{j=1}^{n} E_[mu,mu](lam, n-j+mu-1) f(a+j-mu).
 
-    Both Mittag-Leffler ingredients are :func:`ml_lattice` tables and the
-    forcing sum is one causal convolution.
+    Both terms come from one transform of their generating function,
+    zeta U(z) + z K(z) F(z) with F the forcing's (:func:`ml_lattice_solution`);
+    ``terms_used`` counts the symbol samples it took.
     """
     if not isinstance(spec.rhs, NonHomogeneous):
         raise TypeError("solve_nonhomogeneous needs a NonHomogeneous right-hand side")
-    mu, eta = spec.order.mu, spec.order.eta
-    lam, steps = spec.rhs.lam, spec.steps
-    head, head_terms = _lattice(MlParams(mu=mu, eta=eta, lam=lam), steps + 1)
-    kernel, kernel_terms = _lattice(MlParams(mu=mu, eta=mu, lam=lam), steps)
-    with np.errstate(invalid="ignore"):
-        y = spec.zeta * head
-        y[1:] += causal_convolve(kernel, spec.rhs.forcing.values[:steps])
-    return _truncated(spec, y, SolverMeta("nonhomogeneous-series", head_terms + kernel_terms))
+    params = MlParams(mu=spec.order.mu, eta=spec.order.eta, lam=spec.rhs.lam)
+    forcing = spec.rhs.forcing.values[: spec.steps]
+    y, samples = ml_lattice_solution(params, spec.steps + 1, spec.zeta, forcing)
+    return _truncated(spec, y, SolverMeta("nonhomogeneous-series", samples))
 
 
 def solve(spec: IvpSpec) -> Solution:

@@ -29,8 +29,8 @@ sup-norm deviation, and compare it to a certified constant:
   eps * sup_x (E_[mu](K, x-a) - 1)/K, the Gronwall iteration of the
   kernel's running sum.
 
-Both envelopes are Mittag-Leffler values on the solution lattice, taken
-from :func:`ml_lattice`.
+Both envelopes are Mittag-Leffler values on the solution lattice, one
+:func:`ml_lattice` transform each.
 
 Both certificates require K below the contraction threshold; otherwise
 the experiment still runs but the certificate is marked non-applicable.
@@ -433,7 +433,7 @@ def ulam_experiment(
         eps_eff = epsilon
         perturbed = solve(_perturbed_spec(spec, perturbation))
         # (E_[mu](K, n) - 1)/K = E_[mu,mu+1](K, n-1+mu) term by term, so
-        # the growth needs no subtraction and K = 0 is the row-0 table
+        # the growth needs no subtraction and K = 0 no special case
         params = MlParams(mu=mu, eta=mu + 1.0, lam=min(k_val, 1.0 - 1e-12))
         base_constant = float(np.max(ml_lattice(params, spec.steps)))
         if psi is None:

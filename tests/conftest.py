@@ -15,3 +15,49 @@ def random_grid_fn(rng, base=0.0, count=24, scale=1.0):
 
 def rel_err(got, expect):
     return abs(got - expect) / max(1.0, abs(expect))
+
+
+def ld_recursion(mu, eta, lam, zeta, count, forcing=None):
+    """Forward recursion of u[n] = zeta c_eta[n] - sum_j k_mu[n-1-j] g_j,
+    g_j = -lam u_j - forcing[j], in extended precision.
+
+    Returns u (nan from the first value above 1e300 on) and the term scale
+    |zeta| c_eta + conv(k_mu, |g|) that the series routes are judged by.
+    """
+    ld = np.longdouble
+    lag = np.arange(1, count, dtype=ld)
+    k = np.ones(count, dtype=ld)
+    c = np.ones(count, dtype=ld)
+    k[1:] = np.cumprod((lag - 1 + ld(mu)) / lag)
+    c[1:] = np.cumprod((lag - 1 + ld(eta)) / lag)
+    f = np.zeros(count, dtype=ld)
+    if forcing is not None:
+        f[: len(forcing)] = forcing
+    k_rev = k[::-1].copy()
+    u = np.full(count, np.nan, dtype=ld)
+    g = np.zeros(count, dtype=ld)
+    u[0] = zeta
+    for n in range(1, count):
+        g[n - 1] = -ld(lam) * u[n - 1] - f[n - 1]
+        value = ld(zeta) * c[n] - np.dot(k_rev[count - n :], g[:n])
+        if not abs(value) <= 1e300:
+            break
+        u[n] = value
+    scale = abs(zeta) * c.astype(float)
+    scale[1:] += np.convolve(k[:-1].astype(float), np.abs(g[:-1].astype(float)))[: count - 1]
+    return u.astype(float), scale
+
+
+def stratified_cases(seed, count, mu_hi):
+    """(lam, mu, nu, steps) spread over lam in (-1, 1), mu in [0.1, mu_hi],
+    nu at both edges and inside, and steps up to 2000: one stratum of
+    each range per case."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for i in range(count):
+        lam = -0.995 + 1.99 * (i + rng.uniform()) / count
+        mu = 0.1 + (mu_hi - 0.1) * ((5 * i + 2) % count + rng.uniform()) / count
+        nu = (0.0, 1.0, float(rng.uniform()))[i % 3]
+        steps = int(round(20 * 100 ** (((7 * i + 3) % count + rng.uniform()) / count)))
+        cases.append((round(lam, 4), round(mu, 4), round(nu, 4), steps))
+    return cases

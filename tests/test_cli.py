@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hilfer_dfc import HilferOrder, IvpSpec, Linear, solve_linear
+from hilfer_dfc import ContourError, HilferOrder, IvpSpec, Linear, solve_linear
 from hilfer_dfc import cli
 from hilfer_dfc.cli import main
 
@@ -219,6 +219,14 @@ class TestBound:
         out = capsys.readouterr().out
         assert "satisfied = False" in out
 
+    @pytest.mark.parametrize("T, expect", [("1e200", 8.86226925452758e-101),
+                                           ("1e306", 8.86226925452758e-154)])
+    def test_large_horizon(self, T, expect, capsys):
+        # Gamma(1.5) / (T - 1/2)^[1/2], and (T - 1/2)^[1/2] = sqrt(T) to 1e-200
+        assert main(["bound", "--a", "0", "--T", T, "--mu", "0.5"]) == 0
+        value = float(capsys.readouterr().out.split()[2])
+        assert value == pytest.approx(expect, rel=1e-13)
+
     def test_bad_horizon_is_config_error(self, capsys):
         code = main(["bound", "--a", "0.0", "--T", "5.5", "--mu", "0.7"])
         assert code == 2
@@ -263,16 +271,36 @@ class TestLibraryErrorsExitTwo:
                 "TruncationError",
             ),
             (["ml", "--mu", "0.7", "--lambda", "0.2", "--z", "1e17"], "OverflowError"),
-            (["bound", "--a", "0", "--T", "1e306", "--mu", "0.5"], "OverflowError"),
+            (["bound", "--a", "0", "--T", "inf", "--mu", "0.5"], "OverflowError"),
+            (
+                ["solve", "--mu", "0.5", "--linear", "--lambda", "0.2", "--g", "example45",
+                 "--forcing-const", "3"],
+                "--linear does not take these flags",
+            ),
+            (
+                ["solve", "--mu", "0.5", "--nonlinear", "--g", "example45", "--lambda", "0.5"],
+                "--nonlinear does not take these flags",
+            ),
         ],
         ids=["singular-gamma", "series-convergence", "truncation", "ml-overflow",
-             "bound-overflow"],
+             "bound-overflow", "linear-foreign-flags", "nonlinear-foreign-flags"],
     )
     def test_one_line_on_stderr_and_exit_two(self, argv, error, capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {error}: ")
         assert err.count("\n") == 1
+
+    def test_uncertified_contour(self, monkeypatch, tmp_path, capsys):
+        def refuse(spec):
+            raise ContourError("a zero of D lies inside the contour")
+
+        monkeypatch.setattr(cli, "solve_linear_series", refuse)
+        argv = ["solve", "--linear", "--series", "--lambda", "0.5", "--mu", "0.5",
+                "--out", str(tmp_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: ContourError: a zero of D lies inside the contour\n"
 
     def test_nan_from_right_hand_side(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setattr(cli, "_nonlinear_registry", lambda name, a: lambda w, u: math.nan)
@@ -296,7 +324,8 @@ class TestLongHorizonSeries:
         meta = json.loads((tmp_path / "solution.json").read_text())
         assert meta["solver"] == "linear-series"
         assert meta["overflow_at"] is None
-        assert meta["terms_used"] == 601 * 602 // 2
+        # symbol samples: M/2 + 1 for M = 9720, the even 5-smooth length >= 16 * 601
+        assert meta["terms_used"] == 4861
 
 
 class TestRelativeResidual:
@@ -310,6 +339,10 @@ class TestRelativeResidual:
              "--steps", "30"],
             ["--nonhomogeneous", "--lambda", "-0.3", "--mu", "0.4",
              "--nu", "0.75", "--forcing-const", "2", "--steps", "40"],
+            # negative lam: the series routes cancelled to garbage here
+            ["--mu", "0.5", "--linear", "--series", "--lambda", "-0.9", "--steps", "200"],
+            ["--mu", "0.5", "--nonhomogeneous", "--lambda", "-0.9", "--forcing-const",
+             "0.4", "--steps", "300"],
         ],
     )
     def test_relative_residual_is_written(self, argv, tmp_path):

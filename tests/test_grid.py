@@ -14,6 +14,7 @@ from hilfer_dfc import (
     OffGridError,
     SingularGammaError,
     delta_sum,
+    existence_bound,
     falling_factorial,
     falling_factorial_sign_logmag,
     jump_backward,
@@ -174,6 +175,28 @@ class TestGammaOracle:
                 assert abs(mp.mpf(got) - ref) <= 1e-12 * abs(ref), (t, r)
             checked += 1
         assert checked > 700
+
+    def test_large_arguments(self):
+        # lgamma(t+1) - lgamma(t-r+1) loses eps |lgamma(t)|, all of the
+        # value from t ~ 1e17 on; Stirling's form keeps 1e-13 up to 1e300
+        mp = self._mp()
+
+        def log_ratio(t, r):  # loggamma(t) has log10(t) digits before the point
+            with mp.workdps(int(math.log10(t)) + 40):
+                return mp.loggamma(mp.mpf(t) + 1) - mp.loggamma(mp.mpf(t) - r + 1)
+
+        rng = np.random.default_rng(13)
+        for t, r in zip(10 ** rng.uniform(0.0, 300.0, 400), rng.uniform(-1.0, 1.0, 400)):
+            t, r = float(t), float(r)
+            log_expect = log_ratio(t, r)
+            expect = mp.exp(log_expect)
+            assert abs(falling_factorial(t, r) - expect) <= 1e-13 * expect, (t, r)
+            sign, logmag = falling_factorial_sign_logmag(t, r)
+            assert sign == 1.0, (t, r)
+            assert abs(logmag - log_expect) <= 1e-14 * max(1.0, abs(logmag)), (t, r)
+            T, mu = float(round(t) + 1), abs(r)
+            bound = mp.gamma(mu + 1) / mp.exp(log_ratio(T - 1.0 + mu, mu))
+            assert abs(existence_bound(0.0, T, mu) - bound) <= 1e-13 * bound, (T, mu)
 
     @pytest.mark.parametrize("base", [-4.0, -3.0, -5.0])
     def test_integer_snap_boundary(self, base):

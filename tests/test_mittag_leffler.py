@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from conftest import ld_recursion, stratified_cases
 from hilfer_dfc import (
+    ContourError,
     MlParams,
     SeriesConvergenceError,
     SeriesCtl,
@@ -16,6 +18,7 @@ from hilfer_dfc import (
     ml_plain,
     pochhammer,
 )
+from hilfer_dfc.mittag_leffler import _certify, _pole
 
 
 class TestPochhammer:
@@ -234,3 +237,77 @@ class TestLatticeTable:
     def test_rejects_gamma_other_than_one(self):
         with pytest.raises(ValueError):
             ml_lattice(MlParams(mu=0.7, gamma=1.3, lam=0.2), 5)
+
+
+def _row_table(mu, eta, lam, count):
+    """The former lattice table: row k adds lam^k C_{k mu + eta}[n - k] to
+    every point n >= k, all n + 1 terms of each point summed.
+
+    Every term is positive for lam >= 0, so this is an oracle there; for
+    lam < 0 it cancels without bound.
+    """
+    out = np.zeros(count)
+    m = np.arange(1, count, dtype=float)
+    with np.errstate(over="ignore"):
+        for k in range(count if lam else min(count, 1)):
+            log_term = np.empty(count - k)
+            log_term[0] = k * math.log(lam) if lam else 0.0
+            log_term[1:] = np.log1p((k * mu + eta - 1.0) / m[: count - k - 1])
+            out[k:] += np.exp(np.cumsum(log_term))
+    return out
+
+
+class TestTransformEngine:
+    TOL = 1e-12  # of the term scale |c_eta| + conv(k_mu, |g|), from float64 eps
+
+    @pytest.mark.parametrize(
+        "lam, mu, eta, count",
+        [(lam, mu, round(mu + nu - mu * nu, 4), steps + 1)
+         for lam, mu, nu, steps in stratified_cases(7, 12, 1.0)] + [(-0.995, 1.0, 1.0, 2001)],
+    )
+    def test_matches_extended_precision_recursion(self, lam, mu, eta, count):
+        table = ml_lattice(MlParams(mu=mu, eta=eta, lam=lam), count)
+        ref, scale = ld_recursion(mu, eta, lam, 1.0, count)
+        finite = np.isfinite(ref)
+        assert np.array_equal(np.abs(table) <= 1e300, finite)
+        assert np.max(np.abs(table[finite] - ref[finite]) / scale[finite]) <= self.TOL
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-3, 0.3, 0.9, 0.995])
+    @pytest.mark.parametrize(
+        "mu, eta", [(0.15, 0.15), (0.5, 0.8), (1.0, 1.0), (0.5, 1.5), (0.9, 1.9)]
+    )
+    def test_matches_row_table_for_nonnegative_lam(self, lam, mu, eta):
+        table = ml_lattice(MlParams(mu=mu, eta=eta, lam=lam), 1200)
+        rows = _row_table(mu, eta, lam, 1200)
+        finite = rows <= 1e300
+        assert np.array_equal(np.abs(table) <= 1e300, finite)
+        error = np.abs(table[finite] - rows[finite])
+        if eta <= 1.0:
+            assert np.max(error / rows[finite]) <= self.TOL
+        else:
+            # U grows like N^eta near z = 1, and roundoff follows the
+            # largest value: what the residual Ulam envelope (eta = mu + 1)
+            # takes is that maximum
+            assert np.max(error) <= self.TOL * np.max(rows[finite])
+
+    @pytest.mark.parametrize("mu, lam", [(0.15, 0.995), (0.5, 0.3), (1.0, 0.5), (0.9, 1e-3)])
+    def test_pole_is_the_real_zero(self, mu, lam):
+        def f(z):  # decreasing on (0, 1)
+            return (1.0 - z) ** mu - lam * z
+
+        z = _pole(mu, lam)
+        assert 0.5 < z < 1.0 and f(z) >= 0.0 > f(z + 1e-12)
+
+    @pytest.mark.parametrize("mu, lam", [(0.5, 0.6), (0.15, 0.995), (1.0, 0.2)])
+    def test_certificate_rejects_a_contour_around_the_pole(self, mu, lam):
+        z_star = _pole(mu, lam)
+
+        def denom(r, samples=1024):
+            z = r * np.exp(-2j * np.pi / samples * np.arange(samples // 2 + 1))
+            return 1.0 - lam * z * (1.0 - z) ** -mu
+
+        _certify(denom(0.99 * z_star))
+        with pytest.raises(ContourError, match="inside the contour"):
+            _certify(denom(0.5 * (z_star + 1.0)))
+        with pytest.raises(ContourError, match="do not resolve"):
+            _certify(denom(0.5 * (z_star + 1.0), samples=4))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import ld_recursion, stratified_cases
 from hilfer_dfc import (
     CoverageError,
     Grid,
@@ -407,9 +408,12 @@ class TestLatticeSeries:
         rel = np.abs(ser.values.values - rec.values.values) / np.abs(rec.values.values)
         assert np.max(rel) < 1e-10
 
-    def test_terms_used_counts_the_summed_terms(self):
-        assert solve_linear_series(linear_spec(steps=5)).meta.terms_used == 21
-        assert solve_linear_series(linear_spec(steps=5, lam=0.0)).meta.terms_used == 6
+    def test_terms_used_counts_the_symbol_samples(self):
+        # M/2 + 1 samples, M = 256 the even 5-smooth length >= 16 max(N, 16)
+        assert solve_linear_series(linear_spec(steps=5)).meta.terms_used == 129
+        assert solve_linear_series(linear_spec(steps=5, lam=0.0)).meta.terms_used == 129
+        # M = 9720 for N = 601
+        assert solve_linear_series(linear_spec(steps=600)).meta.terms_used == 4861
 
     def test_overflow_is_truncated_like_the_recursion(self):
         spec = IvpSpec(0.0, 2000, HilferOrder(0.3, 0.5), 1.0, Linear(0.99))
@@ -418,3 +422,36 @@ class TestLatticeSeries:
         assert ser.meta.overflow_at is not None
         assert abs(ser.meta.overflow_at - rec.meta.overflow_at) <= 1
         assert ser.values.count == ser.meta.overflow_at
+
+
+#: the former row table missed 1e-12 of the term scale from n = 21 on here, and 100 % from n = 77
+LONG_NEGATIVE = (-0.9, 0.5, 0.0, 2000)
+
+
+class TestSeriesRoutesAgainstRecursion:
+    """Both series routes against an extended-precision recursion: each
+    value within 1e-12 of the term scale |zeta c_eta| + conv(k_mu, |g|),
+    with the same overflow index."""
+
+    TOL = 1e-12
+
+    def _check(self, sol, ref, scale):
+        finite = np.isfinite(ref)
+        assert sol.meta.overflow_at == (None if finite.all() else int(np.argmin(finite)))
+        u = sol.values.values
+        assert np.max(np.abs(u - ref[: len(u)]) / scale[: len(u)]) <= self.TOL
+
+    @pytest.mark.parametrize("lam, mu, nu, steps", stratified_cases(3, 12, 0.95) + [LONG_NEGATIVE])
+    def test_linear_series(self, lam, mu, nu, steps):
+        spec = IvpSpec(0.3, steps, HilferOrder(mu, nu), 1.7, Linear(lam))
+        ref, scale = ld_recursion(mu, spec.order.eta, lam, 1.7, steps + 1)
+        self._check(solve_linear_series(spec), ref, scale)
+
+    @pytest.mark.parametrize("lam, mu, nu, steps", stratified_cases(4, 12, 0.95) + [LONG_NEGATIVE])
+    def test_nonhomogeneous(self, lam, mu, nu, steps):
+        order = HilferOrder(mu, nu)
+        f = 0.3 * np.cos(0.4 * np.arange(steps) + 1.0)
+        rhs = NonHomogeneous(lam, GridFn(Grid(1.0 - mu, steps), f))
+        spec = IvpSpec(0.0, steps, order, 0.8, rhs)
+        ref, scale = ld_recursion(mu, order.eta, lam, 0.8, steps + 1, f)
+        self._check(solve_nonhomogeneous(spec), ref, scale)
