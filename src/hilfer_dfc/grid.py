@@ -96,6 +96,19 @@ def _ratio_correction(x: float, r: float) -> float:
     return -(x - r - 0.5) * math.log1p(-r / x) - r + tails[0] - tails[1]
 
 
+def _large_ratio(t: float, r: float, log_scale: float = 0.0) -> float:
+    """exp(log_scale) Gamma(t+1) / Gamma(t-r+1), both arguments >= _STIRLING_MIN.
+
+    pow keeps the value to an ulp where exp of the log form loses
+    eps |r log t|; halved, it overflows only where the value does.
+    """
+    half = math.pow(t + 1.0, 0.5 * r)
+    value = half * math.exp(_ratio_correction(t + 1.0, r) + log_scale) * half
+    if math.isinf(value):
+        raise OverflowError(f"falling_factorial({t!r}, {r!r}) is past the float range")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # domain types
 
@@ -261,13 +274,7 @@ def falling_factorial(t: float, r: float) -> float:
         return 1.0 / out
 
     if min(t + 1.0, t - r + 1.0) >= _STIRLING_MIN:
-        # pow keeps the value to an ulp where exp of the log form loses
-        # eps |r log t|; halved, it overflows only where the value does
-        half = math.pow(t + 1.0, 0.5 * r)
-        value = half * math.exp(_ratio_correction(t + 1.0, r)) * half
-        if math.isinf(value):
-            raise OverflowError(f"falling_factorial({t!r}, {r!r}) is past the float range")
-        return value
+        return _large_ratio(t, r)
     sign, logmag = falling_factorial_sign_logmag(t, r)
     return sign * math.exp(logmag)
 
@@ -322,10 +329,17 @@ def taylor_monomial(r: float, t: float, s: float) -> float:
     if r_pole is not None:
         falling_factorial(t - s, r)  # raises if the other factor is singular
         return 0.0
-    sign, logmag = falling_factorial_sign_logmag(t - s, r)
+    gamma_sign, gamma_log = _sign_lgamma(r + 1.0)
+    x = t - s
+    if _snap_int(r) is None and min(x + 1.0, x - r + 1.0) >= _STIRLING_MIN:
+        if r < 170.0:
+            # math.gamma is finite here and holds an ulp or two, where
+            # lgamma is 1e-15 off near its zeros at 1 and 2
+            gamma_log = math.log(abs(math.gamma(r + 1.0)))
+        return gamma_sign * _large_ratio(x, r, -gamma_log)
+    sign, logmag = falling_factorial_sign_logmag(x, r)
     if sign == 0.0:
         return 0.0
-    gamma_sign, gamma_log = _sign_lgamma(r + 1.0)
     return sign * gamma_sign * math.exp(logmag - gamma_log)
 
 

@@ -39,7 +39,7 @@ winding number around 0 must be 0, or ContourError is raised.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -215,7 +215,14 @@ def ml_lattice(p: MlParams, count: int) -> np.ndarray:
     Only gamma = 1 is supported.  Values past the float range come out
     as inf; callers decide what that means.  Raises ContourError when the
     transform's contour is not certified.
+
+    For eta > 1, U grows like N^eta at z = 1 and the transform's roundoff
+    with it, so U = W / (1-z) is taken instead: the running sum of the
+    eta - 1 values, each accurate to its own size.
     """
+    if p.eta > 1.0:
+        with np.errstate(over="ignore"):
+            return np.cumsum(ml_lattice(replace(p, eta=p.eta - 1.0), count))
     return ml_lattice_solution(p, count)[0]
 
 

@@ -19,14 +19,17 @@ the nu=0 and nu=1 edges of the composition require.
 Whole-grid variants (``*_fn``) compute each stage once through
 :func:`causal_convolve`, the one causal convolution of the library: a
 direct sum below ``_FFT_MIN`` points (the measured crossover), and from
-there on a zero-padded FFT.  The FFT's error is relative to the largest
-term on the grid, not to each point, so its output is kept only where
-its error bound is below 1e-13 of conv(|k|, |f|) at that point; the
-leading outputs where it is not are summed directly.  A zero prefix
-stays exactly zero, a trajectory spanning many orders of magnitude keeps
-its early points, and a non-finite input takes the direct path.  The
-pointwise forms wrap the whole-grid ones.  Everything is pure and
-thread-safe.
+there on a uniformly partitioned overlap-add FFT convolution, one block
+up to 2048 points and about 24 beyond (Hairer, Lubich and Schlichte
+1985, SIAM J. Sci. Stat. Comput. 6, partition the same sums).  An FFT's
+error is relative to the largest terms it multiplies, not to each
+point, so every segment-block product carries its own bound and an
+output is kept only where the bound of its block is below 1e-13 of
+conv(|k|, |f|) at that point; the points where it is not are summed
+directly.  A zero prefix stays exactly zero, a trajectory spanning many
+orders of magnitude keeps its early points, a decaying one its late
+points, and a non-finite input takes the direct path.  The pointwise
+forms wrap the whole-grid ones.  Everything is pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -61,6 +64,12 @@ __all__ = [
 
 #: grid length from which causal_convolve transforms instead of summing
 _FFT_MIN = 1152
+#: longest grid causal_convolve transforms as one block
+_ONE_BLOCK_MAX = 2048
+#: a longer grid is cut into as many blocks as blocks of max(_BLOCK_MIN,
+#: the power of two >= n / _BLOCKS) points take
+_BLOCK_MIN = 1024
+_BLOCKS = 24
 #: per-point accuracy the FFT outputs must meet, relative to conv(|k|, |f|)
 _FFT_REL = 1e-13
 
@@ -88,16 +97,109 @@ def _binade(x: np.ndarray) -> int:
     return math.frexp(float(np.max(np.abs(x))))[1]
 
 
+def _rows(x: np.ndarray, block: int, count: int) -> np.ndarray:
+    """x zero-padded to count * block points, one block per row."""
+    if len(x) == block * count:
+        return x.reshape(count, block)
+    rows = np.zeros(block * count)
+    rows[: len(x)] = x
+    return rows.reshape(count, block)
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """2-norm of each row, each from one dot product as numpy.linalg.norm takes it."""
+    return np.sqrt((rows[:, None, :] @ rows[:, :, None]).ravel())
+
+
+def _overlap_add(k_spec: np.ndarray, f_spec: np.ndarray, length: int, block: int) -> np.ndarray:
+    """Block products transformed back in one batch and overlap-added.
+
+    Output block q is the first half of the sum of k_p f_i over
+    p + i = q plus the second half of the sum over p + i = q - 1.
+    """
+    count = len(f_spec)
+    acc = k_spec[0] * f_spec
+    for p in range(1, count):
+        acc[p:] += k_spec[p] * f_spec[: count - p]
+    full = np.fft.irfft(acc, length)
+    del acc
+    out = full[:, :block]
+    if count > 1:
+        out[1:] += full[:-1, block:]
+    return out.ravel()
+
+
+def _loose_below_floor(
+    k_abs: np.ndarray, f_abs: np.ndarray, err: np.ndarray, block: int, budget: float
+) -> np.ndarray | None:
+    """Points whose bound err fails 1e-13 of conv(k_abs, f_abs), found
+    without transforming it; None when that would cost over ``budget``
+    multiply-adds.
+
+    The sum at j is at least k_abs[0] f_abs[j] plus the least of
+    k_abs[1..j] times the sum of f_abs before j, counted whole blocks at
+    a time past the first block.  For a nonincreasing kernel (a sum
+    kernel of order at most 1) that floor grows like the sum itself; the
+    few points it leaves unsure get their exact size, one dot product
+    each.
+    """
+    n = len(f_abs)
+    lags = min(len(k_abs), n) - 1
+    weights = k_abs[1 : lags + 1]
+    if not np.all(weights[1:] <= weights[:-1]):
+        weights = np.minimum.accumulate(weights)
+    before = np.zeros(n)
+    before[1 : block + 1] = np.cumsum(f_abs[:block])
+    sums = np.cumsum(_rows(f_abs, block, -(-n // block)).sum(axis=1))
+    before[block + 1 :] = np.repeat(sums[:-1], block)[: n - block - 1]
+    floor = k_abs[0] * f_abs
+    floor[1 : lags + 1] += weights * before[1 : lags + 1]
+    # the sums round by at most n eps of themselves
+    floor *= 1.0 - n * np.finfo(float).eps
+    unsure = np.flatnonzero(err > _FFT_REL * (floor - err))
+    if unsure.sum() + len(unsure) > budget:
+        return None
+    size = _direct_points(k_abs, f_abs, unsure)
+    return unsure[err[unsure] > _FFT_REL * (size - err[unsure])]
+
+
+def _direct_points(kernel: np.ndarray, values: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """The causal convolution at the given points, one dot product each,
+    against a contiguous reversed copy of the kernel."""
+    n = len(values)
+    reversed_kernel = np.zeros(n)
+    reversed_kernel[n - len(kernel) :] = kernel[::-1]
+    return np.array([np.dot(reversed_kernel[n - 1 - j :], values[: j + 1]) for j in points])
+
+
 def causal_convolve(kernel: np.ndarray, values: np.ndarray) -> np.ndarray:
     """First len(values) terms of the causal convolution of kernel and values.
 
     out[j] = sum_{i<=j} kernel[j-i] values[i].  Short inputs are summed
-    directly.  From ``_FFT_MIN`` points on, a zero-padded real FFT of
-    length L does the work: its error at every point is below
-    err = eps log2(L) ||kernel|| ||values||, and the leading outputs where
-    err is not below 1e-13 of the FFT's own conv(|kernel|, |values|)
-    (less err) are recomputed directly.  When that head is the whole grid,
-    or err is not finite, the whole convolution is summed directly.
+    directly.  From ``_FFT_MIN`` points on, the values are cut into blocks
+    of B points and the kernel into segments of B lags, and every
+    segment-block pair is a zero-padded real FFT product of length L.  The
+    products are summed per output block as spectra, transformed back in
+    one batch and overlap-added.  Up to ``_ONE_BLOCK_MAX`` points the grid
+    is one block, L the smooth length >= 2n - 1.  Longer grids are cut
+    into as many blocks as max(``_BLOCK_MIN``, the power of two >= n /
+    ``_BLOCKS``) takes, B the 5-smooth length that covers the grid in
+    that many and L = 2B; their lag-0 term is added exactly, apart from
+    the products.
+
+    Pair (p, i) errs by at most eps log2(L) ||kernel_p|| ||values_i||, on
+    output blocks p+i and p+i+1; a point's bound err is the larger of the
+    two pair sums that land on its block.  The point is kept where err is
+    below 1e-13 of conv(|kernel|, |values|) less err, and summed directly
+    elsewhere: the leading run of failures by one direct sum, later
+    failures by one dot product each.  That size comes from the floor of
+    :func:`_loose_below_floor` where it settles the grid cheaply, and
+    else from the transform itself.  For one block the direct sum runs up
+    to the last failure instead.  With more than n/4 failures over
+    several blocks, with that direct sum covering the grid, or with err
+    not finite, the whole convolution is summed directly.  The
+    ``hilfer_dfc.operators`` DEBUG record gives n, B, the block count and
+    how many points were summed directly.
     """
     values = np.asarray(values, dtype=float)
     n = len(values)
@@ -106,37 +208,65 @@ def causal_convolve(kernel: np.ndarray, values: np.ndarray) -> np.ndarray:
     kernel = np.asarray(kernel, dtype=float)[:n]
     if n < _FFT_MIN:
         return np.convolve(kernel, values)[:n]
-    length = _smooth_length(2 * n - 1)
+    if n <= _ONE_BLOCK_MAX:
+        block, count, length = n, 1, _smooth_length(2 * n - 1)
+    else:
+        count = -(-n // max(_BLOCK_MIN, 1 << (-(-n // _BLOCKS) - 1).bit_length()))
+        block = _smooth_length(-(-n // count))
+        length = 2 * block
     # exact power-of-two scaling keeps every spectrum below n in size
     k_exp, f_exp = _binade(kernel), _binade(values)
     k_unit, f_unit = np.ldexp(kernel, -k_exp), np.ldexp(values, -f_exp)
-    err = (
-        np.finfo(float).eps
-        * math.log2(length)
-        * float(np.linalg.norm(k_unit))
-        * float(np.linalg.norm(f_unit))
+    # lag 0 holds most of the norm of a small-order sum kernel (c[0] = 1,
+    # the rest of order mu): added apart, it does not inflate the bounds
+    lead = 0.0
+    if count > 1:
+        lead, k_unit[0] = k_unit[0], 0.0
+    k_rows, f_rows = _rows(k_unit, block, count), _rows(f_unit, block, count)
+    block_err = np.convolve(
+        np.finfo(float).eps * math.log2(length) * _row_norms(k_rows),
+        _row_norms(f_rows),
+    )[:count]
+    block_err[1:] = np.maximum(block_err[1:], block_err[:-1])
+    head, late = n, np.empty(0, dtype=int)
+    if math.isfinite(block_err.sum()):
+        k_spec = np.fft.rfft(k_rows, length)
+        err = np.repeat(block_err, block)[:n]
+        loose = None
+        if count > 1:
+            k_abs = np.abs(k_unit)
+            k_abs[0] = abs(lead)
+            loose = _loose_below_floor(k_abs, np.abs(f_unit), err, block, n * math.log2(length))
+        if loose is None:
+            # sum kernels are nonnegative: their spectrum serves both products
+            abs_spec = k_spec if kernel.min() >= 0 else np.fft.rfft(np.abs(k_rows), length)
+            size = _overlap_add(abs_spec, np.fft.rfft(np.abs(f_rows), length), length, block)[:n]
+            del abs_spec
+            if lead:
+                size += abs(lead) * np.abs(f_unit)
+            loose = np.flatnonzero(err > _FFT_REL * (size - err))
+            del size
+        if count == 1:
+            head = int(loose[-1]) + 1 if len(loose) else 0
+        elif len(loose) <= n / 4:
+            gaps = np.flatnonzero(loose != np.arange(len(loose)))
+            head = int(gaps[0]) if len(gaps) else len(loose)
+            late = loose[head:]
+    _log.debug(
+        "causal_convolve n=%d B=%d blocks=%d direct=%d",
+        n, block, count, n if head == n else head + len(late),
     )
-    head = n
-    if math.isfinite(err):
-        k_spec = np.fft.rfft(k_unit, length)
-        # sum kernels are nonnegative: their spectrum serves both products
-        if kernel.min() >= 0:
-            abs_spec = k_spec.copy()
-        else:
-            abs_spec = np.fft.rfft(np.abs(k_unit), length)
-        abs_spec *= np.fft.rfft(np.abs(f_unit), length)
-        size = np.fft.irfft(abs_spec, length)[:n]
-        del abs_spec
-        loose = np.flatnonzero(err > _FFT_REL * (size - err))
-        head = int(loose[-1]) + 1 if len(loose) else 0
-    _log.debug("causal_convolve n=%d L=%d head=%d", n, length, head)
     if head == n:
         return np.convolve(kernel, values)[:n]
-    k_spec *= np.fft.rfft(f_unit, length)
-    out = np.ldexp(np.fft.irfft(k_spec, length)[:n], k_exp + f_exp)
+    out = _overlap_add(k_spec, np.fft.rfft(f_rows, length), length, block)[:n]
     del k_spec
+    if lead:
+        out += lead * f_unit
+    out = np.ldexp(out, k_exp + f_exp)
     if head:
         out[:head] = np.convolve(kernel[:head], values[:head])[:head]
+    if len(late):
+        out[late] = _direct_points(kernel, values, late)
     return out
 
 

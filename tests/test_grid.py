@@ -198,6 +198,22 @@ class TestGammaOracle:
             bound = mp.gamma(mu + 1) / mp.exp(log_ratio(T - 1.0 + mu, mu))
             assert abs(existence_bound(0.0, T, mu) - bound) <= 1e-13 * bound, (T, mu)
 
+    def test_taylor_monomial_at_large_arguments(self):
+        # exp of the log form lost eps |r log t| (1.1e-13 at t ~ 1e300);
+        # the halved pow keeps a few ulps.  At 40 digits t - r + 1 would
+        # drop r at t = 1e300, so the reference carries 330.  Below
+        # Stirling's range the value still comes from three lgamma calls,
+        # each up to 1e-15 off near the zeros of lgamma at 1 and 2.
+        mp = self._mp()
+        rng = np.random.default_rng(29)
+        for t, r in zip(10 ** rng.uniform(0.0, 300.0, 600), rng.uniform(-1.0, 1.0, 600)):
+            t, r = float(t), float(r)
+            with mp.workdps(330):
+                log_ratio = mp.loggamma(mp.mpf(t) + 1) - mp.loggamma(mp.mpf(t) - mp.mpf(r) + 1)
+                expect = mp.exp(log_ratio) / mp.gamma(mp.mpf(r) + 1)
+                error = abs(taylor_monomial(r, t, 0.0) - expect) / expect
+            assert error <= (1e-15 if t - r + 1.0 >= 16.0 else 4e-15), (t, r)
+
     @pytest.mark.parametrize("base", [-4.0, -3.0, -5.0])
     def test_integer_snap_boundary(self, base):
         # math.lgamma raises at an exact pole where scipy returned inf, and a

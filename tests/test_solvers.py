@@ -1,5 +1,6 @@
 """IVP solvers: hand-expanded values, cross-validation, residuals."""
 
+import logging
 import math
 
 import numpy as np
@@ -279,6 +280,19 @@ class TestWholePipeline:
         res = defining_equation_residual(sol, spec)
         scale = residual_scale(sol, spec)
         assert np.max(np.abs(res.values) / scale.values) < 1e-12
+
+    def test_long_decaying_trajectory_keeps_the_transform(self, caplog):
+        # u decays from 1 to 5.6e-4 over 20000 steps: one bound for the
+        # whole grid failed every point, per-block bounds keep most
+        spec = linear_spec(mu=0.5, nu=0.5, steps=20000, lam=-0.3)
+        sol = solve_linear(spec)
+        with caplog.at_level(logging.DEBUG, logger="hilfer_dfc"):
+            res = defining_equation_residual(sol, spec)
+        records = [r.args for r in caplog.records if r.name == "hilfer_dfc.operators"]
+        assert len(records) == 2
+        assert all(direct < count / 10 for count, _, _, direct in records)
+        scale = residual_scale(sol, spec)
+        assert np.max(np.abs(res.values) / scale.values) <= 1e-14
 
     @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0])
     def test_initial_condition_recovered(self, nu):
