@@ -96,17 +96,27 @@ def _ratio_correction(x: float, r: float) -> float:
     return -(x - r - 0.5) * math.log1p(-r / x) - r + tails[0] - tails[1]
 
 
-def _large_ratio(t: float, r: float, log_scale: float = 0.0) -> float:
-    """exp(log_scale) Gamma(t+1) / Gamma(t-r+1), both arguments >= _STIRLING_MIN.
+def _large_ratio(t: float, r: float, scale: float = 1.0) -> float:
+    """scale Gamma(t+1) / Gamma(t-r+1), both arguments >= _STIRLING_MIN;
+    inf past the float range.
 
     pow keeps the value to an ulp where exp of the log form loses
-    eps |r log t|; halved, it overflows only where the value does.
+    eps |r log t|.  Halved, or cut into more power-of-two parts where a
+    half would leave the float range, no intermediate overflows or
+    underflows unless the value does.
     """
-    half = math.pow(t + 1.0, 0.5 * r)
-    value = half * math.exp(_ratio_correction(t + 1.0, r) + log_scale) * half
-    if math.isinf(value):
-        raise OverflowError(f"falling_factorial({t!r}, {r!r}) is past the float range")
-    return value
+    log_power = r * math.log(t + 1.0)
+    correction = _ratio_correction(t + 1.0, r)
+    if abs(log_power) < 1400.0 and abs(correction) < 700.0:
+        half = math.pow(t + 1.0, 0.5 * r)
+        return half * scale * math.exp(correction) * half
+    log_rest = correction + math.log(abs(scale))
+    parts = 2 ** math.ceil(math.log2(max(abs(log_power), abs(log_rest)) / 350.0))
+    try:
+        part = math.pow(t + 1.0, r / parts) * math.exp(log_rest / parts)
+        return math.copysign(part**parts, scale)
+    except OverflowError:
+        return math.copysign(math.inf, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +284,10 @@ def falling_factorial(t: float, r: float) -> float:
         return 1.0 / out
 
     if min(t + 1.0, t - r + 1.0) >= _STIRLING_MIN:
-        return _large_ratio(t, r)
+        value = _large_ratio(t, r)
+        if math.isinf(value):
+            raise OverflowError(f"falling_factorial({t!r}, {r!r}) is past the float range")
+        return value
     sign, logmag = falling_factorial_sign_logmag(t, r)
     return sign * math.exp(logmag)
 
@@ -329,17 +342,18 @@ def taylor_monomial(r: float, t: float, s: float) -> float:
     if r_pole is not None:
         falling_factorial(t - s, r)  # raises if the other factor is singular
         return 0.0
-    gamma_sign, gamma_log = _sign_lgamma(r + 1.0)
     x = t - s
-    if _snap_int(r) is None and min(x + 1.0, x - r + 1.0) >= _STIRLING_MIN:
-        if r < 170.0:
-            # math.gamma is finite here and holds an ulp or two, where
-            # lgamma is 1e-15 off near its zeros at 1 and 2
-            gamma_log = math.log(abs(math.gamma(r + 1.0)))
-        return gamma_sign * _large_ratio(x, r, -gamma_log)
+    if -170.0 < r < 170.0 and _snap_int(r) is None and min(x + 1.0, x - r + 1.0) >= _STIRLING_MIN:
+        # math.gamma is a normal float here and holds an ulp or two, where
+        # lgamma is 1e-15 off near its zeros at 1 and 2
+        value = _large_ratio(x, r, 1.0 / math.gamma(r + 1.0))
+        if math.isinf(value):
+            raise OverflowError(f"taylor_monomial({r!r}, {t!r}, {s!r}) is past the float range")
+        return value
     sign, logmag = falling_factorial_sign_logmag(x, r)
     if sign == 0.0:
         return 0.0
+    gamma_sign, gamma_log = _sign_lgamma(r + 1.0)
     return sign * gamma_sign * math.exp(logmag - gamma_log)
 
 

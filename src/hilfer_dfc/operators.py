@@ -129,40 +129,6 @@ def _overlap_add(k_spec: np.ndarray, f_spec: np.ndarray, length: int, block: int
     return out.ravel()
 
 
-def _loose_below_floor(
-    k_abs: np.ndarray, f_abs: np.ndarray, err: np.ndarray, block: int, budget: float
-) -> np.ndarray | None:
-    """Points whose bound err fails 1e-13 of conv(k_abs, f_abs), found
-    without transforming it; None when that would cost over ``budget``
-    multiply-adds.
-
-    The sum at j is at least k_abs[0] f_abs[j] plus the least of
-    k_abs[1..j] times the sum of f_abs before j, counted whole blocks at
-    a time past the first block.  For a nonincreasing kernel (a sum
-    kernel of order at most 1) that floor grows like the sum itself; the
-    few points it leaves unsure get their exact size, one dot product
-    each.
-    """
-    n = len(f_abs)
-    lags = min(len(k_abs), n) - 1
-    weights = k_abs[1 : lags + 1]
-    if not np.all(weights[1:] <= weights[:-1]):
-        weights = np.minimum.accumulate(weights)
-    before = np.zeros(n)
-    before[1 : block + 1] = np.cumsum(f_abs[:block])
-    sums = np.cumsum(_rows(f_abs, block, -(-n // block)).sum(axis=1))
-    before[block + 1 :] = np.repeat(sums[:-1], block)[: n - block - 1]
-    floor = k_abs[0] * f_abs
-    floor[1 : lags + 1] += weights * before[1 : lags + 1]
-    # the sums round by at most n eps of themselves
-    floor *= 1.0 - n * np.finfo(float).eps
-    unsure = np.flatnonzero(err > _FFT_REL * (floor - err))
-    if unsure.sum() + len(unsure) > budget:
-        return None
-    size = _direct_points(k_abs, f_abs, unsure)
-    return unsure[err[unsure] > _FFT_REL * (size - err[unsure])]
-
-
 def _direct_points(kernel: np.ndarray, values: np.ndarray, points: np.ndarray) -> np.ndarray:
     """The causal convolution at the given points, one dot product each,
     against a contiguous reversed copy of the kernel."""
@@ -181,25 +147,22 @@ def causal_convolve(kernel: np.ndarray, values: np.ndarray) -> np.ndarray:
     segment-block pair is a zero-padded real FFT product of length L.  The
     products are summed per output block as spectra, transformed back in
     one batch and overlap-added.  Up to ``_ONE_BLOCK_MAX`` points the grid
-    is one block, L the smooth length >= 2n - 1.  Longer grids are cut
-    into as many blocks as max(``_BLOCK_MIN``, the power of two >= n /
-    ``_BLOCKS``) takes, B the 5-smooth length that covers the grid in
-    that many and L = 2B; their lag-0 term is added exactly, apart from
-    the products.
+    is one block, L the smooth length >= 2n - 1, the arithmetic of a
+    single transform.  Longer grids are cut into as many blocks as
+    max(``_BLOCK_MIN``, the power of two >= n / ``_BLOCKS``) takes, B the
+    5-smooth length that covers the grid in that many and L = 2B; their
+    lag-0 term is added exactly, apart from the products.
 
     Pair (p, i) errs by at most eps log2(L) ||kernel_p|| ||values_i||, on
-    output blocks p+i and p+i+1; a point's bound err is the larger of the
-    two pair sums that land on its block.  The point is kept where err is
-    below 1e-13 of conv(|kernel|, |values|) less err, and summed directly
-    elsewhere: the leading run of failures by one direct sum, later
-    failures by one dot product each.  That size comes from the floor of
-    :func:`_loose_below_floor` where it settles the grid cheaply, and
-    else from the transform itself.  For one block the direct sum runs up
-    to the last failure instead.  With more than n/4 failures over
-    several blocks, with that direct sum covering the grid, or with err
-    not finite, the whole convolution is summed directly.  The
-    ``hilfer_dfc.operators`` DEBUG record gives n, B, the block count and
-    how many points were summed directly.
+    output blocks p+i and p+i+1; a point's bound err is the sum of all
+    pair bounds that land on its block.  The point is kept where err is
+    below 1e-13 of conv(|kernel|, |values|) less err, that size computed
+    by the same transform, and summed directly elsewhere: the leading run
+    of failures by one direct sum, later failures by one dot product
+    each.  With more than n/4 failures, or with err not finite, the whole
+    convolution is summed directly.  The ``hilfer_dfc.operators`` DEBUG
+    record gives n, B, the block count and how many points were summed
+    directly.
     """
     values = np.asarray(values, dtype=float)
     n = len(values)
@@ -227,28 +190,20 @@ def causal_convolve(kernel: np.ndarray, values: np.ndarray) -> np.ndarray:
         np.finfo(float).eps * math.log2(length) * _row_norms(k_rows),
         _row_norms(f_rows),
     )[:count]
-    block_err[1:] = np.maximum(block_err[1:], block_err[:-1])
+    block_err[1:] += block_err[:-1]
     head, late = n, np.empty(0, dtype=int)
     if math.isfinite(block_err.sum()):
         k_spec = np.fft.rfft(k_rows, length)
+        # sum kernels are nonnegative: their spectrum serves both products
+        abs_spec = k_spec if kernel.min() >= 0 else np.fft.rfft(np.abs(k_rows), length)
+        size = _overlap_add(abs_spec, np.fft.rfft(np.abs(f_rows), length), length, block)[:n]
+        del abs_spec
+        if lead:
+            size += abs(lead) * np.abs(f_unit)
         err = np.repeat(block_err, block)[:n]
-        loose = None
-        if count > 1:
-            k_abs = np.abs(k_unit)
-            k_abs[0] = abs(lead)
-            loose = _loose_below_floor(k_abs, np.abs(f_unit), err, block, n * math.log2(length))
-        if loose is None:
-            # sum kernels are nonnegative: their spectrum serves both products
-            abs_spec = k_spec if kernel.min() >= 0 else np.fft.rfft(np.abs(k_rows), length)
-            size = _overlap_add(abs_spec, np.fft.rfft(np.abs(f_rows), length), length, block)[:n]
-            del abs_spec
-            if lead:
-                size += abs(lead) * np.abs(f_unit)
-            loose = np.flatnonzero(err > _FFT_REL * (size - err))
-            del size
-        if count == 1:
-            head = int(loose[-1]) + 1 if len(loose) else 0
-        elif len(loose) <= n / 4:
+        loose = np.flatnonzero(err > _FFT_REL * (size - err))
+        del size, err
+        if len(loose) <= n / 4:
             gaps = np.flatnonzero(loose != np.arange(len(loose)))
             head = int(gaps[0]) if len(gaps) else len(loose)
             late = loose[head:]

@@ -213,6 +213,17 @@ class TestGammaOracle:
                 expect = mp.exp(log_ratio) / mp.gamma(mp.mpf(r) + 1)
                 error = abs(taylor_monomial(r, t, 0.0) - expect) / expect
             assert error <= (1e-15 if t - r + 1.0 >= 16.0 else 4e-15), (t, r)
+        # Gamma(r+1) under- or overflows for |r| >= 170, and a half power
+        # can overflow where the value does not: the value stays finite, to
+        # a few eps of the size of its logarithm
+        for r, t in [(-180.5, 20.0), (-171.5, 30.0), (-169.5, 20.0), (-300.5, 500.0),
+                     (300.0, 500.0), (160.5, 300.0), (-160.5, 300.0)]:
+            with mp.workdps(330):
+                log_ratio = mp.loggamma(mp.mpf(t) + 1) - mp.loggamma(mp.mpf(t) - mp.mpf(r) + 1)
+                expect = mp.exp(log_ratio) / mp.gamma(mp.mpf(r) + 1)
+                error = abs(taylor_monomial(r, t, 0.0) - expect) / abs(expect)
+            log_size = abs(r) * math.log(t + 1.0) + abs(math.lgamma(r + 1.0))
+            assert error <= 8 * np.finfo(float).eps * log_size, (t, r)
 
     @pytest.mark.parametrize("base", [-4.0, -3.0, -5.0])
     def test_integer_snap_boundary(self, base):
