@@ -256,6 +256,8 @@ def falling_factorial(t: float, r: float) -> float:
     * integer r >= 0: evaluated as the exact product t(t-1)...(t-r+1),
       which equals the limit of the gamma ratio everywhere (including
       negative integer t, where numerator and denominator pole together);
+      a product past the float range raises OverflowError, as the
+      non-integer orders do;
     * integer r < 0: the reciprocal product 1/((t+1)...(t-r)); a zero
       factor means the value is genuinely singular;
     * non-integer r with a denominator pole only: returns exactly 0.0
@@ -272,6 +274,10 @@ def falling_factorial(t: float, r: float) -> float:
             out = 1.0
             for i in range(ri):
                 out *= t - i
+            if not math.isfinite(out):
+                if 0.0 <= t < ri and t == math.floor(t):
+                    return 0.0  # a zero factor met the overflowed product
+                raise OverflowError(f"falling_factorial({t!r}, {r!r}) is past the float range")
             return out
         out = 1.0
         for i in range(1, -ri + 1):

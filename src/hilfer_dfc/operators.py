@@ -186,13 +186,18 @@ def causal_convolve(kernel: np.ndarray, values: np.ndarray) -> np.ndarray:
     if count > 1:
         lead, k_unit[0] = k_unit[0], 0.0
     k_rows, f_rows = _rows(k_unit, block, count), _rows(f_unit, block, count)
-    block_err = np.convolve(
-        np.finfo(float).eps * math.log2(length) * _row_norms(k_rows),
-        _row_norms(f_rows),
-    )[:count]
-    block_err[1:] += block_err[:-1]
+    unit_err = np.finfo(float).eps * math.log2(length)
+    if count == 1:
+        # the same bound as the blocks', in scalar arithmetic
+        err = unit_err * math.sqrt(np.dot(k_unit, k_unit)) * math.sqrt(np.dot(f_unit, f_unit))
+        finite = math.isfinite(err)
+    else:
+        block_err = np.convolve(unit_err * _row_norms(k_rows), _row_norms(f_rows))[:count]
+        block_err[1:] += block_err[:-1]
+        finite = math.isfinite(block_err.sum())
+        err = np.repeat(block_err, block)[:n]
     head, late = n, np.empty(0, dtype=int)
-    if math.isfinite(block_err.sum()):
+    if finite:
         k_spec = np.fft.rfft(k_rows, length)
         # sum kernels are nonnegative: their spectrum serves both products
         abs_spec = k_spec if kernel.min() >= 0 else np.fft.rfft(np.abs(k_rows), length)
@@ -200,7 +205,6 @@ def causal_convolve(kernel: np.ndarray, values: np.ndarray) -> np.ndarray:
         del abs_spec
         if lead:
             size += abs(lead) * np.abs(f_unit)
-        err = np.repeat(block_err, block)[:n]
         loose = np.flatnonzero(err > _FFT_REL * (size - err))
         del size, err
         if len(loose) <= n / 4:

@@ -214,8 +214,8 @@ def _gronwall_solve(
         return np.empty(0)
     if float(np.max(np.abs(v.values[:n_pts]))) >= 1.0:
         raise ValueError("the comparison series requires |v| < 1 on the grid")
-    vals = v.values
-    w = _volterra(mu, eta, u_a, n_pts - 1, lambda j, y: -float(vals[j]) * y)
+    vals = v.values[: n_pts - 1].tolist()
+    w = _volterra(mu, eta, u_a, n_pts - 1, lambda j, y: -vals[j] * y)
     w[np.isnan(w)] = math.inf
     return w
 

@@ -61,6 +61,21 @@ class TestFallingFactorial:
         sign, logmag = falling_factorial_sign_logmag(-2.0, 2.0)
         assert sign * math.exp(logmag) == pytest.approx(6.0, rel=1e-13)
 
+    def test_integer_order_past_the_float_range_raises(self):
+        # 500!/200! is about 10^759; the non-integer order beside it raised
+        # already, the integer one returned inf
+        with pytest.raises(OverflowError, match=r"falling_factorial\(500\.0, 300\.0\)"):
+            falling_factorial(500.0, 300.0)
+        with pytest.raises(OverflowError):
+            falling_factorial(500.5, 300.0)
+        with pytest.raises(OverflowError):
+            falling_factorial(-500.0, 300.0)
+        assert falling_factorial(170.0, 170.0) == pytest.approx(math.factorial(170), rel=1e-13)
+
+    def test_zero_factor_after_an_overflowed_product_is_zero(self):
+        # 200 * 199 * ... overflows before the factor 0 at i = 200
+        assert falling_factorial(200.0, 300.0) == 0.0
+
     def test_sign_logmag_encodes_zero(self):
         sign, logmag = falling_factorial_sign_logmag(2.0, 5.0)
         assert sign == 0.0 and logmag == -math.inf

@@ -187,17 +187,18 @@ class TestCausalConvolve:
         out = causal_convolve(sum_kernel(0.5, 5000), np.zeros(5000))
         assert np.array_equal(out, np.zeros(5000))
 
+    @pytest.mark.parametrize("n", [1500, 3000])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_input_matches_direct_pattern(self, rng, bad):
-        n = 3000
+    def test_non_finite_input_matches_direct_pattern(self, rng, bad, n):
         kernel = sum_kernel(0.4, n)
         f = rng.uniform(-1.0, 1.0, n)
-        f[1800] = bad
+        at = 3 * n // 5
+        f[at] = bad
         out = causal_convolve(kernel, f)
         direct = np.convolve(kernel, f)[:n]
         assert np.array_equal(np.isnan(out), np.isnan(direct))
         assert np.array_equal(np.isinf(out), np.isinf(direct))
-        assert np.array_equal(out[:1800], direct[:1800])
+        assert np.array_equal(out[:at], direct[:at])
 
     def test_short_and_empty_inputs_are_the_direct_sum(self, rng):
         f = rng.uniform(-1.0, 1.0, _FFT_MIN - 1)
@@ -276,6 +277,24 @@ class TestCausalConvolve:
         assert record.args[2] > 1 and record.args[3] == 6
         direct = np.convolve(kernel, f)[:n]
         late = [1500, 1501, 1502, 2600, 2601, 2602]
+        assert np.array_equal(out[late], direct[late])
+        assert np.max(np.abs(out - direct) / np.abs(direct)) <= 1e-12
+
+    def test_one_block_sums_isolated_failures_one_by_one(self, caplog):
+        # the same dips on one block, whose bound is the scalar
+        # eps log2(L) ||k|| ||f||: 1e-13 of 2 passes it and 1 fails, so
+        # point 0 (no lag-0 split on one block) is a leading run of one
+        n = 2000
+        kernel = np.zeros(n)
+        kernel[:2] = 1.0
+        f = np.ones(n)
+        f[[1000, 1001, 1700, 1701]] = 1e-6
+        with caplog.at_level(logging.DEBUG, logger="hilfer_dfc"):
+            out = causal_convolve(kernel, f)
+        (record,) = [r for r in caplog.records if r.name == "hilfer_dfc.operators"]
+        assert record.args == (n, n, 1, 7)
+        direct = np.convolve(kernel, f)[:n]
+        late = [0, 1000, 1001, 1002, 1700, 1701, 1702]
         assert np.array_equal(out[late], direct[late])
         assert np.max(np.abs(out - direct) / np.abs(direct)) <= 1e-12
 

@@ -2,6 +2,8 @@
 
 import logging
 import math
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,9 +20,11 @@ from hilfer_dfc import (
     NonFiniteError,
     NonHomogeneous,
     Nonlinear,
+    OffGridError,
     apply_summation_operator,
     defining_equation_residual,
     falling_factorial,
+    gronwall_series,
     hilfer_difference_fn,
     initial_condition_value,
     ml_bold,
@@ -34,6 +38,7 @@ from hilfer_dfc import (
     sum_kernel,
     taylor_monomial,
 )
+from hilfer_dfc.solvers import _BLOCK
 
 
 def linear_spec(a=0.0, steps=12, mu=0.8, nu=0.5, zeta=1.0, lam=0.1):
@@ -365,27 +370,32 @@ def _forced_g(w, u):
 class TestEngineAgainstScalarLoop:
     TOL = 1e-13  # relative to |zeta| c + conv(k, |g|), fixed from float64 eps
 
-    @pytest.mark.parametrize("steps", [1, 2, 50, 2000])
-    @pytest.mark.parametrize("lam", [0.7, -0.9])
-    def test_linear(self, steps, lam):
-        spec = IvpSpec(0.3, steps, HilferOrder(0.35, 0.6), 1.3, Linear(lam))
-        ref, ref_overflow, scale = reference_step(spec, lambda j, u: -lam * u)
-        sol = solve_linear(spec)
+    def assert_matches(self, sol, ref, ref_overflow, scale):
         assert sol.meta.overflow_at == ref_overflow
         got = sol.values.values
         assert len(got) == len(ref)
         assert np.max(np.abs(got - ref) / scale) < self.TOL
 
-    @pytest.mark.parametrize("steps", [1, 2, 50, 2000])
+    #: both sides of the first block edges, and a long horizon
+    STEPS = [1, 2, 50, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 2000, 5000]
+
+    @pytest.mark.parametrize("steps", STEPS)
+    @pytest.mark.parametrize("lam", [0.7, -0.9])
+    def test_linear(self, steps, lam):
+        spec = IvpSpec(0.3, steps, HilferOrder(0.35, 0.6), 1.3, Linear(lam))
+        ref, ref_overflow, scale = reference_step(spec, lambda j, u: -lam * u)
+        self.assert_matches(solve_linear(spec), ref, ref_overflow, scale)
+
+    @pytest.mark.parametrize("steps", STEPS)
     def test_nonlinear(self, steps):
         a = 2.5
         spec = IvpSpec(a, steps, HilferOrder(0.8, 0.25), 0.7, Nonlinear(_forced_g))
         ref, ref_overflow, scale = reference_step(
             spec, lambda j, u: _forced_g(a + j - 1.0, u)
         )
-        sol = solve_nonlinear(spec)
-        assert sol.meta.overflow_at == ref_overflow is None
-        assert np.max(np.abs(sol.values.values - ref) / scale) < self.TOL
+        # the forced trajectory grows past OVERFLOW_LIMIT at step 2651
+        assert (ref_overflow is None) == (steps <= 2000)
+        self.assert_matches(solve_nonlinear(spec), ref, ref_overflow, scale)
 
     @pytest.mark.parametrize(
         "rhs",
@@ -399,9 +409,57 @@ class TestEngineAgainstScalarLoop:
         )
         sol = solve(spec)
         assert ref_overflow is not None
-        assert sol.meta.overflow_at == ref_overflow
         assert sol.values.count == ref_overflow
-        assert np.max(np.abs(sol.values.values - ref) / scale) < self.TOL
+        self.assert_matches(sol, ref, ref_overflow, scale)
+
+    @staticmethod
+    def sweep_cases(seed=8, count=9):
+        """(lam, mu, nu, base, steps): lam stratified over (-1, 1), nu at
+        0, inside and at 1, bases 0, 2.5 and 1e10 + 0.3, steps up to 700."""
+        rng = np.random.default_rng(seed)
+        cases = []
+        for i in range(count):
+            lam = -0.99 + 1.98 * (i + rng.uniform()) / count
+            mu = float(rng.uniform(0.1, 0.95))
+            nu = (0.0, float(rng.uniform(0.1, 0.9)), 1.0)[i % 3]
+            base = (0.0, 2.5, 1e10 + 0.3)[i // 3]
+            cases.append((lam, mu, nu, base, int(rng.integers(1, 701))))
+        return cases
+
+    @pytest.mark.parametrize("lam, mu, nu, base, steps", sweep_cases())
+    def test_sweep_through_every_stepped_route(self, lam, mu, nu, base, steps):
+        order = HilferOrder(mu, nu)
+        linear = IvpSpec(base, steps, order, 1.1, Linear(lam))
+        ref, ref_overflow, scale = reference_step(linear, lambda j, u: -lam * u)
+        self.assert_matches(solve_linear(linear), ref, ref_overflow, scale)
+
+        def fn(w, u):
+            return -lam * u + 0.3 * math.cos(w - base)
+
+        nonlinear = IvpSpec(base, steps, order, -0.6, Nonlinear(fn))
+        ref, ref_overflow, scale = reference_step(nonlinear, lambda j, u: fn(base + j - 1.0, u))
+        self.assert_matches(solve_nonlinear(nonlinear), ref, ref_overflow, scale)
+
+        # the Gronwall series is the engine at (mu, eta) with g = -v w
+        v = GridFn(Grid(base, steps + 1), abs(lam) * np.cos(0.1 * np.arange(steps + 1)))
+        series = SimpleNamespace(order=order, zeta=1.7, steps=steps)
+        ref, _, scale = reference_step(series, lambda j, w: -float(v.values[j - 1]) * w)
+        for n in {1, steps // 2, steps}:
+            got = gronwall_series(1.7, v, order, base + n)
+            assert abs(got - ref[n]) / scale[n] < self.TOL
+
+    @pytest.mark.parametrize("first_nan", [_BLOCK, 2 * _BLOCK - 1])
+    def test_nan_at_a_block_edge_names_its_index(self, first_nan):
+        # the first and the last step of the second block
+        def g(w, u):
+            return math.nan if w >= first_nan else -0.3 * u
+
+        spec = IvpSpec(0.0, 3 * _BLOCK, HilferOrder(0.5, 0.5), 1.0, Nonlinear(g))
+        ref, _, scale = reference_step(spec, lambda j, u: -0.3 * u)
+        with pytest.raises(NonFiniteError, match=rf"at index {first_nan} \(u = ") as caught:
+            solve_nonlinear(spec)
+        u = float(re.search(r"\(u = (.*)\)$", str(caught.value)).group(1))
+        assert abs(u - ref[first_nan]) / scale[first_nan] < self.TOL
 
 
 class TestRightHandSideMethod:
@@ -410,6 +468,35 @@ class TestRightHandSideMethod:
         assert Linear(0.5).g(1.0, 2.0, 1.4) == -1.0
         assert Nonlinear(lambda w, u: w * u).g(1.0, 2.0, 1.4) == 2.0
         assert NonHomogeneous(0.5, forcing).g(1.0, 2.0, 1.4) == -1.0 - 2.0
+
+    @pytest.mark.parametrize("kind", ["linear", "nonlinear", "nonhomogeneous"])
+    def test_on_grid_is_g_bit_for_bit(self, rng, kind):
+        a, mu, n = 1e10 + 0.3, 0.37, 400
+        u = rng.standard_normal(n) * np.exp(rng.uniform(-40.0, 40.0, n))
+        u[:3] = (0.0, -0.0, 1e300)
+        lam = float(rng.uniform(-1.0, 1.0))
+        forcing = GridFn(Grid(a + 1.0 - mu, n + 5), rng.standard_normal(n + 5))
+        rhs = {
+            "linear": Linear(lam),
+            "nonlinear": Nonlinear(lambda w, v: math.sin(w) * v - lam * v * v),
+            "nonhomogeneous": NonHomogeneous(lam, forcing),
+        }[kind]
+        scalar = np.array([rhs.g(a + j, float(u[j]), a + j + 1.0 - mu) for j in range(n)])
+        whole = rhs.on_grid(u, a, mu)
+        assert whole.dtype == np.float64
+        assert whole.tobytes() == scalar.tobytes()
+        assert rhs.on_grid(u[:0], a, mu).shape == (0,)
+
+    def test_short_forcing_fails_as_g_does(self):
+        a, mu = 0.0, 0.6
+        rhs = NonHomogeneous(0.2, GridFn(Grid(a + 1.0 - mu, 3), np.ones(3)))
+        u = np.linspace(1.0, 2.0, 5)
+        with pytest.raises(OffGridError) as scalar:
+            [rhs.g(a + j, float(u[j]), a + j + 1.0 - mu) for j in range(len(u))]
+        with pytest.raises(OffGridError) as whole:
+            rhs.on_grid(u, a, mu)
+        assert str(whole.value) == str(scalar.value)
+        assert rhs.on_grid(u[:3], a, mu).tolist() == [-0.2 * x - 1.0 for x in u[:3]]
 
 
 class TestLatticeSeries:
