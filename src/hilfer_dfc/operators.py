@@ -221,7 +221,8 @@ def causal_convolve(kernel: np.ndarray, values: np.ndarray) -> np.ndarray:
     del k_spec
     if lead:
         out += lead * f_unit
-    out = np.ldexp(out, k_exp + f_exp)
+    with np.errstate(over="ignore"):  # past the float range reads inf, as np.convolve's
+        out = np.ldexp(out, k_exp + f_exp)
     if head:
         out[:head] = np.convolve(kernel[:head], values[:head])[:head]
     if len(late):
@@ -245,30 +246,44 @@ def sum_kernel(mu: float, length: int) -> np.ndarray:
     return c
 
 
+def _in_range(sums: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    """The sums, or OverflowError where finite samples summed past the float range."""
+    if not np.isfinite(sums).all() and np.isfinite(samples).all():
+        raise OverflowError("fractional sum exceeds the float range")
+    return sums
+
+
 def fractional_sum_fn(f: GridFn, mu: float) -> GridFn:
     """Fractional sum of order mu >= 0 of f, on its natural grid base+mu.
 
     Order 0 is the identity.  The output has one value per input point:
-    the value at base+mu+j uses f at offsets 0..j.
+    the value at base+mu+j uses f at offsets 0..j.  A sum of finite
+    samples past the float range raises OverflowError; non-finite samples
+    propagate.
     """
     if abs(mu) <= INTEGER_SNAP:
         return f
     if mu < 0:
         raise ValueError(f"sum order must be nonnegative, got {mu}")
     n = f.count
-    values = causal_convolve(sum_kernel(mu, n), f.values)
+    values = _in_range(causal_convolve(sum_kernel(mu, n), f.values), f.values)
     return GridFn(Grid(f.base + mu, n), values)
 
 
 def fractional_sum(f: GridFn, mu: float, x: float) -> float:
-    """Fractional sum of order mu of f, evaluated at one point of base+mu."""
+    """Fractional sum of order mu of f, evaluated at one point of base+mu.
+
+    Overflow is handled as in :func:`fractional_sum_fn`.
+    """
     if abs(mu) <= INTEGER_SNAP:
         return f(x)
     if mu < 0:
         raise ValueError(f"sum order must be nonnegative, got {mu}")
     j = Grid(f.base + mu, f.count).index_of(x)
-    kernel = sum_kernel(mu, j + 1)
-    return float(np.dot(kernel[::-1], f.values[: j + 1]))
+    samples = f.values[: j + 1]
+    with np.errstate(over="ignore"):
+        total = np.dot(sum_kernel(mu, j + 1)[::-1], samples)
+    return float(_in_range(total, samples))
 
 
 def forward_difference_fn(f: GridFn) -> GridFn:

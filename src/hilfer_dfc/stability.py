@@ -20,17 +20,23 @@ w = u_a c_eta + E_v w.  That is one forward solve of the solvers'
 Volterra engine with g = -v w, O(n^2) for every point at once;
 :func:`ev_operator` stays as the single pass the series is built from.
 
-Ulam experiments solve the exact system and a perturbed one, measure the
-sup-norm deviation, and compare it to a certified constant:
+Ulam experiments solve the exact system and a perturbed one by one
+route, so nothing but the perturbation separates them, and compare the
+deviation |u - v| with one pointwise envelope on the solution grid:
 
-* initial-value perturbations (zeta -> zeta_n): deviation is bounded
-  pointwise by |zeta - zeta_n| E_[mu,eta](K, x+eta-a-1);
-* residual perturbations (|residual| <= eps): deviation is bounded by
-  eps * sup_x (E_[mu](K, x-a) - 1)/K, the Gronwall iteration of the
-  kernel's running sum.
+* initial-value perturbations (zeta -> zeta_n), both systems through
+  :func:`solve`: |zeta - zeta_n| E_[mu,eta](K, x+eta-a-1);
+* residual perturbations (|residual| <= eps), both systems stepped with
+  the residual subtracted from g (a zero one for the exact system):
+  eps C, with C = sup_x (E_[mu](K, x-a) - 1)/K the Gronwall iteration
+  of the kernel's running sum;
+* the Rassias variant, |residual(y)| <= eps psi(y - 1 + nu) at the
+  equation point y: eps C psi(x) sup_y psi(y - 1 + nu) / min_x psi(x).
 
-Both envelopes are Mittag-Leffler values on the solution lattice, one
-:func:`ml_lattice` transform each.
+Each envelope's Mittag-Leffler values are one :func:`ml_lattice`
+transform.  The pointwise verdict compares the deviation with the
+envelope at every point, the sup-norm one its maximum with the
+envelope's constant.
 
 Both certificates require K below the contraction threshold; otherwise
 the experiment still runs but the certificate is marked non-applicable.
@@ -140,13 +146,12 @@ def verify_contraction(
     """Threshold comparison plus random-pair contraction measurements.
 
     For trajectory pairs u, v the fixed-point map must satisfy
-    ||A u - A v|| <= (k (T-a-1+mu)^[mu] / Gamma(mu+1)) ||u - v|| whenever
-    k is a valid Lipschitz constant for the right-hand side.
+    ||A u - A v|| <= (k / bound) ||u - v||, bound the uniqueness threshold
+    Gamma(mu+1) / (T-a-1+mu)^[mu], whenever k is a valid Lipschitz
+    constant for the right-hand side.
     """
     report = uniqueness_report(spec.a, spec.horizon, spec.order.mu, k)
-    factor = k * falling_factorial(
-        spec.horizon - spec.a - 1.0 + spec.order.mu, spec.order.mu
-    ) / math.gamma(spec.order.mu + 1.0)
+    factor = k / report.bound
     rng = rng or np.random.default_rng(0)
     grid = Grid(spec.a, spec.steps + 1)
     worst = 0.0
@@ -195,11 +200,9 @@ def ev_operator(v: GridFn, phi: GridFn, mu: float, a: float) -> GridFn:
     if abs(v.base - a) > 1e-9 or abs(phi.base - a) > 1e-9:
         raise CoverageError(f"v and phi must be based at {a!r}")
     n = min(v.count, phi.count)
-    if n == 0:
-        return GridFn(Grid(a, 0), np.empty(0))
-    product = v.values[: n - 1] * phi.values[: n - 1]
     out = np.zeros(n)
-    out[1:] = causal_convolve(sum_kernel(mu, n - 1), product)
+    if n:
+        out[1:] = causal_convolve(sum_kernel(mu, n - 1), v.values[: n - 1] * phi.values[: n - 1])
     return GridFn(Grid(a, n), out)
 
 
@@ -275,10 +278,7 @@ def gronwall_check(
         raise CoverageError(f"u must be based at {a!r}")
     n_pts = min(u.count, v.count)
     uv = u.values[:n_pts]
-    rhs = u_a * sum_kernel(eta, n_pts)
-    if n_pts > 1:
-        product = v.values[: n_pts - 1] * uv[:-1]
-        rhs[1:] += causal_convolve(sum_kernel(mu, n_pts - 1), product)
+    rhs = u_a * sum_kernel(eta, n_pts) + ev_operator(v, u, mu, a).values
     hypothesis_ok = uv <= rhs + 1e-12 * np.maximum(1.0, np.abs(rhs))
     series = _gronwall_solve(u_a, v, mu, eta, n_pts)
     verdict = uv <= series + 1e-12 * np.maximum(1.0, np.abs(series))
@@ -360,20 +360,24 @@ def ulam_experiment(
     perturbation: GridFn | None = None,
     zeta_n: float | None = None,
     psi: Callable[[float], float] | None = None,
-    psi_arg_convention: str = "rho_plus_nu",
 ) -> StabilityReport:
     """Solve the exact and a perturbed system and certify the deviation.
 
     Exactly one of ``zeta_n`` (perturbed initial value) or
     ``perturbation`` (explicit residual function on the grid based at
-    a+1-mu, with |residual| <= epsilon, or <= epsilon*psi(arg) pointwise
-    when psi is given) must be supplied.
+    a+1-mu, with |residual| <= epsilon, or <= epsilon*psi(y - 1 + nu) at
+    the equation point y when psi is given) must be supplied.  Both
+    systems go through one route: :func:`solve` for an initial
+    perturbation; for a residual one, the stepped system whose residual is
+    the perturbation, the exact system being the same with a zero residual.
 
-    ``psi`` weights the Rassias variant; its argument at the equation
-    point y follows ``psi_arg_convention``: "rho_plus_nu" evaluates
-    psi(y - 1 + nu) literally, "offset_from_base" evaluates psi(y - a).
-    The verdict for that variant is the pointwise comparison
-    |u - v|(y) <= epsilon psi(y) * constant.
+    Every kind builds one pointwise envelope on {a, ..., a+steps}:
+    epsilon E_[mu,eta](K, n+eta-1) for the initial kind, epsilon C for the
+    residual kind and epsilon C psi(a+n) for the Rassias variant, with C
+    the report's ``constant``.  ``pointwise_ok`` compares |u - v| with the
+    envelope at every point; ``verdict`` is the sup-norm comparison
+    deviation <= epsilon * constant, or the pointwise one when psi is
+    given.
 
     When ``k`` is omitted it is estimated from sampled slopes of the
     right-hand side and the report records the estimate.
@@ -381,7 +385,12 @@ def ulam_experiment(
     if (zeta_n is None) == (perturbation is None):
         raise ValueError("supply exactly one of zeta_n or perturbation")
     mu, eta = spec.order.mu, spec.order.eta
-    exact = solve(spec)
+    if zeta_n is not None:
+        exact, perturbed = solve(spec), solve(replace(spec, zeta=zeta_n))
+    else:
+        zero = GridFn(perturbation.grid, np.zeros(perturbation.count))
+        exact = solve(_perturbed_spec(spec, zero))
+        perturbed = solve(_perturbed_spec(spec, perturbation))
 
     if k is None:
         if isinstance(spec.rhs, (Linear, NonHomogeneous)):
@@ -398,71 +407,38 @@ def ulam_experiment(
     else:
         k_val, k_source = float(k), "asserted"
 
-    threshold = existence_bound(spec.a, spec.horizon, mu)
-    applies = k_val < threshold
-
+    applies = k_val < existence_bound(spec.a, spec.horizon, mu)
+    lam = min(k_val, 1.0 - 1e-12)
+    psi_vals = None
     if zeta_n is not None:
-        kind = "initial"
-        eps_eff = abs(spec.zeta - zeta_n)
-        perturbed = solve(replace(spec, zeta=zeta_n))
-        params = MlParams(mu=mu, eta=eta, lam=min(k_val, 1.0 - 1e-12))
-        envelope = ml_lattice(params, spec.steps + 1)
-        constant = float(np.max(envelope))
-        psi_vals = None
+        kind, eps_eff = "initial", abs(spec.zeta - zeta_n)
+        shape = ml_lattice(MlParams(mu=mu, eta=eta, lam=lam), spec.steps + 1)
+        constant = float(np.max(shape))
     else:
-        kind = "residual"
-        assert perturbation is not None
-        res_vals = np.abs(perturbation.values[: spec.steps])
-        if psi is None:
-            cap = epsilon * np.ones(spec.steps)
-        else:
-            if psi_arg_convention == "rho_plus_nu":
-                args = [
-                    (spec.a + 1.0 - mu + j) - 1.0 + spec.order.nu
-                    for j in range(spec.steps)
-                ]
-            elif psi_arg_convention == "offset_from_base":
-                args = [1.0 - mu + j for j in range(spec.steps)]
-            else:
-                raise ValueError(
-                    f"unknown psi_arg_convention {psi_arg_convention!r}"
-                )
-            cap = epsilon * np.array([psi(arg) for arg in args])
-        if np.any(res_vals > cap * (1.0 + 1e-12) + 1e-300):
+        kind, eps_eff = "residual", epsilon
+        # psi's argument at the equation point y = a+1-mu+j is y - 1 + nu
+        args = spec.a + 1.0 - mu + np.arange(spec.steps) - 1.0 + spec.order.nu
+        weight = np.ones(spec.steps) if psi is None else np.array([psi(t) for t in args.tolist()])
+        size = np.abs(perturbation.values[: spec.steps])
+        if np.any(size > epsilon * weight * (1.0 + 1e-12) + 1e-300):
             raise ValueError("perturbation exceeds its stated envelope")
-        eps_eff = epsilon
-        perturbed = solve(_perturbed_spec(spec, perturbation))
         # (E_[mu](K, n) - 1)/K = E_[mu,mu+1](K, n-1+mu) term by term, so
         # the growth needs no subtraction and K = 0 no special case
-        params = MlParams(mu=mu, eta=mu + 1.0, lam=min(k_val, 1.0 - 1e-12))
-        base_constant = float(np.max(ml_lattice(params, spec.steps)))
-        if psi is None:
-            constant = base_constant
-            psi_vals = None
-        else:
-            psi_vals = np.array(
-                [psi(spec.a + n) for n in range(spec.steps + 1)]
-            )
+        constant = float(np.max(ml_lattice(MlParams(mu=mu, eta=mu + 1.0, lam=lam), spec.steps)))
+        shape = np.full(spec.steps + 1, constant)
+        if psi is not None:
+            psi_vals = np.array([psi(spec.a + n) for n in range(spec.steps + 1)])
             if np.any(psi_vals <= 0):
                 raise ValueError("psi must be positive on the grid")
-            psi_shift_sup = float(np.max(cap)) / epsilon if epsilon > 0 else 1.0
-            constant = base_constant * psi_shift_sup / float(np.min(psi_vals))
+            constant *= float(np.max(weight)) / float(np.min(psi_vals))
+            shape = psi_vals * constant
 
     n_common = min(exact.values.count, perturbed.values.count)
     gap = np.abs(exact.values.values[:n_common] - perturbed.values.values[:n_common])
     deviation = float(np.max(gap)) if n_common else math.inf
-
     slack = 1.0 + 1e-9
-    if kind == "initial":
-        pointwise = bool(np.all(gap <= eps_eff * envelope[:n_common] * slack + 1e-300))
-        verdict = deviation <= eps_eff * constant * slack
-    elif psi_vals is not None:
-        bound = eps_eff * psi_vals[:n_common] * constant
-        pointwise = bool(np.all(gap <= bound * slack + 1e-300))
-        verdict = pointwise
-    else:
-        verdict = deviation <= eps_eff * constant * slack
-        pointwise = verdict
+    pointwise = bool(np.all(gap <= eps_eff * shape[:n_common] * slack + 1e-300))
+    verdict = pointwise if psi_vals is not None else deviation <= eps_eff * constant * slack
 
     return StabilityReport(
         kind=kind,

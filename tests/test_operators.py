@@ -127,6 +127,23 @@ class TestFractionalSum:
         with pytest.raises(OffGridError):
             fractional_sum(f, 0.5, 1.0)  # not on base+0.5 lattice
 
+    @pytest.mark.parametrize("n", [3, 2000])
+    def test_sum_past_the_float_range_raises(self, n):
+        # both forms, on the direct path and on the transform
+        f = GridFn(Grid(0.0, n), [1e308] * n)
+        with pytest.raises(OverflowError):
+            fractional_sum_fn(f, 0.5)
+        with pytest.raises(OverflowError):
+            fractional_sum(f, 0.5, n - 0.5)
+        assert fractional_sum(f, 0.5, 0.5) == 1e308
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_samples_propagate(self, bad):
+        f = GridFn(Grid(0.0, 3), [1.0, bad, 1.0])
+        summed = fractional_sum_fn(f, 0.5).values
+        assert summed[0] == 1.0 and not np.isfinite(summed[1:]).any()
+        assert not math.isfinite(fractional_sum(f, 0.5, 2.5))
+
     def test_power_rule(self, rng):
         # summed monomial equals the closed-form gamma-ratio monomial
         a = 0.3
