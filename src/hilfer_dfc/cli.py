@@ -13,6 +13,7 @@ end with LF, so identical configurations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -210,20 +211,11 @@ def cmd_figures(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     results = run_checks(args.only, tol_override=args.tol, y=args.y)
-    payload = []
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         detail = f"  [{r.detail}]" if r.detail else ""
         print(f"{status}  {r.name:36s} max_error={r.max_error:.3e} tol={r.tol:.1e}{detail}")
-        payload.append(
-            {
-                "name": r.name,
-                "passed": r.passed,
-                "max_error": r.max_error,
-                "tol": r.tol,
-                "detail": r.detail,
-            }
-        )
+    payload = [dataclasses.asdict(r) for r in results]
     all_passed = all(r.passed for r in results)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

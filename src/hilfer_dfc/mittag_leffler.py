@@ -14,12 +14,16 @@ any term is formed, which keeps resonant parameter combinations (where
 the polynomial continuation of the falling factorial would re-enter with
 a nonzero value) consistent with the successive-approximation solutions.
 
-Scalar terms are assembled in log space from the ``math.lgamma`` and
-sign pair of :mod:`hilfer_dfc.grid`.
+Term k is a running coefficient lam^k (gamma)_k / k! times the Taylor
+monomial h_{mu k + eta - 1} of :func:`hilfer_dfc.grid.taylor_monomial`.
 
 Off the solution lattice the series is truncated once terms stay below
-``SeriesCtl.tol`` (the |lam| < 1 restriction is what makes that sound);
-non-convergence within ``max_terms`` raises.
+``SeriesCtl.tol``; non-convergence within ``max_terms`` raises.  |lam| < 1
+does not make that sound: for mu < 1 the terms grow like
+(|lam| / (mu^mu (1-mu)^(1-mu)))^k (Stirling), after they may have fallen
+far below tol, so a rate >= 1 raises SeriesConvergenceError up front
+unless a nonpositive integer gamma ends the sum.  For mu >= 1 the rate
+is at most |lam|.
 
 Solvers need the plain family at every lattice point at once.  The
 values E_[mu,eta](lam, n + eta - 1) are the Taylor coefficients of
@@ -38,12 +42,11 @@ winding number around 0 must be 0, or ContourError is raised.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import _pole_index, _sign_lgamma, falling_factorial_sign_logmag
+from .grid import _pole_index, _snap_int, taylor_monomial
 from .operators import _smooth_length
 
 __all__ = [
@@ -142,9 +145,16 @@ def _series(
     arg_offset: float,
     ctl: SeriesCtl,
 ) -> MlEvaluation:
-    log_abs_lam = math.log(abs(lam)) if lam != 0.0 else -math.inf
-    sign_lam = math.copysign(1.0, lam)
-    poch_sign, poch_log = 1.0, 0.0  # running (gamma)_k / k! in log space
+    # off the lattice a mu < 1 series grows like (|lam| / (mu^mu (1-mu)^(1-mu)))^k
+    # unless a zero Pochhammer factor ends it (module docstring)
+    if (
+        _snap_int(z + arg_offset - eta + 2.0) is None
+        and mu < 1.0
+        and abs(lam) >= mu**mu * (1.0 - mu) ** (1.0 - mu)
+        and not (gamma <= 0.0 and float(gamma).is_integer())
+    ):
+        raise SeriesConvergenceError(f"series diverges off the lattice at mu = {mu}, lam = {lam}")
+    coeff = 1.0  # running lam^k (gamma)_k / k!
     total = 0.0
     terms: list[float] = []
     small_in_a_row = 0
@@ -157,25 +167,12 @@ def _series(
 
         if k > 0:
             factor = gamma + (k - 1)
-            if factor == 0.0:
-                # Pochhammer hit zero: every later term vanishes too.
+            if factor == 0.0 or lam == 0.0:
+                # Pochhammer or lam^k hit zero: every later term vanishes too.
                 return MlEvaluation(total, tuple(terms), True)
-            poch_sign *= math.copysign(1.0, factor)
-            poch_log += math.log(abs(factor)) - math.log(k)
+            coeff *= lam * factor / k
 
-        if k > 0 and lam == 0.0:
-            return MlEvaluation(total, tuple(terms), True)
-
-        t = z + k * (mu - 1.0) + arg_offset
-        r = k * mu + eta - 1.0
-        ff_sign, ff_log = falling_factorial_sign_logmag(t, r)
-        denom_arg = k * mu + eta
-        if ff_sign == 0.0 or _pole_index(denom_arg) is not None:
-            term = 0.0
-        else:
-            gamma_sign, gamma_log = _sign_lgamma(denom_arg)
-            log_term = (k * log_abs_lam if k else 0.0) + ff_log + poch_log - gamma_log
-            term = ff_sign * poch_sign * (sign_lam**k) * gamma_sign * math.exp(log_term)
+        term = coeff * taylor_monomial(k * mu + eta - 1.0, z + k * (mu - 1.0) + arg_offset, 0.0)
         terms.append(term)
         total += term
 

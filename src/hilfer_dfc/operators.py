@@ -246,13 +246,6 @@ def sum_kernel(mu: float, length: int) -> np.ndarray:
     return c
 
 
-def _in_range(sums: np.ndarray, samples: np.ndarray) -> np.ndarray:
-    """The sums, or OverflowError where finite samples summed past the float range."""
-    if not np.isfinite(sums).all() and np.isfinite(samples).all():
-        raise OverflowError("fractional sum exceeds the float range")
-    return sums
-
-
 def fractional_sum_fn(f: GridFn, mu: float) -> GridFn:
     """Fractional sum of order mu >= 0 of f, on its natural grid base+mu.
 
@@ -265,25 +258,21 @@ def fractional_sum_fn(f: GridFn, mu: float) -> GridFn:
         return f
     if mu < 0:
         raise ValueError(f"sum order must be nonnegative, got {mu}")
-    n = f.count
-    values = _in_range(causal_convolve(sum_kernel(mu, n), f.values), f.values)
-    return GridFn(Grid(f.base + mu, n), values)
+    sums = causal_convolve(sum_kernel(mu, f.count), f.values)
+    if not np.isfinite(sums).all() and np.isfinite(f.values).all():
+        raise OverflowError("fractional sum exceeds the float range")
+    return GridFn(Grid(f.base + mu, f.count), sums)
 
 
 def fractional_sum(f: GridFn, mu: float, x: float) -> float:
-    """Fractional sum of order mu of f, evaluated at one point of base+mu.
-
-    Overflow is handled as in :func:`fractional_sum_fn`.
-    """
+    """Fractional sum of order mu of f, evaluated at one point of base+mu:
+    :func:`fractional_sum_fn` of the samples up to x, read at x."""
     if abs(mu) <= INTEGER_SNAP:
         return f(x)
     if mu < 0:
         raise ValueError(f"sum order must be nonnegative, got {mu}")
     j = Grid(f.base + mu, f.count).index_of(x)
-    samples = f.values[: j + 1]
-    with np.errstate(over="ignore"):
-        total = np.dot(sum_kernel(mu, j + 1)[::-1], samples)
-    return float(_in_range(total, samples))
+    return float(fractional_sum_fn(GridFn(Grid(f.base, j + 1), f.values[: j + 1]), mu).values[j])
 
 
 def forward_difference_fn(f: GridFn) -> GridFn:

@@ -266,6 +266,12 @@ class TestLibraryErrorsExitTwo:
                 ["ml", "--mu", "0.5", "--lambda", "0.5", "--z", "25.3", "--tol", "1e-300"],
                 "SeriesConvergenceError",
             ),
+            (  # off the lattice: the terms fall to 1e-30 near k = 190, then grow
+                ["ml", "--mu", "0.15099786340608712", "--eta", "0.3495867483767302",
+                 "--gamma", "0.8442201896021259", "--lambda", "-0.7877801511160267",
+                 "--z", "177.43824521694432"],
+                "SeriesConvergenceError",
+            ),
             (
                 ["laplace", "--y", "2", "--f-kind", "geometric", "--count", "5"],
                 "TruncationError",
@@ -282,7 +288,7 @@ class TestLibraryErrorsExitTwo:
                 "--nonlinear does not take these flags",
             ),
         ],
-        ids=["singular-gamma", "series-convergence", "truncation", "ml-overflow",
+        ids=["singular-gamma", "series-convergence", "series-divergence", "truncation", "ml-overflow",
              "bound-overflow", "linear-foreign-flags", "nonlinear-foreign-flags"],
     )
     def test_one_line_on_stderr_and_exit_two(self, argv, error, capsys):

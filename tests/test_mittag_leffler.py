@@ -171,6 +171,71 @@ class TestSeriesStructure:
         assert t2[1] == pytest.approx(2.0 * t1[1], rel=1e-13)
 
 
+def _mp_series(mp, mu, eta, gamma, lam, z, offset=0.0, last=None):
+    """50-digit sum of the series terms k = 0..last, or, with last None,
+    until a term falls below 1e-40; and the sum of the term sizes."""
+    mu, eta, gamma, lam, z, offset = (mp.mpf(v) for v in (mu, eta, gamma, lam, z, offset))
+    total = size = mp.mpf(0)
+    for k in range(10_000 if last is None else last + 1):
+        t = z + k * (mu - 1) + offset
+        r = k * mu + eta - 1
+        term = lam**k * mp.rf(gamma, k) / mp.factorial(k) * mp.gammaprod([t + 1], [t - r + 1, r + 1])
+        total += term
+        size += abs(term)
+        if last is None and abs(term) < 1e-40:
+            break
+    return total, size
+
+
+class TestScalarSeriesOracle:
+    TOL = 1e-13  # of the sum of |terms|: a few eps per term, fixed before the sweep
+
+    def test_lattice_points_against_mpmath(self):
+        # lattice points n <= 400 of both families, with gamma != 1: the
+        # termwise Taylor monomials and the running coefficient together
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 50
+        rng = np.random.default_rng(20261018)
+        for _ in range(60):
+            mu, eta, gamma = rng.uniform(0.2, 0.95), rng.uniform(0.2, 1.0), rng.uniform(0.5, 1.5)
+            lam, n, bold = rng.uniform(0.05, 0.95), int(rng.integers(0, 401)), rng.uniform() < 0.5
+            z = float(n) if bold else n + eta - 1.0
+            ev = ml_eval(MlParams(mu, eta, gamma, lam), z, bold=bold)
+            expect, size = _mp_series(mp, mu, eta, gamma, lam, z, eta - 1.0 if bold else 0.0, n)
+            assert abs(mp.mpf(ev.value) - expect) <= self.TOL * size, (mu, eta, gamma, lam, n, bold)
+
+    def test_convergent_off_lattice_value_against_mpmath(self):
+        # rate |lam| / (mu^mu (1-mu)^(1-mu)) = 0.9: the terms fall, slowly
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 50
+        ev = ml_eval(MlParams(mu=0.5, eta=1.0, lam=0.45), 10.3)
+        assert not ev.exact
+        expect, size = _mp_series(mp, 0.5, 1.0, 1.0, 0.45, 10.3)
+        # the cut tail is about tol / (1 - rate)
+        assert abs(mp.mpf(ev.value) - expect) <= 1e-12 * size
+
+    @pytest.mark.parametrize(
+        "mu, eta, gamma, lam, z",
+        [
+            (0.5, 1.0, 1.0, 0.6, 10.3),  # rate 1.2
+            (0.15099786340608712, 0.3495867483767302, 0.8442201896021259,
+             -0.7877801511160267, 177.43824521694432),  # rate 1.2, falls to 1e-30 first
+        ],
+    )
+    def test_divergent_off_lattice_series_raises(self, mu, eta, gamma, lam, z):
+        with pytest.raises(SeriesConvergenceError, match="diverges"):
+            ml_eval(MlParams(mu, eta, gamma, lam), z)
+
+    def test_zero_pochhammer_factor_ends_a_divergent_rate(self):
+        # gamma = -2: (gamma)_k vanishes from k = 3 on, whatever the rate
+        ev = ml_eval(MlParams(mu=0.5, eta=1.0, gamma=-2.0, lam=0.9), 10.3)
+        assert ev.exact and ev.terms_used == 3
+
+    def test_divergence_rule_spares_the_lattice_and_mu_one(self):
+        assert ml_eval(MlParams(mu=0.5, eta=1.0, lam=0.9), 30.0).exact
+        assert not ml_eval(MlParams(mu=1.0, eta=1.0, lam=0.9), 30.5).exact
+
+
 def _mp_lattice_point(mp, mu, eta, lam, n):
     """50-digit sum of the n+1 lattice terms, and the sum of their sizes."""
     mu, eta, lam = mp.mpf(mu), mp.mpf(eta), mp.mpf(lam)

@@ -122,6 +122,19 @@ class TestFractionalSum:
                 oracle_fractional_sum(f, 0.6, x), rel=1e-12, abs=1e-12
             )
 
+    @pytest.mark.parametrize("n", [50, 1500, 3000])
+    def test_pointwise_reads_the_whole_grid_sum(self, rng, n):
+        # the pointwise form sums the prefix up to x, so it may round apart
+        # from the whole grid's sum in the last bits, never by more
+        f = random_grid_fn(rng, base=0.2, count=n)
+        mu = 0.37
+        kernel = sum_kernel(mu, n)
+        whole = fractional_sum_fn(f, mu).values
+        for j in np.unique(np.concatenate(([0, 1, n - 1], rng.integers(0, n, 12)))):
+            size = math.fsum(kernel[j::-1] * np.abs(f.values[: j + 1]))
+            got = fractional_sum(f, mu, 0.2 + mu + j)
+            assert abs(got - whole[j]) <= 1e-13 * size, j
+
     def test_off_grid_point_raises(self, rng):
         f = random_grid_fn(rng)
         with pytest.raises(OffGridError):
