@@ -6,47 +6,47 @@ Two families are provided: the plain series
                                (gamma)_k / (Gamma(mu k + eta) k!)
 
 and the shifted ("bold") variant whose falling-factorial argument carries
-an extra eta - 1.  On the arguments that arise from solutions,
-z = n + eta - 1 with n a nonnegative integer, the denominator gamma of
-the falling factorial poles for every k > n, so the series is an exact
-finite sum; termination is detected from that pole condition *before*
-any term is formed, which keeps resonant parameter combinations (where
-the polynomial continuation of the falling factorial would re-enter with
-a nonzero value) consistent with the successive-approximation solutions.
+an extra eta - 1.
 
-Term k is a running coefficient lam^k (gamma)_k / k! times the Taylor
-monomial h_{mu k + eta - 1} of :func:`hilfer_dfc.grid.taylor_monomial`.
+On the solution lattice, an integer n = z - eta + 1 (plain) or n = z
+(bold), the series is a finite sum of n + 1 terms, 0 for n < 0, and for
+lam < 0 they cancel without bound.  Its values are read instead as the
+Taylor coefficients of
 
-Off the solution lattice the series is truncated once terms stay below
+    U(z) = (1-z)^-eta D(z)^-gamma,   D(z) = 1 - lam z (1-z)^-mu:
+
+:func:`ml_lattice` takes them by the trapezoid rule on a circle |z| = r
+(Bornemann 2011, Found. Comput. Math. 11): U at M >= 16N points, one
+inverse real FFT, scaled by r^-n.  U is real on the real axis, so the
+half circle is sampled.  r sits a relative 2/N inside the nearest
+singularity (more past order 1), which bounds both the aliasing and the
+r^-n growth of roundoff: the branch point z = 1, or for lam > 0 the real
+zero z* in (0, 1) of D, unless a nonpositive integer gamma makes D^-gamma
+a polynomial in D.  The samples of D certify a contour inside z*: its
+winding number around 0 must be 0, or ContourError is raised, and each
+step of arg D stays below pi/2, so their running sum is the continuous
+log D that D^-gamma needs.
+
+Off the lattice the series is summed: term k is a running coefficient
+lam^k (gamma)_k / k! times the Taylor monomial h_{mu k + eta - 1} of
+:func:`hilfer_dfc.grid.taylor_monomial`, truncated once terms stay below
 ``SeriesCtl.tol``; non-convergence within ``max_terms`` raises.  |lam| < 1
 does not make that sound: for mu < 1 the terms grow like
 (|lam| / (mu^mu (1-mu)^(1-mu)))^k (Stirling), after they may have fallen
 far below tol, so a rate >= 1 raises SeriesConvergenceError up front
 unless a nonpositive integer gamma ends the sum.  For mu >= 1 the rate
-is at most |lam|.
-
-Solvers need the plain family at every lattice point at once.  The
-values E_[mu,eta](lam, n + eta - 1) are the Taylor coefficients of
-
-    U(z) = (1-z)^-eta / D(z),   D(z) = 1 - lam z (1-z)^-mu,
-
-and :func:`ml_lattice` takes them by the trapezoid rule on a circle
-|z| = r (Bornemann 2011, Found. Comput. Math. 11): U at M >= 16N points,
-one inverse real FFT, scaled by r^-n.  U is real on the real axis, so
-the half circle is sampled.  r sits a relative 2/N inside the nearest
-singularity, the branch point z = 1 for lam <= 0 and the real pole z* in
-(0, 1) of D for lam > 0, which bounds both the aliasing and the r^-n
-growth of roundoff.  The samples of D also certify the contour: its
-winding number around 0 must be 0, or ContourError is raised.
+is at most |lam|.  A sum whose roundoff eps sum|t| exceeds tol |sum t|
+has cancelled past the tolerance and raises SeriesConvergenceError too.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import _pole_index, _snap_int, taylor_monomial
+from .grid import _snap_int, taylor_monomial
 from .operators import _smooth_length
 
 __all__ = [
@@ -55,16 +55,17 @@ __all__ = [
     "ContourError",
     "MlParams",
     "MlEvaluation",
-    "pochhammer",
     "ml_eval",
     "ml_lattice",
     "ml_lattice_solution",
     "ml_plain",
-    "ml_bold",
 ]
 
 #: consecutive below-tolerance terms required before truncating off-lattice
 _CONSECUTIVE_SMALL = 3
+#: largest lattice index ml_eval reads, and largest transform a high
+#: order of U asks for: the transform holds about 16 complex samples per point
+_LATTICE_MAX = 2**17
 
 
 @dataclass(frozen=True)
@@ -110,90 +111,87 @@ class MlParams:
 
 @dataclass(frozen=True)
 class MlEvaluation:
-    """Value plus diagnostics of one series evaluation.
+    """Value plus diagnostics of one evaluation.
 
-    ``terms`` holds the computed terms in order; ``exact`` is True when the
-    series terminated through the falling-factorial pole (finite sum, no
-    truncation error), False when it was cut by the tolerance rule.
+    ``exact`` is True for a finite sum (a lattice point, or a series ended
+    by a zero factor), False for a series cut by the tolerance rule, and
+    ``terms_used`` counts the terms of that sum.  ``condition`` is the
+    series' sum |t| / |sum t|; None on the lattice, where the transform
+    forms no terms.
     """
 
     value: float
-    terms: tuple[float, ...]
+    terms_used: int
     exact: bool
-
-    @property
-    def terms_used(self) -> int:
-        return len(self.terms)
+    condition: float | None = None
 
 
-def pochhammer(gamma: float, k: int) -> float:
-    """Rising factorial (gamma)_k = gamma (gamma+1) ... (gamma+k-1); ()_0 = 1."""
-    if k < 0:
-        raise ValueError("k must be a nonnegative integer")
-    out = 1.0
-    for i in range(k):
-        out *= gamma + i
-    return out
+def _conditioned(total: float, size: float, terms: int, exact: bool, ctl: SeriesCtl) -> MlEvaluation:
+    # the roundoff eps sum|t| must stay within tol |sum t|
+    if np.finfo(float).eps * size > ctl.tol * abs(total):
+        raise SeriesConvergenceError(f"series cancels: terms of size {size:.3g} sum to {total:.3g}")
+    return MlEvaluation(total, terms, exact, size / abs(total) if size else 1.0)
 
 
-def _series(
-    mu: float,
-    eta: float,
-    gamma: float,
-    lam: float,
-    z: float,
-    arg_offset: float,
-    ctl: SeriesCtl,
-) -> MlEvaluation:
-    # off the lattice a mu < 1 series grows like (|lam| / (mu^mu (1-mu)^(1-mu)))^k
-    # unless a zero Pochhammer factor ends it (module docstring)
+def _series(p: MlParams, z: float, arg_offset: float, ctl: SeriesCtl) -> MlEvaluation:
+    mu, eta, gamma, lam = p.mu, p.eta, p.gamma, p.lam
+    # a mu < 1 series grows like (|lam| / (mu^mu (1-mu)^(1-mu)))^k unless a
+    # zero Pochhammer factor ends it (module docstring)
     if (
-        _snap_int(z + arg_offset - eta + 2.0) is None
-        and mu < 1.0
+        mu < 1.0
         and abs(lam) >= mu**mu * (1.0 - mu) ** (1.0 - mu)
         and not (gamma <= 0.0 and float(gamma).is_integer())
     ):
         raise SeriesConvergenceError(f"series diverges off the lattice at mu = {mu}, lam = {lam}")
     coeff = 1.0  # running lam^k (gamma)_k / k!
-    total = 0.0
-    terms: list[float] = []
+    total = size = 0.0
     small_in_a_row = 0
 
     for k in range(ctl.max_terms):
-        # Denominator gamma argument of the falling factorial; it decreases
-        # by exactly 1 per term, so the first pole terminates the series.
-        if _pole_index(z + arg_offset - eta + 2.0 - k) is not None:
-            return MlEvaluation(total, tuple(terms), True)
-
         if k > 0:
             factor = gamma + (k - 1)
             if factor == 0.0 or lam == 0.0:
                 # Pochhammer or lam^k hit zero: every later term vanishes too.
-                return MlEvaluation(total, tuple(terms), True)
+                return _conditioned(total, size, k, True, ctl)
             coeff *= lam * factor / k
 
         term = coeff * taylor_monomial(k * mu + eta - 1.0, z + k * (mu - 1.0) + arg_offset, 0.0)
-        terms.append(term)
         total += term
+        size += abs(term)
 
         if abs(term) < ctl.tol:
             small_in_a_row += 1
             if small_in_a_row >= _CONSECUTIVE_SMALL:
-                return MlEvaluation(total, tuple(terms), False)
+                return _conditioned(total, size, k + 1, False, ctl)
         else:
             small_in_a_row = 0
 
-    raise SeriesConvergenceError(
-        f"series did not converge within {ctl.max_terms} terms"
-    )
+    raise SeriesConvergenceError(f"series did not converge within {ctl.max_terms} terms")
 
 
 def ml_eval(
     p: MlParams, z: float, ctl: SeriesCtl = SeriesCtl(), *, bold: bool = False
 ) -> MlEvaluation:
-    """Evaluate either series family with full diagnostics."""
+    """Evaluate either family with full diagnostics.
+
+    At a lattice point, an integer n = z + offset - eta + 1 (offset
+    eta - 1 for ``bold``, else 0), the value is entry n of
+    :func:`ml_lattice`, and 0 for n < 0; OverflowError is raised past
+    index ``_LATTICE_MAX`` or the float range.  Elsewhere the series is
+    summed to ``ctl``.
+    """
     offset = (p.eta - 1.0) if bold else 0.0
-    return _series(p.mu, p.eta, p.gamma, p.lam, z, offset, ctl)
+    n = _snap_int(z + offset - p.eta + 1.0)
+    if n is None:
+        return _series(p, z, offset, ctl)
+    if n < 0:
+        return MlEvaluation(0.0, 0, True)
+    if n > _LATTICE_MAX:
+        raise OverflowError(f"lattice index {n} is past the transform's limit {_LATTICE_MAX}")
+    value = float(ml_lattice(p, n + 1)[n])
+    if not math.isfinite(value):
+        raise OverflowError(f"the value at lattice index {n} is past the float range")
+    return MlEvaluation(value, n + 1, True)
 
 
 def ml_plain(p: MlParams, z: float, ctl: SeriesCtl = SeriesCtl()) -> float:
@@ -201,17 +199,12 @@ def ml_plain(p: MlParams, z: float, ctl: SeriesCtl = SeriesCtl()) -> float:
     return ml_eval(p, z, ctl).value
 
 
-def ml_bold(p: MlParams, z: float, ctl: SeriesCtl = SeriesCtl()) -> float:
-    """Shifted-argument variant; equals ml_plain at z + eta - 1."""
-    return ml_eval(p, z, ctl, bold=True).value
-
-
 def ml_lattice(p: MlParams, count: int) -> np.ndarray:
-    """Plain-family values E_[mu,eta](lam, n + eta - 1) for n = 0..count-1.
+    """Plain-family values E^gamma_[mu,eta](lam, n + eta - 1) for n = 0..count-1.
 
-    Only gamma = 1 is supported.  Values past the float range come out
-    as inf; callers decide what that means.  Raises ContourError when the
-    transform's contour is not certified.
+    Values past the float range come out as inf; callers decide what
+    that means.  Raises ContourError when the transform's contour is not
+    certified.
 
     For eta > 1, U grows like N^eta at z = 1 and the transform's roundoff
     with it, so U = W / (1-z) is taken instead: the running sum of the
@@ -232,51 +225,71 @@ def _pole(mu: float, lam: float) -> float:
     return lo
 
 
-def _certify(denom: np.ndarray) -> None:
+def _turns(denom: np.ndarray) -> np.ndarray:
+    """Change of arg D between consecutive samples, each in (-pi, pi]."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.angle(denom[1:] / denom[:-1])
+
+
+def _certify(denom: np.ndarray) -> np.ndarray:
     """Raise ContourError unless D, sampled from z = r to z = -r, has no
-    zero inside the circle.
+    zero inside the circle; return its turns.
 
     D(conj z) = conj D(z), so the whole circle's winding number is the
     half circle's turn over pi.  A step turning by pi/2 or more between
     samples would make the count ambiguous.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        turns = np.angle(denom[1:] / denom[:-1])
+    turns = _turns(denom)
     if not (np.all(np.isfinite(denom) & (denom != 0)) and np.all(np.abs(turns) < np.pi / 2)):
         raise ContourError("the contour samples do not resolve the winding of D")
     if abs(float(np.sum(turns))) > np.pi / 2:
         raise ContourError("a zero of D lies inside the contour")
+    return turns
 
 
 def ml_lattice_solution(
     p: MlParams, count: int, zeta: float = 1.0, forcing: np.ndarray | None = None
 ) -> tuple[np.ndarray, int]:
-    """Lattice solution zeta E_[mu,eta](lam, n + eta - 1)
+    """Lattice solution zeta E^gamma_[mu,eta](lam, n + eta - 1)
     + sum_{j<n} E_[mu,mu](lam, n - j + mu - 2) forcing[j] for n < count,
     and the number of symbol samples taken.
 
     These are the coefficients of zeta U(z) + z K(z) F(z), with K the
-    eta = mu symbol and F(z) = sum_j forcing[j] z^j, all from one
-    transform (module docstring).  Raises ContourError when the contour
-    is not certified.
+    eta = mu, gamma = 1 symbol and F(z) = sum_j forcing[j] z^j, all from
+    one transform (module docstring); a forcing needs gamma = 1.  Raises
+    ContourError when the contour is not certified.
     """
-    if p.gamma != 1.0:
-        raise ValueError(f"ml_lattice supports gamma = 1 only, got {p.gamma}")
-    n = max(count, 16)
-    r = (1.0 - 2.0 / n) * (_pole(p.mu, p.lam) if p.lam > 0 else 1.0)
+    if forcing is not None and p.gamma != 1.0:
+        raise ValueError(f"a forced solution needs gamma = 1, got {p.gamma}")
+    polynomial = p.gamma <= 0.0 and float(p.gamma).is_integer()
+    pole = p.lam > 0 and not polynomial
+    # U's coefficients grow like n^(order-1) from its nearest singularity,
+    # and their aliases m points on like m^(order-1): past order 1 the
+    # contour moves further in, to keep them at their order-1 ratio e^-32
+    order = p.gamma if pole else p.eta - p.gamma * p.mu if p.lam else p.eta
+    n = max(count, 16, 4 * math.ceil(order))  # keeps the shift below n/2
+    if n > max(count, _LATTICE_MAX):
+        raise OverflowError(f"gamma = {p.gamma} needs a transform of {n} points")
     m = 2 * _smooth_length(8 * n)
+    shift = 2.0 + max(order - 1.0, 0.0) * math.log(m) / 16.0
+    r = (1.0 - shift / n) * (_pole(p.mu, p.lam) if pole else 1.0)
     z = r * np.exp(-2j * np.pi / m * np.arange(m // 2 + 1))
     log_1mz = np.log1p(-z)
     k_mu = np.exp(-p.mu * log_1mz)
     denom = 1.0 - p.lam * z * k_mu
-    _certify(denom)
+    turns = _turns(denom) if polynomial else _certify(denom)
     samples = zeta * np.exp(-p.eta * log_1mz)
     if forcing is not None:
         f = np.asarray(forcing, dtype=float)[:count]
         samples += z * k_mu * np.fft.rfft(f * r ** np.arange(len(f)), m)
-    # r^-n as two factors: the product overflows only where the value does
-    half = np.power(r, -0.5 * np.arange(count))
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.fft.irfft(samples / denom, m)[:count] * half * half
+        symbol = samples / denom
+        if p.gamma != 1.0:
+            # D^(1-gamma) on the branch that follows arg D from z = r
+            arg = np.angle(denom[0]) + np.concatenate(([0.0], np.cumsum(turns)))
+            symbol *= np.exp((1.0 - p.gamma) * (np.log(np.abs(denom)) + 1j * arg))
+        # r^-n as two factors: the product overflows only where the value does
+        half = np.power(r, -0.5 * np.arange(count))
+        out = np.fft.irfft(symbol, m)[:count] * half * half
     out[:1] = zeta  # zeta U(0), exactly
     return out, len(z)

@@ -29,7 +29,8 @@ conv(|k|, |f|) at that point; the points where it is not are summed
 directly.  A zero prefix stays exactly zero, a trajectory spanning many
 orders of magnitude keeps its early points, a decaying one its late
 points, and a non-finite input takes the direct path.  The pointwise
-forms wrap the whole-grid ones.  Everything is pure and thread-safe.
+fractional sum reads the whole-grid one, and a difference at one point
+is a read of its ``*_fn`` GridFn.  Everything is pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -53,11 +54,8 @@ __all__ = [
     "fractional_sum",
     "fractional_sum_fn",
     "forward_difference_fn",
-    "rl_difference",
     "rl_difference_fn",
-    "caputo_difference",
     "caputo_difference_fn",
-    "hilfer_difference",
     "hilfer_difference_fn",
 ]
 
@@ -289,19 +287,11 @@ def rl_difference_fn(f: GridFn, mu: float) -> GridFn:
     return forward_difference_fn(fractional_sum_fn(f, 1.0 - mu))
 
 
-def rl_difference(f: GridFn, mu: float, x: float) -> float:
-    return rl_difference_fn(f, mu)(x)
-
-
 def caputo_difference_fn(f: GridFn, mu: float) -> GridFn:
     """Caputo difference of order mu in (0, 1], on base+1-mu."""
     if not 0.0 < mu <= 1.0:
         raise ValueError(f"difference order must lie in (0, 1], got {mu}")
     return fractional_sum_fn(forward_difference_fn(f), 1.0 - mu)
-
-
-def caputo_difference(f: GridFn, mu: float, x: float) -> float:
-    return caputo_difference_fn(f, mu)(x)
 
 
 def hilfer_difference_fn(f: GridFn, order: HilferOrder) -> GridFn:
@@ -316,7 +306,3 @@ def hilfer_difference_fn(f: GridFn, order: HilferOrder) -> GridFn:
     inner = fractional_sum_fn(f, order.inner_sum_order)
     differenced = forward_difference_fn(inner)
     return fractional_sum_fn(differenced, order.outer_sum_order)
-
-
-def hilfer_difference(f: GridFn, order: HilferOrder, x: float) -> float:
-    return hilfer_difference_fn(f, order)(x)

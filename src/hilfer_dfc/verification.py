@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .grid import Grid, GridFn, HilferOrder, falling_factorial, taylor_monomial
-from .mittag_leffler import MlParams, ml_eval, ml_plain
+from .mittag_leffler import MlParams, ml_lattice
 from .operators import (
     forward_difference_fn,
     fractional_sum,
@@ -24,6 +24,7 @@ from .operators import (
     hilfer_difference_fn,
     rl_difference_fn,
     caputo_difference_fn,
+    sum_kernel,
 )
 from .solvers import (
     IvpSpec,
@@ -262,18 +263,14 @@ def check_endpoint_reduction(tol: float, y: float) -> CheckResult:
 
 
 def check_ml_reductions(tol: float, y: float) -> CheckResult:
+    # E^gamma_[1,gamma](lam, n + gamma - 1) = (gamma)_n / n! (1+lam)^n, the
+    # coefficients of (1 - (1+lam) z)^-gamma; gamma = 1 is the binomial identity
     worst = 0.0
-    for lam in (0.1, -0.1, 0.5, -0.5):
-        p = MlParams(mu=1.0, eta=1.0, lam=lam)
-        for n in range(21):
-            got = ml_plain(p, float(n))
-            expect = (1.0 + lam) ** n
-            worst = max(worst, abs(got - expect) / max(1.0, abs(expect)))
-    p = MlParams(mu=0.7, eta=0.85, lam=0.2)
-    for n in range(12):
-        shift = ml_plain(p, n + p.eta - 1.0)
-        bold = ml_eval(p, float(n), bold=True).value
-        worst = max(worst, abs(shift - bold))
+    for gamma in (1.0, 0.5, 1.7):
+        for lam in (0.1, -0.1, 0.5, -0.5):
+            got = ml_lattice(MlParams(mu=1.0, eta=gamma, gamma=gamma, lam=lam), 21)
+            expect = sum_kernel(gamma, 21) * (1.0 + lam) ** np.arange(21)
+            worst = max(worst, float(np.max(np.abs(got - expect) / np.maximum(1.0, np.abs(expect)))))
     return _result("ml-reductions", worst, tol)
 
 
@@ -289,11 +286,10 @@ def check_gronwall_reductions(tol: float, y: float) -> CheckResult:
     order = HilferOrder(0.7, 0.5)
     for const in (0.05, 0.1, 0.15):
         v = GridFn.constant(grid, const)
-        p = MlParams(mu=order.mu, eta=order.eta, lam=const)
+        expect = ml_lattice(MlParams(mu=order.mu, eta=order.eta, lam=const), grid.count)
         for n in range(grid.count):
             got = gronwall_series(1.0, v, order, float(n))
-            expect = ml_plain(p, n + order.eta - 1.0)
-            worst = max(worst, abs(got - expect) / max(1.0, abs(expect)))
+            worst = max(worst, abs(got - expect[n]) / max(1.0, abs(expect[n])))
     return _result("gronwall-reductions", worst, tol)
 
 

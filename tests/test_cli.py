@@ -252,6 +252,14 @@ class TestEvaluators:
         assert payload["value"] == pytest.approx(1.5**10, rel=1e-12)
         assert payload["exact_termination"] is True
 
+    def test_ml_cancelling_lattice_point(self, capsys):
+        # terms of total size 5.1e20 sum to -2.076e-4, read from the transform
+        argv = ["--mu", "0.8", "--eta", "0.4", "--gamma", "1.3", "--lambda", "-0.6", "--z", "120"]
+        assert main(["ml", *argv, "--bold"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["value"] == pytest.approx(-2.0760175647701864e-4, rel=1e-12)
+        assert payload["terms_used"] == 121 and payload["exact_termination"] is True
+
     def test_ml_bad_params(self, capsys):
         code = main(["ml", "--mu", "1.0", "--lambda", "1.5", "--z", "3"])
         assert code == 2
@@ -272,6 +280,11 @@ class TestLibraryErrorsExitTwo:
                  "--z", "177.43824521694432"],
                 "SeriesConvergenceError",
             ),
+            (  # off the lattice: terms of total size 2.9e17 sum to -2.6e-4
+                ["ml", "--mu", "0.8", "--eta", "0.4", "--gamma", "1.3", "--lambda", "-0.5",
+                 "--z", "120.3"],
+                "SeriesConvergenceError",
+            ),
             (
                 ["laplace", "--y", "2", "--f-kind", "geometric", "--count", "5"],
                 "TruncationError",
@@ -288,7 +301,8 @@ class TestLibraryErrorsExitTwo:
                 "--nonlinear does not take these flags",
             ),
         ],
-        ids=["singular-gamma", "series-convergence", "series-divergence", "truncation", "ml-overflow",
+        ids=["singular-gamma", "series-convergence", "series-divergence", "series-cancellation",
+             "truncation", "ml-overflow",
              "bound-overflow", "linear-foreign-flags", "nonlinear-foreign-flags"],
     )
     def test_one_line_on_stderr_and_exit_two(self, argv, error, capsys):

@@ -12,30 +12,21 @@ from hilfer_dfc import (
     SeriesConvergenceError,
     SeriesCtl,
     falling_factorial,
-    ml_bold,
     ml_eval,
     ml_lattice,
+    ml_lattice_solution,
     ml_plain,
-    pochhammer,
     sum_kernel,
+    taylor_monomial,
 )
-from hilfer_dfc.mittag_leffler import _certify, _pole
+from hilfer_dfc.mittag_leffler import _LATTICE_MAX, _certify, _pole
+from hilfer_dfc.operators import _smooth_length
 
 
-class TestPochhammer:
-    def test_matches_factorial(self):
-        for k in range(8):
-            assert pochhammer(1.0, k) == math.factorial(k)
-
-    def test_empty_product(self):
-        assert pochhammer(4.7, 0) == 1.0
-
-    def test_small_case(self):
-        assert pochhammer(2.0, 3) == 24.0  # 2*3*4
-
-    def test_rejects_negative_k(self):
-        with pytest.raises(ValueError):
-            pochhammer(1.0, -1)
+def _term(mu, eta, gamma, lam, z, k):
+    """Term k of the plain series at z, in floats."""
+    coeff = lam**k * math.prod((gamma + i) / (i + 1) for i in range(k))
+    return coeff * taylor_monomial(k * mu + eta - 1.0, z + k * (mu - 1.0), 0.0)
 
 
 class TestParams:
@@ -70,20 +61,20 @@ class TestReductions:
         p = MlParams(mu=0.8, eta=0.6, lam=0.0)
         z = 4.0
         expect = falling_factorial(z + p.eta - 1.0, p.eta - 1.0) / math.gamma(p.eta)
-        assert ml_bold(p, z) == pytest.approx(expect, rel=1e-13)
+        assert ml_eval(p, z, bold=True).value == pytest.approx(expect, rel=1e-13)
 
     def test_bold_plain_shift_identity(self):
         for mu, eta, lam in ((0.7, 0.85, 0.2), (0.5, 0.5, -0.3), (0.9, 0.3, 0.45)):
             p = MlParams(mu=mu, eta=eta, lam=lam)
             for n in range(15):
-                assert ml_bold(p, float(n)) == pytest.approx(
+                assert ml_eval(p, float(n), bold=True).value == pytest.approx(
                     ml_plain(p, n + eta - 1.0), rel=1e-12, abs=1e-12
                 )
 
     def test_bold_equals_plain_when_eta_is_one(self):
         p = MlParams(mu=0.6, eta=1.0, lam=0.4)
         for n in range(12):
-            assert ml_bold(p, float(n)) == ml_plain(p, float(n))
+            assert ml_eval(p, float(n), bold=True).value == ml_plain(p, float(n))
 
 
 class TestTermination:
@@ -92,7 +83,9 @@ class TestTermination:
         ev = ml_eval(p, 5.0)
         assert ev.exact
         assert ev.terms_used == 6
-        assert all(t != 0.0 for t in ev.terms)
+        terms = [_term(0.8, 1.0, 1.0, 0.1, 5.0, k) for k in range(7)]
+        assert all(t != 0.0 for t in terms[:6]) and terms[6] == 0.0
+        assert ev.value == pytest.approx(sum(terms), rel=1e-14)
 
     def test_termination_on_solution_lattice(self):
         for mu, nu in ((0.7, 0.5), (0.5, 0.0), (0.5, 1.0), (0.3, 0.8)):
@@ -127,7 +120,16 @@ class TestTermination:
         p = MlParams(mu=0.8, eta=0.9, lam=0.2)
         ev = ml_eval(p, 4.321, SeriesCtl(tol=1e-12))
         assert not ev.exact
-        assert abs(ev.terms[-1]) < 1e-12
+        terms = [_term(0.8, 0.9, 1.0, 0.2, 4.321, k) for k in range(ev.terms_used)]
+        assert all(abs(t) < 1e-12 for t in terms[-3:]) and abs(terms[-4]) >= 1e-12
+        assert ev.value == pytest.approx(sum(terms), rel=1e-14)
+        assert ev.condition == pytest.approx(sum(map(abs, terms)) / abs(sum(terms)), rel=1e-14)
+
+    def test_cancelled_off_lattice_sum_raises(self):
+        # terms of total size 2.9e17 sum to -2.6e-4: roundoff of eps * 2.9e17
+        # leaves no digit of the value
+        with pytest.raises(SeriesConvergenceError, match="cancels"):
+            ml_eval(MlParams(mu=0.8, eta=0.4, gamma=1.3, lam=-0.5), 120.3)
 
     def test_nonconvergence_raises(self):
         p = MlParams(mu=0.8, eta=0.9, lam=0.9)
@@ -140,19 +142,21 @@ class TestSeriesStructure:
         # each term of the eta=mu family factors through the addition law:
         # (z+k(mu-1))^[mu k + mu - 1]
         #   = (z+(k-1)(mu-1))^[k mu] * (z+k(mu-1))^[mu-1]
+        # and the n + 1 factored terms sum to the lattice value
         mu, lam, gamma = 0.7, 0.25, 1.3
         p = MlParams(mu=mu, eta=mu, gamma=gamma, lam=lam)
         z = 9.0 + mu - 1.0
-        ev = ml_eval(p, z)
-        for k, term in enumerate(ev.terms):
-            factored = (
-                lam**k
-                * falling_factorial(z + (k - 1) * (mu - 1.0), k * mu)
-                * falling_factorial(z + k * (mu - 1.0), mu - 1.0)
-                * pochhammer(gamma, k)
-                / (math.gamma(k * mu + mu) * math.factorial(k))
-            )
-            assert term == pytest.approx(factored, rel=1e-12, abs=1e-14)
+        factored = [
+            lam**k
+            * falling_factorial(z + (k - 1) * (mu - 1.0), k * mu)
+            * falling_factorial(z + k * (mu - 1.0), mu - 1.0)
+            * math.gamma(gamma + k) / math.gamma(gamma)
+            / (math.gamma(k * mu + mu) * math.factorial(k))
+            for k in range(10)
+        ]
+        for k, term in enumerate(factored):
+            assert _term(mu, mu, gamma, lam, z, k) == pytest.approx(term, rel=1e-12, abs=1e-14)
+        assert ml_eval(p, z).value == pytest.approx(sum(factored), rel=1e-12)
 
     def test_monotone_growth_in_lambda(self):
         p_small = MlParams(mu=0.7, eta=0.85, lam=0.1)
@@ -162,13 +166,11 @@ class TestSeriesStructure:
             assert ml_plain(p_small, z) < ml_plain(p_large, z)
 
     def test_gamma_parameter_weighting(self):
-        # gamma = 2 doubles the k=1 term relative to gamma = 1
+        # gamma = 2 doubles the k=1 term relative to gamma = 1: at n = 1
+        # the value is 1 plus that term
         p1 = MlParams(mu=0.8, eta=1.0, gamma=1.0, lam=0.2)
         p2 = MlParams(mu=0.8, eta=1.0, gamma=2.0, lam=0.2)
-        t1 = ml_eval(p1, 6.0).terms
-        t2 = ml_eval(p2, 6.0).terms
-        assert t2[0] == pytest.approx(t1[0])
-        assert t2[1] == pytest.approx(2.0 * t1[1], rel=1e-13)
+        assert ml_plain(p2, 1.0) - 1.0 == pytest.approx(2.0 * (ml_plain(p1, 1.0) - 1.0), rel=1e-13)
 
 
 def _mp_series(mp, mu, eta, gamma, lam, z, offset=0.0, last=None):
@@ -236,16 +238,115 @@ class TestScalarSeriesOracle:
         assert not ml_eval(MlParams(mu=1.0, eta=1.0, lam=0.9), 30.5).exact
 
 
-def _mp_lattice_point(mp, mu, eta, lam, n):
-    """50-digit sum of the n+1 lattice terms, and the sum of their sizes."""
-    mu, eta, lam = mp.mpf(mu), mp.mpf(eta), mp.mpf(lam)
-    total = size = mp.mpf(0)
-    for k in range(n + 1):
-        alpha = k * mu + eta
-        term = lam**k * mp.rf(alpha, n - k) / mp.factorial(n - k)
-        total += term
-        size += abs(term)
-    return total, size
+def _mp_lattice_point(mp, mu, eta, lam, n, gamma=1.0):
+    """Sum of the n+1 lattice terms lam^k (gamma)_k / k! C_{k mu + eta}[n-k],
+    and the sum of their sizes, at 30 digits past the log10 of that size
+    from a first 15-digit pass: an absolute error far below 1e-25."""
+
+    def terms(dps):
+        mp.mp.dps = dps
+        m, e, g, x = (mp.mpf(v) for v in (mu, eta, gamma, lam))
+        coeff, out = mp.mpf(1), []
+        for k in range(n + 1):
+            if k:
+                coeff *= x * (g + k - 1) / k
+            out.append(coeff * mp.rf(k * m + e, n - k) / mp.factorial(n - k))
+        return out
+
+    size = sum(abs(t) for t in terms(15))
+    exact = terms(30 + max(0, int(mp.log10(size)) if size else 0))
+    return sum(exact), sum(abs(t) for t in exact)
+
+
+class TestLatticeRoute:
+    # relative above 1, absolute below it: the trapezoid sum carries roundoff
+    # of about eps r^-n mean|U| >= eps |U(0)| = eps, so values far below 1
+    # (for lam < 0 they decay like n^(eta - gamma mu - 1)) carry it absolutely
+    TOL = 1e-12
+
+    def test_lattice_points_against_mpmath(self):
+        # both families, lam in (-1, 1), gamma in (0.5, 1.5) and the
+        # polynomial and higher-order edges, where ml_eval reads the transform
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(20261019)
+        for i in range(80):
+            mu, eta, lam = rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.9), rng.uniform(-0.99, 0.99)
+            gamma = rng.uniform(0.5, 1.5) if i % 2 else (0.0, -1.0, -2.0, 2.5)[i // 2 % 4]
+            n, bold = int(rng.integers(0, 400)), rng.uniform() < 0.5
+            ev = ml_eval(MlParams(mu, eta, gamma, lam), float(n) if bold else n + eta - 1.0, bold=bold)
+            expect, _ = _mp_lattice_point(mp, mu, eta, lam, n, gamma)
+            assert ev.exact and ev.terms_used == n + 1
+            assert abs(mp.mpf(ev.value) - expect) <= self.TOL * max(abs(expect), 1), (mu, eta, gamma, lam, n)
+
+    @pytest.mark.parametrize("gamma", [4.0, 10.0])
+    def test_high_order_pole_keeps_its_aliases_small(self, gamma):
+        # D^-gamma poles to order gamma at z*: on the order-1 contour the
+        # aliased coefficients made gamma = 10 off by 4e-4 at n = 200
+        mp = pytest.importorskip("mpmath")
+        for mu, eta, lam, n in ((0.7, 0.6, 0.5, 200), (0.5, 0.9, 0.9, 50), (0.7, 0.6, 0.5, 10)):
+            expect, _ = _mp_lattice_point(mp, mu, eta, lam, n, gamma)
+            got = ml_plain(MlParams(mu, eta, gamma, lam), n + eta - 1.0)
+            assert abs(mp.mpf(got) - expect) <= self.TOL * abs(expect), (mu, eta, lam, n)
+
+    def test_transform_size_is_bounded_before_allocation(self):
+        with pytest.raises(OverflowError, match="points"):
+            ml_eval(MlParams(mu=0.5, gamma=1e9, lam=0.5), 3.0)
+
+    def test_cancelling_sum_from_the_transform(self):
+        # terms of total size 5.1e20 sum to -2.076e-4; the former termwise
+        # sum returned 893867.13
+        ev = ml_eval(MlParams(mu=0.8, eta=0.4, gamma=1.3, lam=-0.6), 120.0, bold=True)
+        assert ev.value == pytest.approx(-2.0760175647701864e-4, rel=1e-12)
+
+    @pytest.mark.parametrize("lam", [0.9, -0.9])
+    def test_nonpositive_integer_gamma_is_a_polynomial_in_d(self, lam):
+        # gamma = 0 leaves (1-z)^-eta, whatever the zero z* of D;
+        # gamma = -1 adds -lam z (1-z)^-(eta + mu)
+        mu, eta = 0.6, 0.7
+        first = sum_kernel(eta, 300)
+        second = first.copy()
+        second[1:] -= lam * sum_kernel(eta + mu, 299)
+        for gamma, expect in ((0.0, first), (-1.0, second)):
+            got = ml_lattice(MlParams(mu, eta, gamma, lam), 300)
+            assert np.max(np.abs(got - expect) / np.maximum(np.abs(expect), 1.0)) <= 1e-13
+
+    @pytest.mark.parametrize("lam, mu, eta, count", [
+        (lam, mu, round(mu + nu - mu * nu, 4) + eta_up, steps + 1)
+        for (lam, mu, nu, steps), eta_up in zip(stratified_cases(11, 8, 1.0), (0.0, 0.9) * 4)
+    ])
+    def test_gamma_one_is_the_plain_symbol_bit_for_bit(self, lam, mu, eta, count):
+        assert np.array_equal(ml_lattice(MlParams(mu, eta, 1.0, lam), count),
+                              _inverse_d_transform(mu, eta, lam, count))
+
+    def test_negative_index_is_zero(self):
+        p = MlParams(mu=0.7, eta=0.4, gamma=1.3, lam=-0.6)
+        for ev in (ml_eval(p, -3.0 + 0.4 - 1.0), ml_eval(p, -1.0, bold=True)):
+            assert (ev.value, ev.terms_used, ev.exact) == (0.0, 0, True)
+
+    def test_index_and_value_past_range_raise(self):
+        with pytest.raises(OverflowError, match="limit"):
+            ml_eval(MlParams(mu=0.7, lam=0.2), float(_LATTICE_MAX + 1))
+        with pytest.raises(OverflowError, match="float range"):
+            ml_eval(MlParams(mu=0.1, lam=0.99), 5000.0)
+
+
+def _inverse_d_transform(mu, eta, lam, count):
+    """The gamma = 1 lattice as transformed before gamma was supported:
+    the coefficients of (1-z)^-eta / D(z) on the same contour."""
+    if eta > 1.0:
+        with np.errstate(over="ignore"):
+            return np.cumsum(_inverse_d_transform(mu, eta - 1.0, lam, count))
+    n = max(count, 16)
+    r = (1.0 - 2.0 / n) * (_pole(mu, lam) if lam > 0 else 1.0)
+    m = 2 * _smooth_length(8 * n)
+    z = r * np.exp(-2j * np.pi / m * np.arange(m // 2 + 1))
+    log_1mz = np.log1p(-z)
+    denom = 1.0 - lam * z * np.exp(-mu * log_1mz)
+    with np.errstate(over="ignore", invalid="ignore"):
+        half = np.power(r, -0.5 * np.arange(count))
+        out = np.fft.irfft(np.exp(-eta * log_1mz) / denom, m)[:count] * half * half
+    out[:1] = 1.0
+    return out
 
 
 class TestLatticeTable:
@@ -274,18 +375,12 @@ class TestLatticeTable:
 
     @pytest.mark.parametrize("mu, nu", [(0.7, 0.5), (0.5, 0.0), (0.5, 1.0), (0.3, 0.8)])
     @pytest.mark.parametrize("lam", [0.3, -0.4, 0.0])
-    def test_matches_exactly_terminating_scalar_series(self, mu, nu, lam):
+    def test_matches_finite_termwise_sum(self, mu, nu, lam):
         eta = mu + nu - mu * nu
-        p = MlParams(mu=mu, eta=eta, lam=lam)
-        table = ml_lattice(p, 40)
-        compared = 0
+        table = ml_lattice(MlParams(mu=mu, eta=eta, lam=lam), 40)
         for n in range(40):
-            ev = ml_eval(p, n + eta - 1.0)
-            if ev.exact:  # otherwise the scalar series cut its tail by tolerance
-                size = sum(abs(t) for t in ev.terms)
-                assert abs(table[n] - ev.value) <= self.TOL * size
-                compared += 1
-        assert compared >= 10
+            terms = [_term(mu, eta, 1.0, lam, n + eta - 1.0, k) for k in range(n + 1)]
+            assert abs(table[n] - sum(terms)) <= self.TOL * sum(map(abs, terms))
 
     def test_zero_lambda_is_the_monomial(self):
         p = MlParams(mu=0.8, eta=0.6, lam=0.0)
@@ -300,9 +395,9 @@ class TestLatticeTable:
         assert ml_lattice(p, 1).tolist() == [1.0]
         assert ml_lattice(MlParams(mu=0.7, eta=0.4, lam=0.0), 1).tolist() == [1.0]
 
-    def test_rejects_gamma_other_than_one(self):
-        with pytest.raises(ValueError):
-            ml_lattice(MlParams(mu=0.7, gamma=1.3, lam=0.2), 5)
+    def test_forcing_needs_gamma_one(self):
+        with pytest.raises(ValueError, match="gamma = 1"):
+            ml_lattice_solution(MlParams(mu=0.7, gamma=1.3, lam=0.2), 5, forcing=np.ones(5))
 
 
 def _row_table(mu, eta, lam, count):

@@ -27,7 +27,7 @@ from hilfer_dfc import (
     gronwall_series,
     hilfer_difference_fn,
     initial_condition_value,
-    ml_bold,
+    ml_eval,
     ml_plain,
     residual_scale,
     solve,
@@ -214,19 +214,19 @@ class TestNonHomogeneous:
         assert err < 1e-8
 
     def test_bold_route_agrees_with_plain(self, rng):
-        # the closed form rebuilt from scalar shifted-argument ("bold")
-        # values, a family that shares no code with the lattice tables:
-        # E_bold(lam, n) is the plain value at n + eta - 1
+        # the closed form rebuilt from shifted-argument ("bold") values,
+        # E_bold(lam, n) the plain value at n + eta - 1, with the forcing's
+        # convolution summed here rather than in the transform
         mu, nu, lam, zeta = 0.6, 0.25, 0.2, 1.3
         a, steps = 0.3, 12
         vals = rng.uniform(-1.0, 1.0, steps)
         forcing = GridFn(Grid(a + 1.0 - mu, steps), vals)
         spec = IvpSpec(a, steps, HilferOrder(mu, nu), zeta, NonHomogeneous(lam, forcing))
         head = MlParams(mu=mu, eta=spec.order.eta, lam=lam)
-        kernel = [ml_bold(MlParams(mu=mu, eta=mu, lam=lam), float(m)) for m in range(steps)]
+        kernel = [ml_eval(MlParams(mu=mu, eta=mu, lam=lam), float(m), bold=True).value for m in range(steps)]
         expect = np.array(
             [
-                zeta * ml_bold(head, float(n))
+                zeta * ml_eval(head, float(n), bold=True).value
                 + sum(kernel[n - j] * vals[j - 1] for j in range(1, n + 1))
                 for n in range(steps + 1)
             ]
@@ -508,6 +508,12 @@ class TestLatticeSeries:
         assert ser.meta.overflow_at is None
         rel = np.abs(ser.values.values - rec.values.values) / np.abs(rec.values.values)
         assert np.max(rel) < 1e-10
+
+    def test_long_growing_solve_leaks_no_warning(self):
+        # r^(-n/2) passes the float range from some n on; the RuntimeWarning
+        # that pytest turns into an error must not escape the transform
+        spec = IvpSpec(0.0, 20000, HilferOrder(0.5, 0.5), 1.0, Linear(0.3))
+        assert solve_linear_series(spec).meta.overflow_at == 8655
 
     def test_terms_used_counts_the_symbol_samples(self):
         # M/2 + 1 samples, M = 256 the even 5-smooth length >= 16 max(N, 16)
