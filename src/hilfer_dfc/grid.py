@@ -6,9 +6,11 @@ points are carried as (real base, integer index) so that shifted grids
 (base + mu, base + 1 - eta, ...) never accumulate floating-point drift
 in the step.
 
-Gamma is ``math.lgamma`` (log|Gamma(x)|) with the sign +1 for x > 0,
-else (-1)^floor(x).  Callers reject the poles (nonpositive integers, to
-within INTEGER_SNAP) first, so ``math.lgamma`` never sees one.
+A gamma ratio is Stirling's series where its arguments are large, else
+a quotient of ``math.gamma`` values where those are normal floats, else
+``math.lgamma`` (log|Gamma(x)|) with the sign +1 for x > 0, else
+(-1)^floor(x).  Callers reject the poles (nonpositive integers, to
+within INTEGER_SNAP) first, so neither ever sees one.
 
 All operations are pure functions of immutable inputs and are safe to
 share across threads.
@@ -17,6 +19,7 @@ share across threads.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +46,8 @@ INTEGER_SNAP = 1e-9
 
 #: from this argument on, gamma ratios use Stirling's series, not lgamma
 _STIRLING_MIN = 16.0
+#: smallest normal float: a gamma quotient below it has lost digits
+_TINY = sys.float_info.min
 #: B_2k / (2k (2k-1)), k = 1..6; the next term is below 2e-18 at x = 16
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
 
@@ -83,6 +88,24 @@ def _sign_lgamma(x: float) -> tuple[float, float]:
     """(sign of Gamma(x), log|Gamma(x)|) for x off the poles."""
     sign = 1.0 if x > 0.0 or math.floor(x) % 2 == 0 else -1.0
     return sign, math.lgamma(x)
+
+
+def _gamma_ratio(num: float, *dens: float) -> float | None:
+    """Gamma(num) divided by Gamma(den) for each den, from math.gamma.
+
+    None unless every argument lies in (-170, 171) and every quotient is
+    a normal float.  Callers keep the poles out; there math.gamma is a
+    normal float that holds a few ulps, where exp of an lgamma difference
+    is 1e-15 off near the zeros of lgamma at 1 and 2.
+    """
+    if not (-170.0 < min(num, *dens) and max(num, *dens) < 171.0):
+        return None
+    value = math.gamma(num)
+    for den in dens:
+        value /= math.gamma(den)
+        if not _TINY <= abs(value) < math.inf:
+            return None
+    return value
 
 
 def _ratio_correction(x: float, r: float) -> float:
@@ -294,6 +317,10 @@ def falling_factorial(t: float, r: float) -> float:
         if math.isinf(value):
             raise OverflowError(f"falling_factorial({t!r}, {r!r}) is past the float range")
         return value
+    if _pole_index(t + 1.0) is None and _pole_index(t - r + 1.0) is None:
+        value = _gamma_ratio(t + 1.0, t - r + 1.0)
+        if value is not None:
+            return value
     sign, logmag = falling_factorial_sign_logmag(t, r)
     return sign * math.exp(logmag)
 
@@ -356,6 +383,10 @@ def taylor_monomial(r: float, t: float, s: float) -> float:
         if math.isinf(value):
             raise OverflowError(f"taylor_monomial({r!r}, {t!r}, {s!r}) is past the float range")
         return value
+    if _snap_int(r) is None and _pole_index(x + 1.0) is None and _pole_index(x - r + 1.0) is None:
+        value = _gamma_ratio(x + 1.0, x - r + 1.0, r + 1.0)
+        if value is not None:
+            return value
     sign, logmag = falling_factorial_sign_logmag(x, r)
     if sign == 0.0:
         return 0.0

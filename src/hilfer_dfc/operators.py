@@ -30,13 +30,16 @@ directly.  A zero prefix stays exactly zero, a trajectory spanning many
 orders of magnitude keeps its early points, a decaying one its late
 points, and a non-finite input takes the direct path.  The pointwise
 fractional sum reads the whole-grid one, and a difference at one point
-is a read of its ``*_fn`` GridFn.  Everything is pure and thread-safe.
+is a read of its ``*_fn`` GridFn.  Everything is pure and thread-safe:
+each thread owns the scratch workspace the transforms reuse, kept up to
+``_WORKSPACE_MAX`` bytes, and a result never aliases it.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import threading
 
 import numpy as np
 
@@ -70,6 +73,9 @@ _BLOCK_MIN = 1024
 _BLOCKS = 24
 #: per-point accuracy the FFT outputs must meet, relative to conv(|k|, |f|)
 _FFT_REL = 1e-13
+#: bytes of transform scratch one thread keeps between causal_convolve
+#: calls: about 14 x 8n bytes for n points, so up to about 150000 points
+_WORKSPACE_MAX = 16 << 20
 
 _log = logging.getLogger(__name__)
 
@@ -92,16 +98,35 @@ def _smooth_length(target: int) -> int:
 
 def _binade(x: np.ndarray) -> int:
     """Exponent e with max|x| in [2^(e-1), 2^e); 0 for a zero array."""
-    return math.frexp(float(np.max(np.abs(x))))[1]
+    return math.frexp(max(float(x.max()), -float(x.min())))[1]
 
 
-def _rows(x: np.ndarray, block: int, count: int) -> np.ndarray:
-    """x zero-padded to count * block points, one block per row."""
-    if len(x) == block * count:
-        return x.reshape(count, block)
-    rows = np.zeros(block * count)
-    rows[: len(x)] = x
-    return rows.reshape(count, block)
+class _Workspace(threading.local):
+    """One thread's scratch arrays for the transform path, one per role.
+
+    An array only grows, and a grown one is kept only while all kept
+    arrays stay within ``_WORKSPACE_MAX`` bytes; otherwise it serves one
+    call.  Results are always fresh arrays, never views of these.
+    """
+
+    def __init__(self) -> None:
+        self.kept: dict[str, np.ndarray] = {}
+
+    def nbytes(self) -> int:
+        return sum(array.nbytes for array in self.kept.values())
+
+    def take(self, role: str, shape: tuple[int, int], dtype: type = float) -> np.ndarray:
+        size = shape[0] * shape[1]
+        array = self.kept.get(role)
+        if array is None or array.size < size:
+            held = self.nbytes() - (0 if array is None else array.nbytes)
+            array = np.empty(size, dtype)
+            if held + array.nbytes <= _WORKSPACE_MAX:
+                self.kept[role] = array
+        return array[:size].reshape(shape)
+
+
+_workspace = _Workspace()
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
@@ -110,21 +135,25 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
 
 
 def _overlap_add(k_spec: np.ndarray, f_spec: np.ndarray, length: int, block: int) -> np.ndarray:
-    """Block products transformed back in one batch and overlap-added.
+    """Block products transformed back in one batch and overlap-added,
+    as (blocks, block) rows of the workspace.
 
     Output block q is the first half of the sum of k_p f_i over
     p + i = q plus the second half of the sum over p + i = q - 1.
     """
     count = len(f_spec)
-    acc = k_spec[0] * f_spec
-    for p in range(1, count):
-        acc[p:] += k_spec[p] * f_spec[: count - p]
-    full = np.fft.irfft(acc, length)
-    del acc
-    out = full[:, :block]
+    acc = _workspace.take("acc", f_spec.shape, complex)
+    np.multiply(k_spec[0], f_spec, out=acc)
+    if count > 1:
+        prod = _workspace.take("prod", (count - 1, f_spec.shape[1]), complex)
+        for p in range(1, count):
+            acc[p:] += np.multiply(k_spec[p], f_spec[: count - p], out=prod[: count - p])
+    full = np.fft.irfft(acc, length, out=_workspace.take("full", (count, length)))
+    out = _workspace.take("sums", (count, block))
+    out[...] = full[:, :block]
     if count > 1:
         out[1:] += full[:-1, block:]
-    return out.ravel()
+    return out
 
 
 def _direct_points(kernel: np.ndarray, values: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -158,7 +187,9 @@ def causal_convolve(kernel: np.ndarray, values: np.ndarray) -> np.ndarray:
     by the same transform, and summed directly elsewhere: the leading run
     of failures by one direct sum, later failures by one dot product
     each.  With more than n/4 failures, or with err not finite, the whole
-    convolution is summed directly.  The ``hilfer_dfc.operators`` DEBUG
+    convolution is summed directly.  The transform's rows, spectra and
+    sums live in this thread's workspace, so a repeated call allocates
+    little more than its result.  The ``hilfer_dfc.operators`` DEBUG
     record gives n, B, the block count and how many points were summed
     directly.
     """
@@ -175,15 +206,21 @@ def causal_convolve(kernel: np.ndarray, values: np.ndarray) -> np.ndarray:
         count = -(-n // max(_BLOCK_MIN, 1 << (-(-n // _BLOCKS) - 1).bit_length()))
         block = _smooth_length(-(-n // count))
         length = 2 * block
-    # exact power-of-two scaling keeps every spectrum below n in size
+    # exact power-of-two scaling keeps every spectrum below n in size,
+    # written zero-padded into the rows the transforms read
     k_exp, f_exp = _binade(kernel), _binade(values)
-    k_unit, f_unit = np.ldexp(kernel, -k_exp), np.ldexp(values, -f_exp)
+    k_rows = _workspace.take("k_rows", (count, block))
+    f_rows = _workspace.take("f_rows", (count, block))
+    k_flat, f_flat = k_rows.reshape(-1), f_rows.reshape(-1)
+    k_unit = np.ldexp(kernel, -k_exp, out=k_flat[: len(kernel)])
+    f_unit = np.ldexp(values, -f_exp, out=f_flat[:n])
+    k_flat[len(kernel) :] = 0.0
+    f_flat[n:] = 0.0
     # lag 0 holds most of the norm of a small-order sum kernel (c[0] = 1,
     # the rest of order mu): added apart, it does not inflate the bounds
     lead = 0.0
     if count > 1:
-        lead, k_unit[0] = k_unit[0], 0.0
-    k_rows, f_rows = _rows(k_unit, block, count), _rows(f_unit, block, count)
+        lead, k_flat[0] = k_flat[0], 0.0
     unit_err = np.finfo(float).eps * math.log2(length)
     if count == 1:
         # the same bound as the blocks', in scalar arithmetic
@@ -193,38 +230,49 @@ def causal_convolve(kernel: np.ndarray, values: np.ndarray) -> np.ndarray:
         block_err = np.convolve(unit_err * _row_norms(k_rows), _row_norms(f_rows))[:count]
         block_err[1:] += block_err[:-1]
         finite = math.isfinite(block_err.sum())
-        err = np.repeat(block_err, block)[:n]
+        err = block_err[:, None]  # each block's bound, over its row
     head, late = n, np.empty(0, dtype=int)
     if finite:
-        k_spec = np.fft.rfft(k_rows, length)
+        spec_shape = (count, length // 2 + 1)
+        k_spec = _workspace.take("k_spec", spec_shape, complex)
+        f_spec = _workspace.take("f_spec", spec_shape, complex)
+        scratch = _workspace.take("abs_rows", (count, block))
         # sum kernels are nonnegative: their spectrum serves both products
-        abs_spec = k_spec if kernel.min() >= 0 else np.fft.rfft(np.abs(k_rows), length)
-        size = _overlap_add(abs_spec, np.fft.rfft(np.abs(f_rows), length), length, block)[:n]
-        del abs_spec
-        if lead:
-            size += abs(lead) * np.abs(f_unit)
-        loose = np.flatnonzero(err > _FFT_REL * (size - err))
-        del size, err
+        signed = not kernel.min() >= 0
+        np.fft.rfft(np.abs(k_rows, out=scratch) if signed else k_rows, length, out=k_spec)
+        np.fft.rfft(np.abs(f_rows, out=scratch), length, out=f_spec)
+        size = _overlap_add(k_spec, f_spec, length, block)
+        if lead:  # scratch holds |f| here
+            abs_f = scratch.reshape(-1)[:n]
+            size.reshape(-1)[:n] += np.multiply(abs_f, abs(lead), out=abs_f)
+        size -= err
+        size *= _FFT_REL
+        loose_mask = np.greater(err, size, out=_workspace.take("loose", (count, block), bool))
+        loose = np.flatnonzero(loose_mask.reshape(-1)[:n])
         if len(loose) <= n / 4:
             gaps = np.flatnonzero(loose != np.arange(len(loose)))
             head = int(gaps[0]) if len(gaps) else len(loose)
             late = loose[head:]
+    if head == n:
+        out = np.convolve(kernel, values)[:n]
+    else:
+        if signed:
+            np.fft.rfft(k_rows, length, out=k_spec)
+        np.fft.rfft(f_rows, length, out=f_spec)
+        sums = _overlap_add(k_spec, f_spec, length, block).reshape(-1)[:n]
+        if lead:
+            sums += np.multiply(f_unit, lead, out=scratch.reshape(-1)[:n])
+        with np.errstate(over="ignore"):  # past the float range reads inf, as np.convolve's
+            out = np.ldexp(sums, k_exp + f_exp)
+        if head:
+            out[:head] = np.convolve(kernel[:head], values[:head])[:head]
+        if len(late):
+            out[late] = _direct_points(kernel, values, late)
+    # logged after the last workspace read: a handler may convolve
     _log.debug(
         "causal_convolve n=%d B=%d blocks=%d direct=%d",
         n, block, count, n if head == n else head + len(late),
     )
-    if head == n:
-        return np.convolve(kernel, values)[:n]
-    out = _overlap_add(k_spec, np.fft.rfft(f_rows, length), length, block)[:n]
-    del k_spec
-    if lead:
-        out += lead * f_unit
-    with np.errstate(over="ignore"):  # past the float range reads inf, as np.convolve's
-        out = np.ldexp(out, k_exp + f_exp)
-    if head:
-        out[:head] = np.convolve(kernel[:head], values[:head])[:head]
-    if len(late):
-        out[late] = _direct_points(kernel, values, late)
     return out
 
 
@@ -239,8 +287,11 @@ def sum_kernel(mu: float, length: int) -> np.ndarray:
         return np.empty(0)
     c = np.empty(length)
     c[0] = 1.0
-    lag = np.arange(1, length)
-    np.cumprod((lag - 1 + mu) / lag, out=c[1:])
+    lag = np.arange(1.0, length)
+    ratio = np.subtract(lag, 1.0, out=c[1:])
+    ratio += mu
+    ratio /= lag
+    np.cumprod(ratio, out=ratio)
     return c
 
 

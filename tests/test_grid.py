@@ -191,6 +191,21 @@ class TestGammaOracle:
             checked += 1
         assert checked > 700
 
+    def test_small_arguments_are_a_gamma_quotient(self):
+        # below Stirling's range exp of an lgamma difference was up to
+        # 45 eps off the exact ratio at the same float arguments, the
+        # math.gamma quotient 4.2 eps
+        mp = self._mp()
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(31)
+        for t, r in zip(rng.uniform(-0.9, 14.0, 300), rng.uniform(-1.0, 1.0, 300)):
+            t, r = float(t), float(r)
+            with mp.workdps(40):
+                ratio = mp.gamma(t + 1.0) / mp.gamma(t - r + 1.0)
+                monomial = ratio / mp.gamma(r + 1.0)
+                assert abs(falling_factorial(t, r) - ratio) <= 6 * eps * abs(ratio), (t, r)
+                assert abs(taylor_monomial(r, t, 0.0) - monomial) <= 6 * eps * abs(monomial), (t, r)
+
     def test_large_arguments(self):
         # lgamma(t+1) - lgamma(t-r+1) loses eps |lgamma(t)|, all of the
         # value from t ~ 1e17 on; Stirling's form keeps 1e-13 up to 1e300
@@ -217,8 +232,9 @@ class TestGammaOracle:
         # exp of the log form lost eps |r log t| (1.1e-13 at t ~ 1e300);
         # the halved pow keeps a few ulps.  At 40 digits t - r + 1 would
         # drop r at t = 1e300, so the reference carries 330.  Below
-        # Stirling's range the value still comes from three lgamma calls,
-        # each up to 1e-15 off near the zeros of lgamma at 1 and 2.
+        # Stirling's range three lgamma calls were up to 1e-15 off near
+        # the zeros of lgamma at 1 and 2 (1.1e-15 here); the math.gamma
+        # quotient holds 4.3e-16.
         mp = self._mp()
         rng = np.random.default_rng(29)
         for t, r in zip(10 ** rng.uniform(0.0, 300.0, 600), rng.uniform(-1.0, 1.0, 600)):
@@ -227,7 +243,7 @@ class TestGammaOracle:
                 log_ratio = mp.loggamma(mp.mpf(t) + 1) - mp.loggamma(mp.mpf(t) - mp.mpf(r) + 1)
                 expect = mp.exp(log_ratio) / mp.gamma(mp.mpf(r) + 1)
                 error = abs(taylor_monomial(r, t, 0.0) - expect) / expect
-            assert error <= (1e-15 if t - r + 1.0 >= 16.0 else 4e-15), (t, r)
+            assert error <= 1e-15, (t, r)
         # Gamma(r+1) under- or overflows for |r| >= 170, and a half power
         # can overflow where the value does not: the value stays finite, to
         # a few eps of the size of its logarithm

@@ -400,24 +400,6 @@ class TestLatticeTable:
             ml_lattice_solution(MlParams(mu=0.7, gamma=1.3, lam=0.2), 5, forcing=np.ones(5))
 
 
-def _row_table(mu, eta, lam, count):
-    """The former lattice table: row k adds lam^k C_{k mu + eta}[n - k] to
-    every point n >= k, all n + 1 terms of each point summed.
-
-    Every term is positive for lam >= 0, so this is an oracle there; for
-    lam < 0 it cancels without bound.
-    """
-    out = np.zeros(count)
-    m = np.arange(1, count, dtype=float)
-    with np.errstate(over="ignore"):
-        for k in range(count if lam else min(count, 1)):
-            log_term = np.empty(count - k)
-            log_term[0] = k * math.log(lam) if lam else 0.0
-            log_term[1:] = np.log1p((k * mu + eta - 1.0) / m[: count - k - 1])
-            out[k:] += np.exp(np.cumsum(log_term))
-    return out
-
-
 class TestTransformEngine:
     TOL = 1e-12  # of the term scale |c_eta| + conv(k_mu, |g|), from float64 eps
 
@@ -437,27 +419,29 @@ class TestTransformEngine:
     @pytest.mark.parametrize(
         "mu, eta", [(0.15, 0.15), (0.5, 0.8), (1.0, 1.0), (0.5, 1.5), (0.9, 1.9)]
     )
-    def test_matches_row_table_for_nonnegative_lam(self, lam, mu, eta):
+    def test_nonnegative_lam_is_accurate_relative_to_each_value(self, lam, mu, eta):
+        # every term is positive for lam >= 0, so each value is its own
+        # term scale
         table = ml_lattice(MlParams(mu=mu, eta=eta, lam=lam), 1200)
-        rows = _row_table(mu, eta, lam, 1200)
-        finite = rows <= 1e300
+        ref, _ = ld_recursion(mu, eta, lam, 1.0, 1200)
+        finite = np.isfinite(ref)
         assert np.array_equal(np.abs(table) <= 1e300, finite)
-        error = np.abs(table[finite] - rows[finite])
-        assert np.max(error / rows[finite]) <= self.TOL
+        assert np.max(np.abs(table[finite] - ref[finite]) / ref[finite]) <= self.TOL
 
     @pytest.mark.parametrize("mu, eta", [(0.15, 1.15), (0.5, 1.5), (0.9, 1.9), (1.0, 2.0), (0.7, 2.6)])
     def test_eta_above_one_is_pointwise(self, mu, eta):
         # U grows like N^eta at z = 1; transformed directly, roundoff
         # followed the largest value (7.9e-11 off at n = 1 for mu = 0.9,
-        # eta = 1.9, N = 2000).  The row table drifts by about 1e-13 of
-        # itself past a few hundred points, so it is the oracle up to 400.
+        # eta = 1.9, N = 2000).  Against the extended-precision recursion
+        # tables of 400 to 975 points, sampled every 25, hold 1e-13
+        # (7.2e-14 at 900); from 1000 points on some reach 1.0-1.3e-13.
         kernel = sum_kernel(eta, 2000)
         table = ml_lattice(MlParams(mu=mu, eta=eta, lam=0.0), 2000)
         assert np.max(np.abs(table - kernel) / kernel) <= 1e-13
         for lam in (1e-3, 0.3, 0.9, 0.995):
-            table = ml_lattice(MlParams(mu=mu, eta=eta, lam=lam), 400)
-            rows = _row_table(mu, eta, lam, 400)
-            assert np.max(np.abs(table - rows) / rows) <= 1e-13, lam
+            table = ml_lattice(MlParams(mu=mu, eta=eta, lam=lam), 900)
+            ref, _ = ld_recursion(mu, eta, lam, 1.0, 900)
+            assert np.max(np.abs(table - ref) / ref) <= 1e-13, lam
 
     @pytest.mark.parametrize("mu, lam", [(0.15, 0.995), (0.5, 0.3), (1.0, 0.5), (0.9, 1e-3)])
     def test_pole_is_the_real_zero(self, mu, lam):

@@ -11,6 +11,9 @@ double sum.
 import itertools
 import logging
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +34,7 @@ from hilfer_dfc import (
     sum_kernel,
     taylor_monomial,
 )
-from hilfer_dfc.operators import _FFT_MIN
+from hilfer_dfc.operators import _FFT_MIN, _WORKSPACE_MAX, _workspace
 
 from conftest import random_grid_fn
 
@@ -345,7 +348,151 @@ class TestCausalConvolve:
         assert any(isinstance(h, logging.NullHandler) for h in handlers)
 
 
+def in_fresh_thread(fn):
+    """fn() run in a new thread, whose convolution workspace starts empty."""
+    result = []
+    thread = threading.Thread(target=lambda: result.append(fn()))
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive() and len(result) == 1
+    return result[0]
+
+
+def workspace_cases(rng):
+    """(kernel, values) at 20000, 3000, 50000 and again 20000 points: a sum
+    kernel, a signed one and one of n/3 lags, each with random, all-zero
+    and zero-prefix values, and below 50000 points with a NaN sample."""
+    cases = []
+    for n in (20000, 3000, 50000, 20000):
+        signed = rng.uniform(-1.0, 1.0, n) * np.exp(-np.arange(n) / 300.0)
+        for kernel in (sum_kernel(0.3, n), signed, sum_kernel(0.7, n // 3)):
+            f = rng.uniform(-1.0, 1.0, n)
+            zero_prefix = f.copy()
+            zero_prefix[: n // 4] = 0.0
+            cases += [(kernel, f), (kernel, np.zeros(n)), (kernel, zero_prefix)]
+            if n < 50000:
+                bad = f.copy()
+                bad[n // 2] = math.nan
+                cases.append((kernel, bad))
+    return cases
+
+
+class TestConvolveWorkspace:
+    def test_interleaved_sizes_repeat_the_first_results(self, rng):
+        # the workspace grows to 50000 points and serves the later
+        # 20000-point calls from the front of larger arrays
+        cases = workspace_cases(rng)
+        first = in_fresh_thread(lambda: [causal_convolve(k, f) for k, f in cases])
+        for _ in range(2):
+            for (kernel, f), expect in zip(cases, first):
+                assert np.array_equal(causal_convolve(kernel, f), expect, equal_nan=True)
+
+    @pytest.mark.parametrize("n", [2001, 20000])
+    def test_results_do_not_alias_the_workspace(self, rng, n):
+        # one block with L = 4050 > 2n, and twenty blocks with L = 2B
+        kernel = sum_kernel(0.5, n)
+        out = causal_convolve(kernel, rng.uniform(-1.0, 1.0, n))
+        kept = out.copy()
+        causal_convolve(kernel, rng.uniform(-1.0, 1.0, n))
+        assert np.array_equal(out, kept)
+        assert not any(np.shares_memory(out, array) for array in _workspace.kept.values())
+
+    def test_threads_get_the_serial_results(self, rng):
+        # more threads than cores, each looping over the sizes in its own
+        # order, switching often: a shared buffer would mix their sums
+        cases = workspace_cases(rng)[::2]
+        serial = [causal_convolve(k, f) for k, f in cases]
+        orders = [np.roll(np.arange(len(cases)), shift) for shift in range(0, len(cases), 6)]
+        start = threading.Barrier(len(orders))
+        results = []
+
+        def loop(order):
+            start.wait()
+            done = [(i, causal_convolve(*cases[i])) for i in order]
+            results.extend(done)
+
+        threads = [threading.Thread(target=loop, args=(order,)) for order in orders]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == len(orders) * len(cases)
+        for i, out in results:
+            assert np.array_equal(out, serial[i], equal_nan=True), i
+
+    def test_a_long_call_keeps_the_workspace_within_its_cap(self, rng):
+        n = 200000
+        kernel, f = sum_kernel(0.5, n), rng.uniform(-1.0, 1.0, n)
+
+        def call():
+            out = causal_convolve(kernel, f)
+            return out, _workspace.nbytes()
+
+        out, kept = in_fresh_thread(call)
+        assert 0 < kept <= _WORKSPACE_MAX
+        assert np.array_equal(causal_convolve(kernel, f), out)
+        assert _workspace.nbytes() <= _WORKSPACE_MAX
+
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_a_repeated_call_allocates_little_beyond_its_result(self, rng, signed):
+        # the transform allocated about 11.7 n doubles per call before it
+        # reused its buffers
+        n = 20000
+        kernel = rng.uniform(-1.0, 1.0, n) * np.exp(-np.arange(n) / 300.0) if signed else sum_kernel(0.5, n)
+        f = rng.uniform(-1.0, 1.0, n)
+        causal_convolve(kernel, f)
+        tracemalloc.start()
+        try:
+            causal_convolve(kernel, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * n
+
+    def test_a_handler_that_convolves_leaves_the_result_alone(self, rng):
+        # the DEBUG record goes out after the last workspace read
+        n = 20000
+        kernel, f = sum_kernel(0.5, n), rng.uniform(-1.0, 1.0, n)
+        expect = causal_convolve(kernel, f)
+        other = rng.uniform(-1.0, 1.0, n)
+
+        class Convolving(logging.Handler):
+            busy = False
+
+            def emit(self, record):
+                if not self.busy:
+                    self.busy = True
+                    causal_convolve(kernel, other)
+                    self.busy = False
+
+        logger = logging.getLogger("hilfer_dfc.operators")
+        handler, level = Convolving(), logger.level
+        logger.addHandler(handler)
+        logger.setLevel(logging.DEBUG)
+        try:
+            out = causal_convolve(kernel, f)
+        finally:
+            logger.removeHandler(handler)
+            logger.setLevel(level)
+        assert np.array_equal(out, expect)
+
+
 class TestSumKernel:
+    @pytest.mark.parametrize("mu", [0.05, 0.5, 1.6])
+    def test_in_place_weights_match_the_quotient_form(self, mu):
+        n = 20000
+        lag = np.arange(1, n)
+        expect = np.empty(n)
+        expect[0] = 1.0
+        np.cumprod((lag - 1 + mu) / lag, out=expect[1:])
+        assert np.array_equal(sum_kernel(mu, n), expect)
+
     def test_long_kernel_against_mpmath(self, rng):
         mp = pytest.importorskip("mpmath")
         n = 20000
