@@ -30,7 +30,8 @@ log D that D^-gamma needs.
 Off the lattice the series is summed: term k is a running coefficient
 lam^k (gamma)_k / k! times the Taylor monomial h_{mu k + eta - 1} of
 :func:`hilfer_dfc.grid.taylor_monomial`, truncated once terms stay below
-``SeriesCtl.tol``; non-convergence within ``max_terms`` raises.  |lam| < 1
+``SeriesCtl.tol``; non-convergence within ``_MAX_TERMS`` raises, and so
+does a dropped term below that whose numerator gamma poles.  |lam| < 1
 does not make that sound: for mu < 1 the terms grow like
 (|lam| / (mu^mu (1-mu)^(1-mu)))^k (Stirling), after they may have fallen
 far below tol, so a rate >= 1 raises SeriesConvergenceError up front
@@ -46,7 +47,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import _snap_int, taylor_monomial
+from .grid import INTEGER_SNAP, _snap_int, taylor_monomial
 from .operators import _smooth_length
 
 __all__ = [
@@ -63,6 +64,8 @@ __all__ = [
 
 #: consecutive below-tolerance terms required before truncating off-lattice
 _CONSECUTIVE_SMALL = 3
+#: most terms an off-lattice series sums
+_MAX_TERMS = 512
 #: largest lattice index ml_eval reads, and largest transform a high
 #: order of U asks for: the transform holds about 16 complex samples per point
 _LATTICE_MAX = 2**17
@@ -73,17 +76,14 @@ class SeriesCtl:
     """Truncation policy for infinite series."""
 
     tol: float = 1e-14
-    max_terms: int = 512
 
     def __post_init__(self) -> None:
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be positive")
 
 
 class SeriesConvergenceError(RuntimeError):
-    """Series did not meet the truncation tolerance within max_terms."""
+    """Series did not meet the truncation tolerance within _MAX_TERMS terms."""
 
 
 class ContourError(ArithmeticError):
@@ -135,19 +135,22 @@ def _conditioned(total: float, size: float, terms: int, exact: bool, ctl: Series
 
 def _series(p: MlParams, z: float, arg_offset: float, ctl: SeriesCtl) -> MlEvaluation:
     mu, eta, gamma, lam = p.mu, p.eta, p.gamma, p.lam
-    # a mu < 1 series grows like (|lam| / (mu^mu (1-mu)^(1-mu)))^k unless a
-    # zero Pochhammer factor ends it (module docstring)
-    if (
-        mu < 1.0
-        and abs(lam) >= mu**mu * (1.0 - mu) ** (1.0 - mu)
-        and not (gamma <= 0.0 and float(gamma).is_integer())
-    ):
+    # a zero Pochhammer factor ends the sum: the terms past -gamma vanish
+    ends = gamma <= 0.0 and float(gamma).is_integer()
+    stop = min(int(1.0 - gamma), _MAX_TERMS) if ends else _MAX_TERMS
+    # a mu < 1 series grows like (|lam| / (mu^mu (1-mu)^(1-mu)))^k unless
+    # the sum ends (module docstring)
+    if mu < 1.0 and abs(lam) >= mu**mu * (1.0 - mu) ** (1.0 - mu) and not ends:
         raise SeriesConvergenceError(f"series diverges off the lattice at mu = {mu}, lam = {lam}")
+
+    def monomial(k: int) -> float:
+        return taylor_monomial(k * mu + eta - 1.0, z + k * (mu - 1.0) + arg_offset, 0.0)
+
     coeff = 1.0  # running lam^k (gamma)_k / k!
     total = size = 0.0
     small_in_a_row = 0
 
-    for k in range(ctl.max_terms):
+    for k in range(_MAX_TERMS):
         if k > 0:
             factor = gamma + (k - 1)
             if factor == 0.0 or lam == 0.0:
@@ -155,18 +158,25 @@ def _series(p: MlParams, z: float, arg_offset: float, ctl: SeriesCtl) -> MlEvalu
                 return _conditioned(total, size, k, True, ctl)
             coeff *= lam * factor / k
 
-        term = coeff * taylor_monomial(k * mu + eta - 1.0, z + k * (mu - 1.0) + arg_offset, 0.0)
+        term = coeff * monomial(k)
         total += term
         size += abs(term)
 
         if abs(term) < ctl.tol:
             small_in_a_row += 1
             if small_in_a_row >= _CONSECUTIVE_SMALL:
+                # a dropped term whose numerator gamma poles is not small:
+                # taylor_monomial's own pole rule raises on it
+                dropped = np.arange(k + 1, stop)
+                x = z + dropped * (mu - 1.0) + arg_offset + 1.0
+                near = np.rint(x)
+                for j in dropped[(near <= 0.0) & (np.abs(x - near) <= INTEGER_SNAP)]:
+                    monomial(int(j))
                 return _conditioned(total, size, k + 1, False, ctl)
         else:
             small_in_a_row = 0
 
-    raise SeriesConvergenceError(f"series did not converge within {ctl.max_terms} terms")
+    raise SeriesConvergenceError(f"series did not converge within {_MAX_TERMS} terms")
 
 
 def ml_eval(

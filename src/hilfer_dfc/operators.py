@@ -19,8 +19,8 @@ the nu=0 and nu=1 edges of the composition require.
 Whole-grid variants (``*_fn``) compute each stage once through
 :func:`causal_convolve`, the one causal convolution of the library: a
 direct sum below ``_FFT_MIN`` points (the measured crossover), and from
-there on a uniformly partitioned overlap-add FFT convolution, one block
-up to 2048 points and about 24 beyond (Hairer, Lubich and Schlichte
+there on a uniformly partitioned overlap-add FFT convolution of two
+blocks or more, about 24 on long grids (Hairer, Lubich and Schlichte
 1985, SIAM J. Sci. Stat. Comput. 6, partition the same sums).  An FFT's
 error is relative to the largest terms it multiplies, not to each
 point, so every segment-block product carries its own bound and an
@@ -65,10 +65,9 @@ __all__ = [
 
 #: grid length from which causal_convolve transforms instead of summing
 _FFT_MIN = 1152
-#: longest grid causal_convolve transforms as one block
-_ONE_BLOCK_MAX = 2048
-#: a longer grid is cut into as many blocks as blocks of max(_BLOCK_MIN,
-#: the power of two >= n / _BLOCKS) points take
+#: a transformed grid is cut into as many blocks as blocks of
+#: max(_BLOCK_MIN, the power of two >= n / _BLOCKS) points take: at least
+#: two, since _FFT_MIN > _BLOCK_MIN
 _BLOCK_MIN = 1024
 _BLOCKS = 24
 #: per-point accuracy the FFT outputs must meet, relative to conv(|k|, |f|)
@@ -144,15 +143,13 @@ def _overlap_add(k_spec: np.ndarray, f_spec: np.ndarray, length: int, block: int
     count = len(f_spec)
     acc = _workspace.take("acc", f_spec.shape, complex)
     np.multiply(k_spec[0], f_spec, out=acc)
-    if count > 1:
-        prod = _workspace.take("prod", (count - 1, f_spec.shape[1]), complex)
-        for p in range(1, count):
-            acc[p:] += np.multiply(k_spec[p], f_spec[: count - p], out=prod[: count - p])
+    prod = _workspace.take("prod", (count - 1, f_spec.shape[1]), complex)
+    for p in range(1, count):
+        acc[p:] += np.multiply(k_spec[p], f_spec[: count - p], out=prod[: count - p])
     full = np.fft.irfft(acc, length, out=_workspace.take("full", (count, length)))
     out = _workspace.take("sums", (count, block))
     out[...] = full[:, :block]
-    if count > 1:
-        out[1:] += full[:-1, block:]
+    out[1:] += full[:-1, block:]
     return out
 
 
@@ -171,14 +168,12 @@ def causal_convolve(kernel: np.ndarray, values: np.ndarray) -> np.ndarray:
     out[j] = sum_{i<=j} kernel[j-i] values[i].  Short inputs are summed
     directly.  From ``_FFT_MIN`` points on, the values are cut into blocks
     of B points and the kernel into segments of B lags, and every
-    segment-block pair is a zero-padded real FFT product of length L.  The
-    products are summed per output block as spectra, transformed back in
-    one batch and overlap-added.  Up to ``_ONE_BLOCK_MAX`` points the grid
-    is one block, L the smooth length >= 2n - 1, the arithmetic of a
-    single transform.  Longer grids are cut into as many blocks as
-    max(``_BLOCK_MIN``, the power of two >= n / ``_BLOCKS``) takes, B the
-    5-smooth length that covers the grid in that many and L = 2B; their
-    lag-0 term is added exactly, apart from the products.
+    segment-block pair is a zero-padded real FFT product of length L = 2B.
+    The products are summed per output block as spectra, transformed back
+    in one batch and overlap-added.  Every grid is cut into as many blocks
+    as max(``_BLOCK_MIN``, the power of two >= n / ``_BLOCKS``) takes, at
+    least two, B the 5-smooth length that covers the grid in that many;
+    the lag-0 term is added exactly, apart from the products.
 
     Pair (p, i) errs by at most eps log2(L) ||kernel_p|| ||values_i||, on
     output blocks p+i and p+i+1; a point's bound err is the sum of all
@@ -200,37 +195,27 @@ def causal_convolve(kernel: np.ndarray, values: np.ndarray) -> np.ndarray:
     kernel = np.asarray(kernel, dtype=float)[:n]
     if n < _FFT_MIN:
         return np.convolve(kernel, values)[:n]
-    if n <= _ONE_BLOCK_MAX:
-        block, count, length = n, 1, _smooth_length(2 * n - 1)
-    else:
-        count = -(-n // max(_BLOCK_MIN, 1 << (-(-n // _BLOCKS) - 1).bit_length()))
-        block = _smooth_length(-(-n // count))
-        length = 2 * block
+    count = -(-n // max(_BLOCK_MIN, 1 << (-(-n // _BLOCKS) - 1).bit_length()))
+    block = _smooth_length(-(-n // count))
+    length = 2 * block
     # exact power-of-two scaling keeps every spectrum below n in size,
     # written zero-padded into the rows the transforms read
     k_exp, f_exp = _binade(kernel), _binade(values)
     k_rows = _workspace.take("k_rows", (count, block))
     f_rows = _workspace.take("f_rows", (count, block))
     k_flat, f_flat = k_rows.reshape(-1), f_rows.reshape(-1)
-    k_unit = np.ldexp(kernel, -k_exp, out=k_flat[: len(kernel)])
+    np.ldexp(kernel, -k_exp, out=k_flat[: len(kernel)])
     f_unit = np.ldexp(values, -f_exp, out=f_flat[:n])
     k_flat[len(kernel) :] = 0.0
     f_flat[n:] = 0.0
     # lag 0 holds most of the norm of a small-order sum kernel (c[0] = 1,
     # the rest of order mu): added apart, it does not inflate the bounds
-    lead = 0.0
-    if count > 1:
-        lead, k_flat[0] = k_flat[0], 0.0
+    lead, k_flat[0] = k_flat[0], 0.0
     unit_err = np.finfo(float).eps * math.log2(length)
-    if count == 1:
-        # the same bound as the blocks', in scalar arithmetic
-        err = unit_err * math.sqrt(np.dot(k_unit, k_unit)) * math.sqrt(np.dot(f_unit, f_unit))
-        finite = math.isfinite(err)
-    else:
-        block_err = np.convolve(unit_err * _row_norms(k_rows), _row_norms(f_rows))[:count]
-        block_err[1:] += block_err[:-1]
-        finite = math.isfinite(block_err.sum())
-        err = block_err[:, None]  # each block's bound, over its row
+    block_err = np.convolve(unit_err * _row_norms(k_rows), _row_norms(f_rows))[:count]
+    block_err[1:] += block_err[:-1]
+    finite = math.isfinite(block_err.sum())
+    err = block_err[:, None]  # each block's bound, over its row
     head, late = n, np.empty(0, dtype=int)
     if finite:
         spec_shape = (count, length // 2 + 1)

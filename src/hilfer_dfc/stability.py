@@ -62,6 +62,7 @@ from .operators import causal_convolve, sum_kernel
 from .solvers import (
     IvpSpec,
     Linear,
+    NonFiniteError,
     NonHomogeneous,
     Nonlinear,
     _volterra,
@@ -314,20 +315,23 @@ class StabilityReport:
 
 
 def _estimate_lipschitz(
-    g: Callable[[float, float], float],
-    points: np.ndarray,
+    rhs: Nonlinear,
+    a: float,
+    count: int,
+    mu: float,
     u_range: tuple[float, float],
-    samples: int = 41,
 ) -> float:
+    """Steepest slope in u of the right-hand side between neighbouring
+    levels of 41 values spanning u_range, at ``count`` points from a."""
     lo, hi = u_range
     if hi - lo < 1e-6:
         lo, hi = lo - 0.5, hi + 0.5
-    us = np.linspace(lo, hi, samples)
-    worst = 0.0
-    for w in points:
-        gs = np.array([g(float(w), float(u)) for u in us])
-        worst = max(worst, float(np.max(np.abs(np.diff(gs) / np.diff(us)))))
-    return worst
+    us = np.linspace(lo, hi, 41)
+    gs = np.array([rhs.on_grid(np.full(count, u), a, mu) for u in us])
+    k = float(np.max(np.abs(np.diff(gs, axis=0) / np.diff(us)[:, None])))
+    if math.isnan(k):
+        raise NonFiniteError("right-hand side is nan on the sampled range of u")
+    return k
 
 
 def _perturbed_spec(spec: IvpSpec, residual: GridFn) -> IvpSpec:
@@ -396,13 +400,10 @@ def ulam_experiment(
         if isinstance(spec.rhs, (Linear, NonHomogeneous)):
             k_val, k_source = abs(spec.rhs.lam), "derived"
         else:
-            pts = Grid(spec.a, spec.steps).points
             lo = float(np.min(exact.values.values))
             hi = float(np.max(exact.values.values))
             pad = 0.25 * (hi - lo) + 1e-3
-            k_val = _estimate_lipschitz(
-                spec.rhs.fn, pts, (lo - pad, hi + pad)
-            )
+            k_val = _estimate_lipschitz(spec.rhs, spec.a, spec.steps, mu, (lo - pad, hi + pad))
             k_source = "estimated"
     else:
         k_val, k_source = float(k), "asserted"

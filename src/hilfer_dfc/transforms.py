@@ -39,6 +39,9 @@ __all__ = [
     "laplace_base_shift_check",
 ]
 
+#: most terms delta_laplace sums
+_MAX_TERMS = 100_000
+
 
 class RegressivityError(ValueError):
     """1 + p(t) vanished somewhere on the traversed range."""
@@ -49,7 +52,7 @@ class TransformDomainError(ValueError):
 
 
 class TruncationError(RuntimeError):
-    """The tail bound was not met before samples or max_terms ran out."""
+    """The tail bound was not met before samples or _MAX_TERMS ran out."""
 
 
 @dataclass(frozen=True)
@@ -62,15 +65,12 @@ class LaplaceCtl:
 
     r: float = 1.5
     tol: float = 1e-10
-    max_terms: int = 100_000
 
     def __post_init__(self) -> None:
         if self.r <= 1.0:
             raise ValueError("exponential order bound r must exceed 1")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be positive")
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,8 @@ def delta_laplace(f: GridFn, y: float, ctl: LaplaceCtl = LaplaceCtl()) -> Laplac
     """Truncated transform of f based at its own grid base.
 
     Terms are added until the geometric tail bound drops below ctl.tol;
-    running out of samples or of max_terms first raises TruncationError.
+    running out of samples or of ``_MAX_TERMS`` terms first raises
+    TruncationError.
     """
     q = 1.0 + y
     if abs(q) <= ctl.r:
@@ -126,7 +127,7 @@ def delta_laplace(f: GridFn, y: float, ctl: LaplaceCtl = LaplaceCtl()) -> Laplac
             f"|1+y| = {abs(q)!r} must exceed the order bound r = {ctl.r!r}"
         )
     ratio = ctl.r / abs(q)
-    limit = min(f.count, ctl.max_terms)
+    limit = min(f.count, _MAX_TERMS)
     total = 0.0
     growth = 0.0  # running estimate of sup |f| / r^offset
     qpow = 1.0 / q

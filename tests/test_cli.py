@@ -270,6 +270,11 @@ class TestLibraryErrorsExitTwo:
         "argv, error",
         [
             (["ml", "--mu", "0.7", "--lambda", "0.2", "--z", "3.5"], "SingularGammaError"),
+            (  # off the lattice: term 48 of a series cut after 24 sits on a pole
+                ["ml", "--mu", "0.55", "--eta", "0.7", "--gamma", "1.5", "--lambda", "0.3",
+                 "--z", "12.6"],
+                "SingularGammaError",
+            ),
             (
                 ["ml", "--mu", "0.5", "--lambda", "0.5", "--z", "25.3", "--tol", "1e-300"],
                 "SeriesConvergenceError",
@@ -301,7 +306,7 @@ class TestLibraryErrorsExitTwo:
                 "--nonlinear does not take these flags",
             ),
         ],
-        ids=["singular-gamma", "series-convergence", "series-divergence", "series-cancellation",
+        ids=["singular-gamma", "series-pole", "series-convergence", "series-divergence", "series-cancellation",
              "truncation", "ml-overflow",
              "bound-overflow", "linear-foreign-flags", "nonlinear-foreign-flags"],
     )

@@ -1,6 +1,7 @@
 """Discrete Mittag-Leffler series: reductions, termination, identities."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from hilfer_dfc import (
     sum_kernel,
     taylor_monomial,
 )
+from hilfer_dfc.grid import SingularGammaError
 from hilfer_dfc.mittag_leffler import _LATTICE_MAX, _certify, _pole
 from hilfer_dfc.operators import _smooth_length
 
@@ -134,7 +136,24 @@ class TestTermination:
     def test_nonconvergence_raises(self):
         p = MlParams(mu=0.8, eta=0.9, lam=0.9)
         with pytest.raises(SeriesConvergenceError):
-            ml_eval(p, 25.5, SeriesCtl(tol=1e-30, max_terms=8))
+            ml_eval(p, 25.5, SeriesCtl(tol=1e-30))
+        # mu = 1 has no rate rule: the terms shrink only from k ~ 700 on
+        with pytest.raises(SeriesConvergenceError, match="within 512 terms"):
+            ml_eval(MlParams(mu=1.0, lam=0.5), 700.5)
+
+    def test_dropped_singular_term_raises(self):
+        # the terms fall below tol from k = 21 on, but term 48's numerator
+        # gamma sits on its pole at -8: the series has no value there
+        p = MlParams(mu=0.55, eta=0.7, gamma=1.5, lam=0.3)
+        with pytest.raises(SingularGammaError):
+            _term(p.mu, p.eta, p.gamma, p.lam, 12.6, 48)
+        with pytest.raises(SingularGammaError):
+            ml_eval(p, 12.6)
+        # with gamma = -47 the sum ends before term 48, with -48 it holds it
+        small = replace(p, lam=1e-6)
+        assert not ml_eval(replace(small, gamma=-47.0), 12.6).exact
+        with pytest.raises(SingularGammaError):
+            ml_eval(replace(small, gamma=-48.0), 12.6)
 
 
 class TestSeriesStructure:

@@ -255,11 +255,12 @@ class TestCausalConvolve:
                 terms = kernel[j::-1] * f.values[: j + 1]
                 assert abs(out[j] - math.fsum(terms)) <= 1e-12 * math.fsum(np.abs(terms)), j
 
-    @pytest.mark.parametrize("n", [8000, 20000])
+    @pytest.mark.parametrize("n", [_FFT_MIN, 1700, 2048, 8000, 20000])
     def test_small_order_keeps_long_grids_on_the_transform(self, rng, caplog, n):
-        # one global bound sent every point of these grids to the direct
-        # sum; per-block bounds keep all but the few where conv(|k|, |f|)
-        # dips, and those are summed directly
+        # the norm of a small-order sum kernel sits at lag 0: a bound that
+        # includes it fails many points, on long grids all of them; with
+        # it added apart, per-block bounds keep all but the few where
+        # conv(|k|, |f|) dips, and those are summed directly
         kernel = sum_kernel(0.1, n)
         f = rng.uniform(-1.0, 1.0, n)
         with caplog.at_level(logging.DEBUG, logger="hilfer_dfc"):
@@ -272,9 +273,9 @@ class TestCausalConvolve:
             assert abs(out[j] - math.fsum(terms)) <= 1e-12 * math.fsum(np.abs(terms)), j
 
     @pytest.mark.parametrize("n", [_FFT_MIN, 1500, 2048])
-    def test_one_block_meets_the_fsum_oracle(self, rng, caplog, n):
-        # up to 2048 points the engine is one transform of length >= 2n - 1
-        # under the same bound and fallback rule as longer grids
+    def test_shortest_transformed_grids_meet_the_fsum_oracle(self, rng, caplog, n):
+        # the shortest transformed grids are two blocks of B >= n/2
+        # points, under the same bound and fallback rule as longer grids
         kernels = [sum_kernel(mu, n) for mu in (0.1, 0.5, 0.9)]
         kernels.append(rng.uniform(-1.0, 1.0, n) * np.exp(-np.arange(n) / 300.0))
         points = np.unique(np.concatenate((np.arange(100), rng.integers(0, n, 30), [n - 1])))
@@ -285,46 +286,29 @@ class TestCausalConvolve:
                 with caplog.at_level(logging.DEBUG, logger="hilfer_dfc"):
                     out = causal_convolve(kernel, f)
                 (record,) = [r for r in caplog.records if r.name == "hilfer_dfc.operators"]
-                assert record.args[:3] == (n, n, 1)
+                count, block, blocks, _ = record.args
+                assert count == n and blocks == 2 and block < n <= 2 * block
                 for j in points:
                     terms = kernel[j::-1] * f[: j + 1]
                     exact = math.fsum(terms)
                     assert abs(out[j] - exact) <= 1e-12 * math.fsum(np.abs(terms)), (kind, j)
 
-    def test_isolated_late_failures_are_summed_one_by_one(self, caplog):
+    @pytest.mark.parametrize("n, dips", [(2000, [1000, 1700]), (3000, [1500, 2600])])
+    def test_isolated_late_failures_are_summed_one_by_one(self, caplog, n, dips):
         # with kernel [1, 1, 0, ...] conv(|k|, |f|) is |f_j| + |f_j-1|: 2
         # on unit values, about 1e-13 above the bound of a block, but 1 or
         # less at the three points around a pair of tiny values, which
         # fail it; each is summed directly while the rest stays transformed
-        n = 3000
         kernel = np.zeros(n)
         kernel[:2] = 1.0
         f = np.ones(n)
-        f[[1500, 1501, 2600, 2601]] = 1e-6
+        f[[dip + i for dip in dips for i in (0, 1)]] = 1e-6
         with caplog.at_level(logging.DEBUG, logger="hilfer_dfc"):
             out = causal_convolve(kernel, f)
         (record,) = [r for r in caplog.records if r.name == "hilfer_dfc.operators"]
         assert record.args[2] > 1 and record.args[3] == 6
         direct = np.convolve(kernel, f)[:n]
-        late = [1500, 1501, 1502, 2600, 2601, 2602]
-        assert np.array_equal(out[late], direct[late])
-        assert np.max(np.abs(out - direct) / np.abs(direct)) <= 1e-12
-
-    def test_one_block_sums_isolated_failures_one_by_one(self, caplog):
-        # the same dips on one block, whose bound is the scalar
-        # eps log2(L) ||k|| ||f||: 1e-13 of 2 passes it and 1 fails, so
-        # point 0 (no lag-0 split on one block) is a leading run of one
-        n = 2000
-        kernel = np.zeros(n)
-        kernel[:2] = 1.0
-        f = np.ones(n)
-        f[[1000, 1001, 1700, 1701]] = 1e-6
-        with caplog.at_level(logging.DEBUG, logger="hilfer_dfc"):
-            out = causal_convolve(kernel, f)
-        (record,) = [r for r in caplog.records if r.name == "hilfer_dfc.operators"]
-        assert record.args == (n, n, 1, 7)
-        direct = np.convolve(kernel, f)[:n]
-        late = [0, 1000, 1001, 1002, 1700, 1701, 1702]
+        late = [dip + i for dip in dips for i in (0, 1, 2)]
         assert np.array_equal(out[late], direct[late])
         assert np.max(np.abs(out - direct) / np.abs(direct)) <= 1e-12
 
@@ -389,7 +373,7 @@ class TestConvolveWorkspace:
 
     @pytest.mark.parametrize("n", [2001, 20000])
     def test_results_do_not_alias_the_workspace(self, rng, n):
-        # one block with L = 4050 > 2n, and twenty blocks with L = 2B
+        # two blocks of B = 1024 > n/2, and twenty of B = 1000 < n/20
         kernel = sum_kernel(0.5, n)
         out = causal_convolve(kernel, rng.uniform(-1.0, 1.0, n))
         kept = out.copy()

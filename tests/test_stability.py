@@ -22,6 +22,7 @@ from hilfer_dfc import (
     gronwall_check,
     gronwall_series,
     ml_plain,
+    solve,
     solve_linear,
     sum_kernel,
     taylor_monomial,
@@ -29,10 +30,24 @@ from hilfer_dfc import (
     uniqueness_report,
     verify_contraction,
 )
+from hilfer_dfc.solvers import NonFiniteError
 
 
 def desk_order():
     return HilferOrder(0.7, 0.5)
+
+
+def per_point_lipschitz(spec):
+    """Slope estimate of a nonlinear right-hand side, one grid point at a
+    time over 41 levels spanning the exact trajectory padded by a quarter."""
+    u = solve(spec).values.values
+    pad = 0.25 * (u.max() - u.min()) + 1e-3
+    us = np.linspace(u.min() - pad, u.max() + pad, 41)
+    worst = 0.0
+    for w in Grid(spec.a, spec.steps).points:
+        gs = np.array([spec.rhs.fn(float(w), float(v)) for v in us])
+        worst = max(worst, float(np.max(np.abs(np.diff(gs) / np.diff(us)))))
+    return worst
 
 
 def stepping_equality(u_a, v: GridFn, mu, eta, n_pts):
@@ -374,6 +389,29 @@ class TestUlamExperiments:
         rep = ulam_experiment(spec, None, zeta_n=1.01)
         assert rep.k_source == "estimated"
         assert 0.05 < rep.k < 0.15  # sup |0.1 cos(u)| = 0.1
+        assert rep.k == per_point_lipschitz(spec)
+
+    @pytest.mark.parametrize("a", [0.3, 2.5, 1e10 + 0.3])
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            lambda w, u: 0.1 * math.sin(u),
+            lambda w, u: 0.05 * math.cos(w) * u * u,
+            lambda w, u: 0.1 * math.tanh(u + 1e-3 * (w % 7.0)),
+        ],
+        ids=["sin", "cos-w-square", "tanh"],
+    )
+    def test_lipschitz_estimate_is_the_per_point_loop_to_the_bit(self, fn, a):
+        spec = IvpSpec(a, 9, desk_order(), 1.0, Nonlinear(fn))
+        rep = ulam_experiment(spec, None, zeta_n=1.01)
+        assert rep.k == per_point_lipschitz(spec)
+
+    def test_lipschitz_estimate_refuses_a_nan_slope(self):
+        # nan above the trajectory's u range, from the fourth point on
+        fn = lambda w, u: 0.1 * math.sin(u) if u <= 1.0 or w < 3.0 else math.nan  # noqa: E731
+        spec = IvpSpec(0.3, 9, desk_order(), 0.9, Nonlinear(fn))
+        with pytest.raises(NonFiniteError, match="sampled range"):
+            ulam_experiment(spec, None, zeta_n=0.91)
 
     def test_asserted_k_recorded(self):
         rep = ulam_experiment(self._spec(), 0.15, zeta_n=1.01)
