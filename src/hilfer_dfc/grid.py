@@ -194,6 +194,14 @@ class Grid:
         return True
 
 
+def _read_only(grid: Grid, vals: np.ndarray) -> np.ndarray:
+    """vals, checked to hold one value per point of grid, made read-only."""
+    if vals.ndim != 1 or vals.shape[0] != grid.count:
+        raise ValueError(f"expected {grid.count} values, got shape {vals.shape}")
+    vals.flags.writeable = False
+    return vals
+
+
 @dataclass(frozen=True, eq=False)
 class GridFn:
     """Real-valued samples on a Grid, one value per point.
@@ -206,22 +214,24 @@ class GridFn:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 1 or vals.shape[0] != self.grid.count:
-            raise ValueError(
-                f"expected {self.grid.count} values, got shape {vals.shape}"
-            )
-        vals = vals.copy()
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _read_only(self.grid, np.array(self.values, dtype=float)))
+
+    @classmethod
+    def _adopt(cls, grid: Grid, values: np.ndarray) -> "GridFn":
+        """A GridFn that takes over a fresh array nothing else holds: the
+        array is marked read-only in place instead of copied."""
+        fn = object.__new__(cls)
+        object.__setattr__(fn, "grid", grid)
+        object.__setattr__(fn, "values", _read_only(grid, np.asarray(values, dtype=float)))
+        return fn
 
     @classmethod
     def from_callable(cls, grid: Grid, fn) -> "GridFn":
-        return cls(grid, np.array([fn(grid.base + k) for k in range(grid.count)]))
+        return cls._adopt(grid, np.array([fn(grid.base + k) for k in range(grid.count)]))
 
     @classmethod
     def constant(cls, grid: Grid, c: float) -> "GridFn":
-        return cls(grid, np.full(grid.count, float(c)))
+        return cls._adopt(grid, np.full(grid.count, float(c)))
 
     @property
     def base(self) -> float:

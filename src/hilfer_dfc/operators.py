@@ -26,17 +26,22 @@ error is relative to the largest terms it multiplies, not to each
 point, so every segment-block product carries its own bound and an
 output is kept only where the bound of its block is below 1e-13 of
 conv(|k|, |f|) at that point; the points where it is not are summed
-directly.  A zero prefix stays exactly zero, a trajectory spanning many
-orders of magnitude keeps its early points, a decaying one its late
-points, and a non-finite input takes the direct path.  The pointwise
-fractional sum reads the whole-grid one, and a difference at one point
-is a read of its ``*_fn`` GridFn.  Everything is pure and thread-safe:
+directly.  That sum is read off a floor and a ceiling built without a
+transform, so a call runs the value transform alone, and no transform
+when more than a quarter of the grid certainly fails.  A zero prefix
+stays exactly zero, a trajectory spanning many orders of magnitude
+keeps its early points, a decaying one its late points, and a
+non-finite input takes the direct path.  The pointwise fractional sum
+reads the whole-grid one, and a difference at one point is a read of
+its ``*_fn`` GridFn.  Whole-grid results take over the fresh arrays
+they are computed in.  Everything is pure and thread-safe:
 each thread owns the scratch workspace the transforms reuse, kept up to
 ``_WORKSPACE_MAX`` bytes, and a result never aliases it.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import threading
@@ -72,13 +77,25 @@ _BLOCK_MIN = 1024
 _BLOCKS = 24
 #: per-point accuracy the FFT outputs must meet, relative to conv(|k|, |f|)
 _FFT_REL = 1e-13
+#: points per cell of the magnitude bracket: lags below 2 _CELL are
+#: bracketed point by point, older samples a cell at a time
+_CELL = 16
+#: undecided points after the leading run that causal_convolve sums
+#: directly; past this many a transform of |k| against |f| decides them,
+#: since more dot products cost more than that transform
+_UNDECIDED_MAX = 32
+#: factors that deflate the floor's weights and inflate the ceiling's
+#: past the few dozen roundings a bracket value takes
+_BRACKET_SLACK = np.array([[1.0 - 256 * np.finfo(float).eps], [1.0 + 256 * np.finfo(float).eps]])
+_BRACKET_SLACK.flags.writeable = False
 #: bytes of transform scratch one thread keeps between causal_convolve
-#: calls: about 14 x 8n bytes for n points, so up to about 150000 points
+#: calls: about 17 x 8n bytes for n points, so up to about 120000 points
 _WORKSPACE_MAX = 16 << 20
 
 _log = logging.getLogger(__name__)
 
 
+@functools.lru_cache(maxsize=256)
 def _smooth_length(target: int) -> int:
     """Smallest 2^i 3^j 5^k >= target: a length numpy.fft transforms fast."""
     best = 1 << (target - 1).bit_length()
@@ -162,6 +179,123 @@ def _direct_points(kernel: np.ndarray, values: np.ndarray, points: np.ndarray) -
     return np.array([np.dot(reversed_kernel[n - 1 - j :], values[: j + 1]) for j in points])
 
 
+@functools.lru_cache(maxsize=64)
+def _bracket_bands(n: int) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray, np.ndarray]:
+    """The bands of :func:`_magnitude_bracket` for n points: the point
+    bands' shifts, the cell bands' shifts, the reduceat edges of their lag
+    ranges, and which extreme each band weighs by, as (floor, ceiling)
+    rows of flat indices into the (2, edges + 2) array of the least and
+    the greatest |k| per edge, each row followed by |lead| and 0."""
+    shifts = (0, 1, *(1 << i for i in range(1, _CELL.bit_length())))
+    # distance 3 (floor only), [2, 4) (ceiling only), [4, 8) ...
+    cell_shifts = (3, 2, *(1 << i for i in range(2, ((n - 1) // _CELL).bit_length())))
+    # point bands back to back, then a (start, stop) pair per cell band
+    edges = [*shifts, 2 * _CELL, 2 * _CELL + 1, 4 * _CELL]
+    for m in cell_shifts[1:]:
+        edges += [(m - 1) * _CELL + 1, min(2 * m * _CELL, n)]
+    if edges[-1] == n:
+        edges.pop()
+    lead, zero = len(edges), len(edges) + 1
+    bands = [lead, *range(1, len(shifts)), *range(len(shifts) + 1, len(edges), 2)]
+    picks = np.array([bands, bands])
+    picks[0, len(shifts) + 1] = picks[1, len(shifts)] = zero
+    picks[1] += len(edges) + 2
+    edges = np.array(edges)
+    edges.flags.writeable = picks.flags.writeable = False
+    return shifts, cell_shifts, edges, picks
+
+
+def _magnitude_bracket(kernel: np.ndarray, lead: float, values: np.ndarray, size: int) -> np.ndarray:
+    """A floor and a ceiling of conv(|kernel|, |values|) at the first
+    ``size`` points, the two rows of a (2, size) workspace array.
+
+    kernel holds lags 1 to n-1, n = len(values) > 4 ``_CELL``; lag 0 is
+    lead, and kernel[0] is not used.  Lags 0 and 1 are exact.  Lags in
+    [w, 2w), w = 2, 4 up to ``_CELL``, weigh the window sum of |values|
+    they reach by the least |k| of the band for the floor and the
+    greatest for the ceiling.  Older samples count a cell of ``_CELL``
+    points at a time: the cells at distance d in [m, 2m) from a point's
+    own cell lie at lags from (m-1) _CELL + 1 to 2m _CELL - 1, weighed by
+    the extremes of |k| there.  The ceiling takes every cell from
+    distance 2 on and so counts some samples twice; the floor takes them
+    from distance 3 on and so leaves a few out.  Window sums are doubled
+    level by level from nonnegative terms, never taken as differences of
+    prefix sums, which cancel: each sum is within a few dozen roundings
+    of exact, and the weights are deflated and inflated by 256 eps to
+    cover them (outside the subnormal range, like the transform's own
+    bound).
+    """
+    n = len(values)
+    cells = size // _CELL
+    shifts, cell_shifts, edges, picks = _bracket_bands(n)
+    near = len(shifts)
+    # row i holds the window sum of width shifts[i] from column shifts[i]
+    # on: its first size columns are the samples of band i at each point.
+    # The bracket is read before any transform runs, so it borrows the
+    # scratch of _overlap_add, its complex arrays as pairs of floats
+    rows = _workspace.take("full", (near, size + _CELL))
+    abs_k = np.abs(kernel, out=rows[0, :n])  # until |values| takes its place
+    ends = np.zeros((2, len(edges) + 2))
+    np.minimum.reduceat(abs_k, edges, out=ends[0, :-2])
+    np.maximum.reduceat(abs_k, edges, out=ends[1, :-2])
+    ends[:, -2] = abs(lead)
+    weights = ends.reshape(-1)[picks]
+    weights *= _BRACKET_SLACK
+    rows[:, :_CELL] = 0.0
+    rows[:2, n:] = 0.0
+    np.abs(values, out=rows[0, :n])
+    rows[1, 1 : n + 1] = rows[0, :n]
+    for i in range(2, near):
+        w, v = shifts[i], shifts[i - 1]
+        np.add(rows[i - 1, v : v + size], rows[i - 1, :size], out=rows[i, w : w + size])
+    out = _workspace.take("acc", (1, size), complex).view(float).reshape(2, size)
+    np.matmul(weights[:, :near], rows[:, :size], out=out)
+    # the same layout a cell at a time; each cell's sum is the widest
+    # point window at the cell's last point
+    top = cell_shifts[-1]
+    cell_rows = _workspace.take("prod", (len(cell_shifts), -(-(cells + top) // 2)), complex).view(float)
+    cell_rows[:, :top] = 0.0
+    cell_rows[0, 3 : 3 + cells] = rows[-1, 2 * _CELL - 1 :: _CELL][:cells]
+    np.add(cell_rows[0, 3 : 3 + cells], cell_rows[0, 2 : 2 + cells], out=cell_rows[1, 2 : 2 + cells])
+    for i in range(2, len(cell_shifts)):
+        w, v = cell_shifts[i], cell_shifts[i - 1]
+        np.add(cell_rows[i - 1, v : v + cells], cell_rows[i - 1, :cells], out=cell_rows[i, w : w + cells])
+    out.reshape(2, cells, _CELL)[...] += (weights[:, near:] @ cell_rows[:, :cells])[:, :, None]
+    return out
+
+
+def _exactly_loose(
+    k_rows: np.ndarray, f_rows: np.ndarray, k_spec: np.ndarray, f_spec: np.ndarray,
+    signed: bool, lead: float, err: np.ndarray, n: int,
+) -> np.ndarray:
+    """Indices of the points whose bound err exceeds 1e-13 of conv(|k|, |f|)
+    less err, that size from a transform of |k| against |f| under the same
+    bound.  An unsigned kernel's spectrum is left in k_spec."""
+    count, block = f_rows.shape
+    length = 2 * block
+    # _overlap_add's inverse-transform rows serve as scratch before and
+    # after it runs
+    scratch = _workspace.take("full", (count, block))
+    np.fft.rfft(np.abs(k_rows, out=scratch) if signed else k_rows, length, out=k_spec)
+    np.fft.rfft(np.abs(f_rows, out=scratch), length, out=f_spec)
+    size = _overlap_add(k_spec, f_spec, length, block)
+    if lead:
+        abs_f = np.abs(f_rows.reshape(-1)[:n], out=_workspace.take("full", (count, block)).reshape(-1)[:n])
+        size.reshape(-1)[:n] += np.multiply(abs_f, abs(lead), out=abs_f)
+    size -= err
+    size *= _FFT_REL
+    loose = np.greater(err, size, out=_workspace.take("loose", (count, block), bool))
+    return np.flatnonzero(loose.reshape(-1)[:n])
+
+
+def _leading_run(points: np.ndarray) -> int:
+    """Length of the run 0, 1, 2, ... that the sorted distinct points start with."""
+    if not len(points) or points[-1] == len(points) - 1:
+        return len(points)
+    gaps = np.flatnonzero(points != np.arange(len(points)))
+    return int(gaps[0])
+
+
 def causal_convolve(kernel: np.ndarray, values: np.ndarray) -> np.ndarray:
     """First len(values) terms of the causal convolution of kernel and values.
 
@@ -177,16 +311,24 @@ def causal_convolve(kernel: np.ndarray, values: np.ndarray) -> np.ndarray:
 
     Pair (p, i) errs by at most eps log2(L) ||kernel_p|| ||values_i||, on
     output blocks p+i and p+i+1; a point's bound err is the sum of all
-    pair bounds that land on its block.  The point is kept where err is
-    below 1e-13 of conv(|kernel|, |values|) less err, that size computed
-    by the same transform, and summed directly elsewhere: the leading run
-    of failures by one direct sum, later failures by one dot product
-    each.  With more than n/4 failures, or with err not finite, the whole
-    convolution is summed directly.  The transform's rows, spectra and
-    sums live in this thread's workspace, so a repeated call allocates
-    little more than its result.  The ``hilfer_dfc.operators`` DEBUG
-    record gives n, B, the block count and how many points were summed
-    directly.
+    pair bounds that land on its block, and the point is kept where err
+    is below 1e-13 of conv(|kernel|, |values|).  That sum is bracketed
+    without a transform (:func:`_magnitude_bracket`): a point is kept
+    where err is below 1e-13 of the floor and certainly fails where it is
+    above 1e-13 of the ceiling.  With more than n/4 certain failures the
+    whole convolution is summed directly before any transform runs.  With
+    more than ``_UNDECIDED_MAX`` points between the two after the leading
+    run of points not kept, or more than n/4 points not kept, the rule
+    falls back to the size a transform of |kernel| against |values|
+    gives, less err.  The points not kept are summed directly: the
+    leading run by one direct sum, later ones by one dot product each;
+    with more than n/4 of them, or with err not finite, the whole
+    convolution is.  Otherwise one value transform runs: two batched
+    forward FFTs and one batched inverse.  The transform's rows, spectra
+    and sums live in this thread's workspace, so a repeated call
+    allocates little more than its result.  The ``hilfer_dfc.operators``
+    DEBUG record gives n, B, the block count and how many points were
+    summed directly.
     """
     values = np.asarray(values, dtype=float)
     n = len(values)
@@ -194,7 +336,9 @@ def causal_convolve(kernel: np.ndarray, values: np.ndarray) -> np.ndarray:
         return np.empty(0)
     kernel = np.asarray(kernel, dtype=float)[:n]
     if n < _FFT_MIN:
-        return np.convolve(kernel, values)[:n]
+        # copied out of the 2n - 1 terms, which a result taken over by a
+        # GridFn would otherwise keep alive
+        return np.convolve(kernel, values)[:n].copy()
     count = -(-n // max(_BLOCK_MIN, 1 << (-(-n // _BLOCKS) - 1).bit_length()))
     block = _smooth_length(-(-n // count))
     length = 2 * block
@@ -214,39 +358,39 @@ def causal_convolve(kernel: np.ndarray, values: np.ndarray) -> np.ndarray:
     unit_err = np.finfo(float).eps * math.log2(length)
     block_err = np.convolve(unit_err * _row_norms(k_rows), _row_norms(f_rows))[:count]
     block_err[1:] += block_err[:-1]
-    finite = math.isfinite(block_err.sum())
     err = block_err[:, None]  # each block's bound, over its row
     head, late = n, np.empty(0, dtype=int)
-    if finite:
-        spec_shape = (count, length // 2 + 1)
-        k_spec = _workspace.take("k_spec", spec_shape, complex)
-        f_spec = _workspace.take("f_spec", spec_shape, complex)
-        scratch = _workspace.take("abs_rows", (count, block))
-        # sum kernels are nonnegative: their spectrum serves both products
-        signed = not kernel.min() >= 0
-        np.fft.rfft(np.abs(k_rows, out=scratch) if signed else k_rows, length, out=k_spec)
-        np.fft.rfft(np.abs(f_rows, out=scratch), length, out=f_spec)
-        size = _overlap_add(k_spec, f_spec, length, block)
-        if lead:  # scratch holds |f| here
-            abs_f = scratch.reshape(-1)[:n]
-            size.reshape(-1)[:n] += np.multiply(abs_f, abs(lead), out=abs_f)
-        size -= err
-        size *= _FFT_REL
-        loose_mask = np.greater(err, size, out=_workspace.take("loose", (count, block), bool))
-        loose = np.flatnonzero(loose_mask.reshape(-1)[:n])
-        if len(loose) <= n / 4:
-            gaps = np.flatnonzero(loose != np.arange(len(loose)))
-            head = int(gaps[0]) if len(gaps) else len(loose)
-            late = loose[head:]
+    spec_shape = (count, length // 2 + 1)
+    k_spec = _workspace.take("k_spec", spec_shape, complex)
+    f_spec = _workspace.take("f_spec", spec_shape, complex)
+    k_ready = False
+    if math.isfinite(block_err.sum()):
+        limit = err / _FFT_REL
+        padded = -(-count * block // _CELL) * _CELL
+        bracket = _magnitude_bracket(k_flat[:n], lead, f_unit, padded)
+        floor, ceiling = bracket[:, : count * block].reshape(2, count, block)
+        sure = np.less(ceiling, limit, out=_workspace.take("sure", (count, block), bool)).reshape(-1)[:n]
+        if np.count_nonzero(sure) <= n / 4:
+            loose = np.less(floor, limit, out=_workspace.take("loose", (count, block), bool))
+            loose = np.flatnonzero(loose.reshape(-1)[:n])
+            run = _leading_run(loose)
+            if len(loose) > n / 4 or (run < len(loose) and np.count_nonzero(~sure[loose[run:]]) > _UNDECIDED_MAX):
+                # sum kernels are nonnegative: their spectrum serves both transforms
+                signed = not kernel.min() >= 0
+                loose = _exactly_loose(k_rows, f_rows, k_spec, f_spec, signed, lead, err, n)
+                run = _leading_run(loose)
+                k_ready = not signed
+            if len(loose) <= n / 4:
+                head, late = run, loose[run:]
     if head == n:
-        out = np.convolve(kernel, values)[:n]
+        out = np.convolve(kernel, values)[:n].copy()
     else:
-        if signed:
+        if not k_ready:
             np.fft.rfft(k_rows, length, out=k_spec)
         np.fft.rfft(f_rows, length, out=f_spec)
         sums = _overlap_add(k_spec, f_spec, length, block).reshape(-1)[:n]
         if lead:
-            sums += np.multiply(f_unit, lead, out=scratch.reshape(-1)[:n])
+            sums += np.multiply(f_unit, lead, out=_workspace.take("full", (count, block)).reshape(-1)[:n])
         with np.errstate(over="ignore"):  # past the float range reads inf, as np.convolve's
             out = np.ldexp(sums, k_exp + f_exp)
         if head:
@@ -295,7 +439,7 @@ def fractional_sum_fn(f: GridFn, mu: float) -> GridFn:
     sums = causal_convolve(sum_kernel(mu, f.count), f.values)
     if not np.isfinite(sums).all() and np.isfinite(f.values).all():
         raise OverflowError("fractional sum exceeds the float range")
-    return GridFn(Grid(f.base + mu, f.count), sums)
+    return GridFn._adopt(Grid(f.base + mu, f.count), sums)
 
 
 def fractional_sum(f: GridFn, mu: float, x: float) -> float:
@@ -313,7 +457,7 @@ def forward_difference_fn(f: GridFn) -> GridFn:
     """Forward difference f(x+1) - f(x), on the same base, one point shorter."""
     if f.count < 2:
         raise CoverageError("forward difference needs at least two samples")
-    return GridFn(Grid(f.base, f.count - 1), np.diff(f.values))
+    return GridFn._adopt(Grid(f.base, f.count - 1), np.diff(f.values))
 
 
 def rl_difference_fn(f: GridFn, mu: float) -> GridFn:

@@ -239,7 +239,7 @@ def _truncated(spec: IvpSpec, y: np.ndarray, meta: SolverMeta) -> Solution:
     if bad.any():
         n = int(np.argmax(bad))
         y, meta = y[:n], replace(meta, overflow_at=n)
-    return Solution(GridFn(Grid(spec.a, len(y)), y), meta)
+    return Solution(GridFn._adopt(Grid(spec.a, len(y)), y), meta)
 
 
 def _stepped(spec: IvpSpec, solver_name: str) -> Solution:
@@ -320,7 +320,7 @@ def apply_summation_operator(spec: IvpSpec, u: GridFn) -> GridFn:
     out = spec.zeta * sum_kernel(spec.order.eta, n_pts)
     g = spec.rhs.on_grid(u.values[: n_pts - 1], spec.a, spec.order.mu)
     out[1:] -= causal_convolve(sum_kernel(spec.order.mu, n_pts - 1), g)
-    return GridFn(u.grid, out)
+    return GridFn._adopt(u.grid, out)
 
 
 def defining_equation_residual(solution: Solution, spec: IvpSpec) -> GridFn:
@@ -335,7 +335,7 @@ def defining_equation_residual(solution: Solution, spec: IvpSpec) -> GridFn:
     u = solution.values
     diff = hilfer_difference_fn(u, spec.order)
     g = spec.rhs.on_grid(u.values[: diff.count], spec.a, spec.order.mu)
-    return GridFn(diff.grid, diff.values + g)
+    return GridFn._adopt(diff.grid, diff.values + g)
 
 
 def residual_scale(solution: Solution, spec: IvpSpec) -> GridFn:
@@ -354,7 +354,7 @@ def residual_scale(solution: Solution, spec: IvpSpec) -> GridFn:
     spread = inner[1:] + inner[:-1]
     size = causal_convolve(sum_kernel(order.outer_sum_order, n - 1), spread)
     g = spec.rhs.on_grid(u.values[: n - 1], spec.a, spec.order.mu)
-    return GridFn(Grid(spec.a + 1.0 - order.mu, n - 1), size + np.abs(g))
+    return GridFn._adopt(Grid(spec.a + 1.0 - order.mu, n - 1), size + np.abs(g))
 
 
 def initial_condition_value(solution: Solution, spec: IvpSpec) -> float:

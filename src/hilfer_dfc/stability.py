@@ -204,7 +204,7 @@ def ev_operator(v: GridFn, phi: GridFn, mu: float, a: float) -> GridFn:
     out = np.zeros(n)
     if n:
         out[1:] = causal_convolve(sum_kernel(mu, n - 1), v.values[: n - 1] * phi.values[: n - 1])
-    return GridFn(Grid(a, n), out)
+    return GridFn._adopt(Grid(a, n), out)
 
 
 def _gronwall_solve(

@@ -364,6 +364,17 @@ class TestGridTypes:
         with pytest.raises(ValueError):
             f.values[0] = 7.0
 
+    def test_a_callers_array_is_copied(self):
+        # the public constructor never takes over its argument, which the
+        # caller may go on writing to
+        vals = np.arange(5.0)
+        f = GridFn(Grid(0.0, 5), vals)
+        vals[0] = 9.0
+        assert f.values[0] == 0.0 and vals.flags.writeable
+        assert not np.shares_memory(f.values, vals)
+        with pytest.raises(ValueError):
+            GridFn(Grid(0.0, 4), vals)
+
     def test_hilfer_order_eta(self):
         order = HilferOrder(0.7, 0.5)
         assert order.eta == pytest.approx(0.85, abs=1e-15)

@@ -34,7 +34,7 @@ from hilfer_dfc import (
     sum_kernel,
     taylor_monomial,
 )
-from hilfer_dfc.operators import _FFT_MIN, _WORKSPACE_MAX, _workspace
+from hilfer_dfc.operators import _CELL, _FFT_MIN, _WORKSPACE_MAX, _magnitude_bracket, _workspace
 
 from conftest import random_grid_fn
 
@@ -179,6 +179,21 @@ class TestFractionalSum:
                 )
 
 
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """Names of the numpy.fft transforms called while the test runs."""
+    calls = []
+    for name in ("rfft", "irfft"):
+        transform = getattr(np.fft, name)
+
+        def counted(*args, _name=name, _transform=transform, **kwargs):
+            calls.append(_name)
+            return _transform(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
 def shaped_input(rng, kind, n):
     """Random signs times a flat, an e^60-growing or an e^-30-decaying profile."""
     exponent = {"random": 0.0, "growing": 60.0, "decaying": -30.0}[kind]
@@ -312,10 +327,11 @@ class TestCausalConvolve:
         assert np.array_equal(out[late], direct[late])
         assert np.max(np.abs(out - direct) / np.abs(direct)) <= 1e-12
 
-    def test_many_late_failures_sum_the_whole_grid(self, caplog):
+    def test_many_late_failures_sum_the_whole_grid(self, caplog, fft_calls):
         # with kernel [1, 1, 0, ...] conv(|k|, |f|) is |f_j| + |f_j-1|:
         # away from the spikes every point fails its block's bound, far
-        # more than n/4 of them
+        # more than n/4 of them; the bracket's ceiling is exact for such
+        # a kernel, so that is known before any transform runs
         n = 3000
         kernel = np.zeros(n)
         kernel[:2] = 1.0
@@ -326,10 +342,71 @@ class TestCausalConvolve:
         (record,) = [r for r in caplog.records if r.name == "hilfer_dfc.operators"]
         assert record.args[3] == n
         assert np.array_equal(out, np.convolve(kernel, f)[:n])
+        assert fft_calls == []
+
+    @pytest.mark.parametrize("n", [_FFT_MIN, 3000, 20000])
+    def test_flat_input_takes_one_value_transform(self, rng, fft_calls, n):
+        # kernel rows, value rows and one batched inverse: the bracket
+        # decides every point without a transform of |k| against |f|
+        for mu in (0.1, 0.5, 0.9):
+            fft_calls.clear()
+            causal_convolve(sum_kernel(mu, n), rng.uniform(-1.0, 1.0, n))
+            assert fft_calls == ["rfft", "rfft", "irfft"], mu
+
+    def test_many_undecided_points_take_the_magnitude_transform(self, rng, caplog, fft_calls):
+        # on a steady e^60 rise hundreds of points fall between the floor
+        # and the ceiling: the transform of |k| against |f| decides them
+        # (its kernel spectrum serves the value transform too), and the
+        # result meets the oracle wherever it is read
+        n = 20000
+        kernel = sum_kernel(0.1, n)
+        f = shaped_input(rng, "growing", n)
+        with caplog.at_level(logging.DEBUG, logger="hilfer_dfc"):
+            out = causal_convolve(kernel, f)
+        assert fft_calls == ["rfft", "rfft", "irfft", "rfft", "irfft"]
+        (record,) = [r for r in caplog.records if r.name == "hilfer_dfc.operators"]
+        assert record.args[3] < n / 4
+        for j in np.unique(np.concatenate((rng.integers(0, n, 30), [n - 1]))):
+            terms = kernel[j::-1] * f[: j + 1]
+            assert abs(out[j] - math.fsum(terms)) <= 1e-12 * math.fsum(np.abs(terms)), j
 
     def test_logger_is_silent_by_default(self):
         handlers = logging.getLogger("hilfer_dfc").handlers
         assert any(isinstance(h, logging.NullHandler) for h in handlers)
+
+
+class TestMagnitudeBracket:
+    @staticmethod
+    def bracket(kernel, f):
+        """The bracket of conv(|kernel|, |f|) and that sum in long double."""
+        n = len(f)
+        out = _magnitude_bracket(kernel, kernel[0], f, -(-n // _CELL) * _CELL)
+        exact = np.convolve(np.abs(kernel).astype(np.longdouble), np.abs(f).astype(np.longdouble))[:n]
+        return out[0, :n], out[1, :n], exact
+
+    @pytest.mark.parametrize("n", [_FFT_MIN, 3000])
+    def test_floor_and_ceiling_hold_the_exact_magnitude(self, rng, n):
+        kernels = [sum_kernel(mu, n) for mu in (0.02, 0.1, 0.3, 0.5, 0.9, 1.0, 1.3, 1.8)]
+        pair = np.zeros(n)
+        pair[:2] = 1.0
+        short = np.zeros(n)
+        short[: n // 3] = sum_kernel(0.7, n // 3)
+        kernels += [pair, short, rng.uniform(-1.0, 1.0, n) * np.exp(-np.arange(n) / 300.0)]
+        inputs = [rng.uniform(-1.0, 1.0, n) * np.exp(np.linspace(0.0, rise, n)) for rise in (0.0, 60.0, -30.0, -300.0)]
+        zero_prefix = rng.uniform(-1.0, 1.0, n)
+        zero_prefix[: n // 4] = 0.0
+        dips = np.ones(n)
+        dips[[n // 3, n // 3 + 1, 2 * n // 3]] = 1e-6
+        for kernel, f in itertools.product(kernels, inputs + [zero_prefix, dips]):
+            floor, ceiling, exact = self.bracket(kernel, f)
+            assert np.all(0.0 <= floor) and np.all(floor <= exact) and np.all(exact <= ceiling)
+
+    def test_floor_is_at_least_half_the_magnitude_on_flat_input(self, rng):
+        n = 3000
+        f = rng.uniform(-1.0, 1.0, n)
+        for mu in (0.02, 0.1, 0.3, 0.5, 0.9, 1.0):
+            floor, _, exact = self.bracket(sum_kernel(mu, n), f)
+            assert np.min(floor / exact) >= 0.5, mu
 
 
 def in_fresh_thread(fn):

@@ -22,14 +22,19 @@ from hilfer_dfc import (
     Nonlinear,
     OffGridError,
     apply_summation_operator,
+    caputo_difference_fn,
     defining_equation_residual,
+    ev_operator,
     falling_factorial,
+    forward_difference_fn,
+    fractional_sum_fn,
     gronwall_series,
     hilfer_difference_fn,
     initial_condition_value,
     ml_eval,
     ml_plain,
     residual_scale,
+    rl_difference_fn,
     solve,
     solve_linear,
     solve_linear_series,
@@ -328,6 +333,32 @@ class TestWholePipeline:
 
     def test_dispatch(self):
         assert solve(linear_spec()).meta.solver == "linear-recursion"
+
+    @pytest.mark.parametrize("n", [40, 2000])
+    def test_library_results_are_read_only_and_apart_from_their_inputs(self, rng, n):
+        # results take over the fresh arrays the library computed instead
+        # of copying them: each must still be read-only and share no
+        # memory with the GridFn or trajectory it was computed from
+        f = GridFn(Grid(0.5, n), rng.uniform(-1.0, 1.0, n))
+        spec = linear_spec(steps=n - 1, lam=-0.3)
+        sol = solve_linear(spec)
+        results = {
+            "sum": (fractional_sum_fn(f, 0.4), f),
+            "difference": (forward_difference_fn(f), f),
+            "rl": (rl_difference_fn(f, 0.6), f),
+            "caputo": (caputo_difference_fn(f, 0.6), f),
+            "hilfer": (hilfer_difference_fn(f, HilferOrder(0.6, 0.3)), f),
+            "gronwall": (ev_operator(f, f, 0.4, 0.5), f),
+            "map": (apply_summation_operator(spec, sol.values), sol.values),
+            "residual": (defining_equation_residual(sol, spec), sol.values),
+            "scale": (residual_scale(sol, spec), sol.values),
+        }
+        for name, (out, source) in results.items():
+            assert not out.values.flags.writeable, name
+            with pytest.raises(ValueError):
+                out.values[0] = 1.0
+            assert not np.shares_memory(out.values, source.values), name
+        assert not sol.values.values.flags.writeable
 
 
 def reference_step(spec, g_of_index):
