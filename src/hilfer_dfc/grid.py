@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -257,7 +257,7 @@ class HilferOrder:
 
     mu: float
     nu: float
-    eta: float = None  # type: ignore[assignment]  # derived, set in __post_init__
+    eta: float = field(init=False)  # derived, set in __post_init__
 
     def __post_init__(self) -> None:
         if not 0.0 < self.mu < 1.0:

@@ -33,11 +33,15 @@ lam^k (gamma)_k / k! times the Taylor monomial h_{mu k + eta - 1} of
 ``SeriesCtl.tol``; non-convergence within ``_MAX_TERMS`` raises, and so
 does a dropped term below that whose numerator gamma poles.  |lam| < 1
 does not make that sound: for mu < 1 the terms grow like
-(|lam| / (mu^mu (1-mu)^(1-mu)))^k (Stirling), after they may have fallen
-far below tol, so a rate >= 1 raises SeriesConvergenceError up front
-unless a nonpositive integer gamma ends the sum.  For mu >= 1 the rate
-is at most |lam|.  A sum whose roundoff eps sum|t| exceeds tol |sum t|
-has cancelled past the tolerance and raises SeriesConvergenceError too.
+rate^k, rate = |lam| / (mu^mu (1-mu)^(1-mu)) (Stirling), after they may
+have fallen far below tol, so a rate >= 1 raises SeriesConvergenceError
+up front unless a nonpositive integer gamma ends the sum.  For mu >= 1
+the rate is at most |lam|.  Below 1 the terms still rise again each time
+the numerator gamma's argument passes a pole, so "stay below" is read
+from the dropped terms' sizes up to ``_MAX_TERMS``: they must sum below
+tol-sized terms falling at the rate, at most tol / (1 - rate).  A sum
+whose roundoff eps sum|t| exceeds tol |sum t| has cancelled past the
+tolerance and raises SeriesConvergenceError too.
 """
 
 from __future__ import annotations
@@ -133,15 +137,32 @@ def _conditioned(total: float, size: float, terms: int, exact: bool, ctl: Series
     return MlEvaluation(total, terms, exact, size / abs(total) if size else 1.0)
 
 
+def _dropped_sizes(p: MlParams, x: np.ndarray, j: np.ndarray, coeff: float) -> np.ndarray:
+    """|term j| from log-gammas, given x = its numerator gamma argument
+    (kept off the poles by the caller) and coeff, the running coefficient
+    of term j[0] - 1; sizes above 1 read 1."""
+    def lgamma(v: np.ndarray) -> np.ndarray:
+        return np.fromiter(map(math.lgamma, v.tolist()), float, len(v))
+
+    r1 = j * p.mu + p.eta  # 1/Gamma(r1) vanishes on its poles
+    live = ~((r1 <= 0.0) & (r1 == np.rint(r1)))
+    log_coeff = np.cumsum(np.log(np.abs(p.lam * (p.gamma + j - 1) / j)))
+    log_coeff += math.log(abs(coeff)) if coeff else -math.inf
+    log_size = log_coeff + lgamma(x) - lgamma(x - r1 + 1.0) - lgamma(np.where(live, r1, 1.0))
+    return np.where(live, np.exp(np.minimum(log_size, 0.0)), 0.0)
+
+
 def _series(p: MlParams, z: float, arg_offset: float, ctl: SeriesCtl) -> MlEvaluation:
     mu, eta, gamma, lam = p.mu, p.eta, p.gamma, p.lam
     # a zero Pochhammer factor ends the sum: the terms past -gamma vanish
     ends = gamma <= 0.0 and float(gamma).is_integer()
     stop = min(int(1.0 - gamma), _MAX_TERMS) if ends else _MAX_TERMS
-    # a mu < 1 series grows like (|lam| / (mu^mu (1-mu)^(1-mu)))^k unless
-    # the sum ends (module docstring)
-    if mu < 1.0 and abs(lam) >= mu**mu * (1.0 - mu) ** (1.0 - mu) and not ends:
+    # a mu < 1 series grows like rate^k, rate = |lam| / (mu^mu (1-mu)^(1-mu)),
+    # unless the sum ends (module docstring)
+    cap = mu**mu * (1.0 - mu) ** (1.0 - mu) if mu < 1.0 else 1.0
+    if mu < 1.0 and abs(lam) >= cap and not ends:
         raise SeriesConvergenceError(f"series diverges off the lattice at mu = {mu}, lam = {lam}")
+    rate = min(abs(lam) / cap, 1.0)
 
     def monomial(k: int) -> float:
         return taylor_monomial(k * mu + eta - 1.0, z + k * (mu - 1.0) + arg_offset, 0.0)
@@ -149,6 +170,7 @@ def _series(p: MlParams, z: float, arg_offset: float, ctl: SeriesCtl) -> MlEvalu
     coeff = 1.0  # running lam^k (gamma)_k / k!
     total = size = 0.0
     small_in_a_row = 0
+    first = tails = None  # suffix sums of the term sizes past the first cut
 
     for k in range(_MAX_TERMS):
         if k > 0:
@@ -165,14 +187,20 @@ def _series(p: MlParams, z: float, arg_offset: float, ctl: SeriesCtl) -> MlEvalu
         if abs(term) < ctl.tol:
             small_in_a_row += 1
             if small_in_a_row >= _CONSECUTIVE_SMALL:
-                # a dropped term whose numerator gamma poles is not small:
-                # taylor_monomial's own pole rule raises on it
-                dropped = np.arange(k + 1, stop)
-                x = z + dropped * (mu - 1.0) + arg_offset + 1.0
-                near = np.rint(x)
-                for j in dropped[(near <= 0.0) & (np.abs(x - near) <= INTEGER_SNAP)]:
-                    monomial(int(j))
-                return _conditioned(total, size, k + 1, False, ctl)
+                # the dropped terms must sum below tol-sized terms falling at
+                # the rate: past the numerator gamma's poles a term can rise
+                # far above tol again, and one on a pole raises
+                if tails is None:
+                    first = k + 1
+                    dropped = np.arange(first, stop)
+                    x = z + dropped * (mu - 1.0) + arg_offset + 1.0
+                    near = np.rint(x)
+                    for j in dropped[(near <= 0.0) & (np.abs(x - near) <= INTEGER_SNAP)]:
+                        monomial(int(j))  # taylor_monomial's own pole rule raises
+                    tails = np.cumsum(_dropped_sizes(p, x, dropped, coeff)[::-1])[::-1]
+                tail = float(tails[k + 1 - first]) if k + 1 < stop else 0.0
+                if tail <= ctl.tol * float(np.sum(rate ** np.arange(stop - k - 1))):
+                    return _conditioned(total, size, k + 1, False, ctl)
         else:
             small_in_a_row = 0
 

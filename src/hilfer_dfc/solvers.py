@@ -42,6 +42,7 @@ whole-array computations, O(steps log steps).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from operator import mul
 from typing import Callable
@@ -148,6 +149,10 @@ class IvpSpec:
     def __post_init__(self) -> None:
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
+        if not (math.isfinite(self.a) and math.isfinite(self.zeta)):
+            raise ValueError(f"a and zeta must be finite: got a={self.a!r}, zeta={self.zeta!r}")
+        if not math.isfinite(getattr(self.rhs, "lam", 0.0)):
+            raise ValueError(f"lam must be finite: got {self.rhs.lam!r}")
         if isinstance(self.rhs, NonHomogeneous):
             forcing = self.rhs.forcing
             expected_base = self.a + 1.0 - self.order.mu
@@ -159,6 +164,11 @@ class IvpSpec:
             if forcing.count < self.steps:
                 raise CoverageError(
                     f"forcing must cover {self.steps} points, has {forcing.count}"
+                )
+            bad = np.flatnonzero(~np.isfinite(forcing.values[: self.steps]))
+            if bad.size:
+                raise ValueError(
+                    f"forcing must be finite: sample {bad[0]} is {float(forcing.values[bad[0]])!r}"
                 )
 
     @property

@@ -16,6 +16,7 @@ tolerance judgement to the caller.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .grid import Grid, GridFn, HilferOrder
@@ -119,7 +120,7 @@ def delta_laplace(f: GridFn, y: float, ctl: LaplaceCtl = LaplaceCtl()) -> Laplac
 
     Terms are added until the geometric tail bound drops below ctl.tol;
     running out of samples or of ``_MAX_TERMS`` terms first raises
-    TruncationError.
+    TruncationError, and a non-finite sample it reaches raises ValueError.
     """
     q = 1.0 + y
     if abs(q) <= ctl.r:
@@ -133,8 +134,11 @@ def delta_laplace(f: GridFn, y: float, ctl: LaplaceCtl = LaplaceCtl()) -> Laplac
     qpow = 1.0 / q
     rpow = 1.0
     for k in range(limit):
-        total += float(f.values[k]) * qpow
-        growth = max(growth, abs(float(f.values[k])) / rpow)
+        sample = float(f.values[k])
+        if not math.isfinite(sample):
+            raise ValueError(f"the transform needs finite samples: f[{k}] is {sample!r}")
+        total += sample * qpow
+        growth = max(growth, abs(sample) / rpow)
         tail = growth * ratio ** (k + 1) / (1.0 - ratio)
         # a zero prefix says nothing about the samples after it
         if growth > 0.0 and tail < ctl.tol:

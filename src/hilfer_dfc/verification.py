@@ -57,29 +57,14 @@ class CheckResult:
     detail: str = ""
 
 
-def _result(name: str, max_error: float, tol: float, detail: str = "") -> CheckResult:
-    return CheckResult(name, float(max_error), tol, bool(max_error < tol), detail)
-
-
-def _random_fn(grid: Grid, rng: np.random.Generator, scale: float = 1.0) -> GridFn:
-    return GridFn(grid, rng.uniform(-scale, scale, grid.count))
-
-
-def _exp_bounded_fn(grid: Grid, rng: np.random.Generator, ratio: float = 1.2) -> GridFn:
-    phase = rng.uniform(0.0, 2 * math.pi)
-    amp = rng.uniform(0.5, 1.5)
-    vals = [
-        amp * ratio**k * (1.0 + 0.3 * math.sin(0.7 * k + phase))
-        for k in range(grid.count)
-    ]
-    return GridFn(grid, np.array(vals))
-
-
 # ---------------------------------------------------------------------------
-# individual checks
+# individual checks: each takes y and returns its worst error, or its worst
+# error and a detail string; names and tolerances live in _CHECKS only.  The
+# worst error is folded with np.maximum, which keeps a nan (builtin max drops
+# it and would pass the check)
 
 
-def check_power_rule(tol: float, y: float) -> CheckResult:
+def check_power_rule(y: float) -> float:
     """Summed monomial sum against its closed form."""
     rng = np.random.default_rng(101)
     a = 0.3
@@ -99,121 +84,109 @@ def check_power_rule(tol: float, y: float) -> CheckResult:
                 * falling_factorial(x - a, mu + nu)
             )
             got = float(summed.values[j])
-            worst = max(worst, abs(got - closed) / max(1.0, abs(closed)))
-    return _result("power-rule", worst, tol)
+            worst = np.maximum(worst, abs(got - closed) / max(1.0, abs(closed)))
+    return worst
 
 
-def check_composition(tol: float, y: float) -> CheckResult:
-    """Order-mu sum of the two-parameter difference against its collapsed form."""
-    rng = np.random.default_rng(102)
-    a = 0.5
-    worst = 0.0
+def _order_sweep(seed: int, a: float, count: int, *, vanish_at_base: bool = False):
+    """Eight seeded draws of an order (mu in (0.1, 0.9), nu in (0, 1)) and an f
+    uniform in (-1, 1) on ``count`` points from ``a``, optionally with f(a) = 0."""
+    rng = np.random.default_rng(seed)
     for _ in range(8):
-        mu = rng.uniform(0.1, 0.9)
-        nu = rng.uniform(0.0, 1.0)
-        order = HilferOrder(mu, nu)
-        f = _random_fn(Grid(a, 24), rng)
-        lhs = fractional_sum_fn(hilfer_difference_fn(f, order), mu)
+        order = HilferOrder(rng.uniform(0.1, 0.9), rng.uniform(0.0, 1.0))
+        vals = rng.uniform(-1.0, 1.0, count)
+        if vanish_at_base:
+            vals[0] = 0.0
+        yield order, GridFn(Grid(a, count), vals)
+
+
+def check_composition(y: float) -> float:
+    """Order-mu sum of the two-parameter difference against its collapsed form."""
+    worst = 0.0
+    for order, f in _order_sweep(102, 0.5, 24):
+        lhs = fractional_sum_fn(hilfer_difference_fn(f, order), order.mu)
         inner = fractional_sum_fn(f, order.inner_sum_order)
         rhs = fractional_sum_fn(forward_difference_fn(inner), order.eta)
-        worst = max(worst, float(np.max(np.abs(lhs.values - rhs.values))))
-    return _result("composition-sum-of-difference", worst, tol)
+        worst = np.maximum(worst, float(np.max(np.abs(lhs.values - rhs.values))))
+    return worst
 
 
-def check_composition_rl_route(tol: float, y: float) -> CheckResult:
+def check_composition_rl_route(y: float) -> float:
     """Same collapsed form reached through the order-eta difference."""
-    rng = np.random.default_rng(107)
-    a = 0.5
     worst = 0.0
-    for _ in range(8):
-        mu = rng.uniform(0.1, 0.9)
-        nu = rng.uniform(0.0, 1.0)
-        order = HilferOrder(mu, nu)
-        f = _random_fn(Grid(a, 24), rng)
-        lhs = fractional_sum_fn(hilfer_difference_fn(f, order), mu)
+    for order, f in _order_sweep(107, 0.5, 24):
+        lhs = fractional_sum_fn(hilfer_difference_fn(f, order), order.mu)
         rhs = fractional_sum_fn(rl_difference_fn(f, order.eta), order.eta)
-        worst = max(worst, float(np.max(np.abs(lhs.values - rhs.values))))
-    return _result("composition-rl-route", worst, tol)
+        worst = np.maximum(worst, float(np.max(np.abs(lhs.values - rhs.values))))
+    return worst
 
 
-def check_composition_correction(tol: float, y: float) -> CheckResult:
+def check_composition_correction(y: float) -> float:
     """Difference-after-sum equals f minus the explicit monomial correction."""
-    rng = np.random.default_rng(103)
-    a = 0.25
     worst = 0.0
-    for _ in range(8):
-        mu = rng.uniform(0.1, 0.9)
-        nu = rng.uniform(0.0, 1.0)
-        order = HilferOrder(mu, nu)
-        f = _random_fn(Grid(a, 22), rng)
-        summed = fractional_sum_fn(f, mu)
-        lhs = hilfer_difference_fn(summed, order)
+    for order, f in _order_sweep(103, 0.25, 22):
+        lhs = hilfer_difference_fn(fractional_sum_fn(f, order.mu), order)
         c = order.outer_sum_order
-        s = a + 1.0 - c
+        s = f.base + 1.0 - c
         initial = fractional_sum(f, 1.0 - c, s)
         for j in range(lhs.count):
             x = lhs.base + j  # = a + 1 + j
             rhs = f(x) - initial * taylor_monomial(c - 1.0, x, s)
-            worst = max(worst, abs(float(lhs.values[j]) - rhs))
-    return _result("composition-correction-term", worst, tol)
+            worst = np.maximum(worst, abs(float(lhs.values[j]) - rhs))
+    return worst
 
 
-def check_left_inverse(tol: float, y: float) -> CheckResult:
+def check_left_inverse(y: float) -> float:
     """With f vanishing at the base point the composition returns f."""
-    rng = np.random.default_rng(104)
-    a = 0.25
     worst = 0.0
-    for _ in range(8):
-        mu = rng.uniform(0.1, 0.9)
-        nu = rng.uniform(0.0, 1.0)
-        order = HilferOrder(mu, nu)
-        vals = rng.uniform(-1.0, 1.0, 22)
-        vals[0] = 0.0
-        f = GridFn(Grid(a, 22), vals)
-        lhs = hilfer_difference_fn(fractional_sum_fn(f, mu), order)
+    for order, f in _order_sweep(104, 0.25, 22, vanish_at_base=True):
+        lhs = hilfer_difference_fn(fractional_sum_fn(f, order.mu), order)
         for j in range(lhs.count):
-            worst = max(worst, abs(float(lhs.values[j]) - f(lhs.base + j)))
-    return _result("left-inverse", worst, tol)
+            worst = np.maximum(worst, abs(float(lhs.values[j]) - f(lhs.base + j)))
+    return worst
 
 
-def _laplace_f(count: int = 400) -> GridFn:
+_LAPLACE_CTL = LaplaceCtl(r=1.35, tol=1e-10)
+
+
+def _laplace_f() -> GridFn:
+    """A seeded f of exponential order 1.2 on 400 points."""
     rng = np.random.default_rng(105)
-    return _exp_bounded_fn(Grid(0.0, count), rng, ratio=1.2)
+    phase = rng.uniform(0.0, 2 * math.pi)
+    amp = rng.uniform(0.5, 1.5)
+    vals = [amp * 1.2**k * (1.0 + 0.3 * math.sin(0.7 * k + phase)) for k in range(400)]
+    return GridFn(Grid(0.0, 400), np.array(vals))
 
 
-def check_laplace_fractional_sum(tol: float, y: float) -> CheckResult:
+def check_laplace_fractional_sum(y: float) -> tuple[float, str]:
     f = _laplace_f()
-    ctl = LaplaceCtl(r=1.35, tol=1e-10)
     worst = 0.0
     for mu in (0.3, 0.5, 0.8):
-        lhs, rhs = laplace_of_fractional_sum_check(f, mu, y, ctl)
-        worst = max(worst, abs(lhs - rhs))
-    return _result("laplace-of-fractional-sum", worst, tol, f"y={y}")
+        lhs, rhs = laplace_of_fractional_sum_check(f, mu, y, _LAPLACE_CTL)
+        worst = np.maximum(worst, abs(lhs - rhs))
+    return worst, f"y={y}"
 
 
-def check_laplace_integer_difference(tol: float, y: float) -> CheckResult:
+def check_laplace_integer_difference(y: float) -> tuple[float, str]:
     f = _laplace_f()
-    ctl = LaplaceCtl(r=1.35, tol=1e-10)
     worst = 0.0
     for m in (1, 2):
-        lhs, rhs = laplace_of_integer_difference_check(f, m, y, ctl)
-        worst = max(worst, abs(lhs - rhs))
-    lhs, rhs = laplace_base_shift_check(f, y, ctl)
-    worst = max(worst, abs(lhs - rhs))
-    return _result("laplace-of-integer-difference", worst, tol, f"y={y}")
+        lhs, rhs = laplace_of_integer_difference_check(f, m, y, _LAPLACE_CTL)
+        worst = np.maximum(worst, abs(lhs - rhs))
+    lhs, rhs = laplace_base_shift_check(f, y, _LAPLACE_CTL)
+    return np.maximum(worst, abs(lhs - rhs)), f"y={y}"
 
 
-def check_laplace_hilfer(tol: float, y: float) -> CheckResult:
+def check_laplace_hilfer(y: float) -> tuple[float, str]:
     f = _laplace_f()
-    ctl = LaplaceCtl(r=1.35, tol=1e-10)
     worst = 0.0
     for mu, nu in ((0.7, 0.5), (0.7, 0.0), (0.7, 1.0), (0.4, 0.25)):
-        lhs, rhs = laplace_of_hilfer_check(f, HilferOrder(mu, nu), y, ctl)
-        worst = max(worst, abs(lhs - rhs))
-    return _result("laplace-of-hilfer-difference", worst, tol, f"y={y}")
+        lhs, rhs = laplace_of_hilfer_check(f, HilferOrder(mu, nu), y, _LAPLACE_CTL)
+        worst = np.maximum(worst, abs(lhs - rhs))
+    return worst, f"y={y}"
 
 
-def check_solver_cross_validation(tol: float, y: float) -> CheckResult:
+def check_solver_cross_validation(y: float) -> float:
     worst = 0.0
     for lam in (0.05, 0.1, 0.3):
         for mu in (0.5, 0.8):
@@ -222,11 +195,11 @@ def check_solver_cross_validation(tol: float, y: float) -> CheckResult:
                 rec = solve_linear(spec).values.values
                 ser = solve_linear_series(spec).values.values
                 scale = np.maximum(1.0, np.abs(rec))
-                worst = max(worst, float(np.max(np.abs(rec - ser) / scale)))
-    return _result("solver-cross-validation", worst, tol)
+                worst = np.maximum(worst, float(np.max(np.abs(rec - ser) / scale)))
+    return worst
 
 
-def check_solver_residual(tol: float, y: float) -> CheckResult:
+def check_solver_residual(y: float) -> float:
     worst = 0.0
     for lam in (0.1, 0.3):
         for mu in (0.5, 0.8):
@@ -234,35 +207,33 @@ def check_solver_residual(tol: float, y: float) -> CheckResult:
                 spec = IvpSpec(0.3, 25, HilferOrder(mu, nu), 1.0, Linear(lam))
                 sol = solve_linear(spec)
                 res = defining_equation_residual(sol, spec)
-                worst = max(worst, float(np.max(np.abs(res.values))))
-                worst = max(
-                    worst, abs(initial_condition_value(sol, spec) - spec.zeta)
-                )
+                worst = np.maximum(worst, float(np.max(np.abs(res.values))))
+                worst = np.maximum(worst, abs(initial_condition_value(sol, spec) - spec.zeta))
     spec = IvpSpec(
         0.3, 9, HilferOrder(0.7, 0.5), 1.0, Nonlinear(lambda w, u: (w - 0.3) * u)
     )
     sol = solve_nonlinear(spec)
     res = defining_equation_residual(sol, spec)
-    worst = max(worst, float(np.max(np.abs(res.values))))
-    return _result("solver-defining-equation-residual", worst, tol)
+    worst = np.maximum(worst, float(np.max(np.abs(res.values))))
+    return worst
 
 
-def check_endpoint_reduction(tol: float, y: float) -> CheckResult:
+def check_endpoint_reduction(y: float) -> float:
     rng = np.random.default_rng(106)
     worst = 0.0
     for mu in (0.1, 0.5, 0.9):
         for _ in range(6):
-            f = _random_fn(Grid(0.0, 31), rng)
+            f = GridFn(Grid(0.0, 31), rng.uniform(-1.0, 1.0, 31))
             h0 = hilfer_difference_fn(f, HilferOrder(mu, 0.0))
             h1 = hilfer_difference_fn(f, HilferOrder(mu, 1.0))
             r = rl_difference_fn(f, mu)
             c = caputo_difference_fn(f, mu)
-            worst = max(worst, float(np.max(np.abs(h0.values - r.values))))
-            worst = max(worst, float(np.max(np.abs(h1.values - c.values))))
-    return _result("endpoint-reduction", worst, tol)
+            worst = np.maximum(worst, float(np.max(np.abs(h0.values - r.values))))
+            worst = np.maximum(worst, float(np.max(np.abs(h1.values - c.values))))
+    return worst
 
 
-def check_ml_reductions(tol: float, y: float) -> CheckResult:
+def check_ml_reductions(y: float) -> float:
     # E^gamma_[1,gamma](lam, n + gamma - 1) = (gamma)_n / n! (1+lam)^n, the
     # coefficients of (1 - (1+lam) z)^-gamma; gamma = 1 is the binomial identity
     worst = 0.0
@@ -270,11 +241,11 @@ def check_ml_reductions(tol: float, y: float) -> CheckResult:
         for lam in (0.1, -0.1, 0.5, -0.5):
             got = ml_lattice(MlParams(mu=1.0, eta=gamma, gamma=gamma, lam=lam), 21)
             expect = sum_kernel(gamma, 21) * (1.0 + lam) ** np.arange(21)
-            worst = max(worst, float(np.max(np.abs(got - expect) / np.maximum(1.0, np.abs(expect)))))
-    return _result("ml-reductions", worst, tol)
+            worst = np.maximum(worst, float(np.max(np.abs(got - expect) / np.maximum(1.0, np.abs(expect)))))
+    return worst
 
 
-def check_gronwall_reductions(tol: float, y: float) -> CheckResult:
+def check_gronwall_reductions(y: float) -> float:
     worst = 0.0
     grid = Grid(0.0, 21)
     for const in (0.1, 0.5):
@@ -282,18 +253,18 @@ def check_gronwall_reductions(tol: float, y: float) -> CheckResult:
         for n in range(grid.count):
             got = gronwall_series(1.0, v, (1.0, 1.0), float(n))
             expect = (1.0 + const) ** n
-            worst = max(worst, abs(got - expect) / max(1.0, abs(expect)))
+            worst = np.maximum(worst, abs(got - expect) / max(1.0, abs(expect)))
     order = HilferOrder(0.7, 0.5)
     for const in (0.05, 0.1, 0.15):
         v = GridFn.constant(grid, const)
         expect = ml_lattice(MlParams(mu=order.mu, eta=order.eta, lam=const), grid.count)
         for n in range(grid.count):
             got = gronwall_series(1.0, v, order, float(n))
-            worst = max(worst, abs(got - expect[n]) / max(1.0, abs(expect[n])))
-    return _result("gronwall-reductions", worst, tol)
+            worst = np.maximum(worst, abs(got - expect[n]) / max(1.0, abs(expect[n])))
+    return worst
 
 
-def check_ulam_bound(tol: float, y: float) -> CheckResult:
+def check_ulam_bound(y: float) -> float:
     k = 0.15
     spec = IvpSpec(
         0.3, 9, HilferOrder(0.7, 0.5), 1.0, Nonlinear(lambda w, u: k * u)
@@ -302,24 +273,23 @@ def check_ulam_bound(tol: float, y: float) -> CheckResult:
     for dz in (0.1, 0.01, 0.001):
         rep = ulam_experiment(spec, k, zeta_n=spec.zeta + dz)
         if not (rep.verdict and rep.pointwise_ok and rep.certificate_applies):
-            worst = max(worst, 1.0)
+            worst = np.maximum(worst, 1.0)
         excess = rep.deviation - rep.epsilon * rep.constant
-        worst = max(worst, max(excess, 0.0))
-    return _result("ulam-initial-value-bound", worst, tol)
+        worst = np.maximum(worst, max(excess, 0.0))
+    return worst
 
 
-def check_paper_constant(tol: float, y: float) -> CheckResult:
+def check_paper_constant(y: float) -> tuple[float, str]:
     got = existence_bound(0.3, 9.3, 0.7)
-    return _result(
-        "desk-scenario-threshold", abs(got - 0.1974), tol, f"value={got:.6f}"
-    )
+    return abs(got - 0.1974), f"value={got:.6f}"
 
 
 # ---------------------------------------------------------------------------
 # registry
 
 
-_CHECKS: dict[str, tuple[Callable[[float, float], CheckResult], float]] = {
+#: name -> (check, tolerance), in report order
+_CHECKS: dict[str, tuple[Callable[[float], float | tuple[float, str]], float]] = {
     "power-rule": (check_power_rule, 1e-10),
     "composition-sum-of-difference": (check_composition, 1e-9),
     "composition-rl-route": (check_composition_rl_route, 1e-9),
@@ -353,7 +323,10 @@ def run_checks(
     for name, (fn, tol) in _CHECKS.items():
         if only is not None and only not in name:
             continue
-        results.append(fn(tol_override if tol_override is not None else tol, y))
+        out = fn(y)
+        worst, detail = out if isinstance(out, tuple) else (out, "")
+        tol = tol_override if tol_override is not None else tol
+        results.append(CheckResult(name, float(worst), tol, bool(worst < tol), detail))
     if not results:
         raise ValueError(f"no checks match {only!r}")
     return results

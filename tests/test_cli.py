@@ -305,12 +305,42 @@ class TestLibraryErrorsExitTwo:
                 ["solve", "--mu", "0.5", "--nonlinear", "--g", "example45", "--lambda", "0.5"],
                 "--nonlinear does not take these flags",
             ),
+            (  # was exit 3, "overflow_at: 1"
+                ["solve", "--nonhomogeneous", "--lambda", "0.1", "--mu", "0.5",
+                 "--forcing-const", "nan", "--steps", "5"],
+                "forcing must be finite",
+            ),
+            (  # was exit 3, "overflow_at: 0"
+                ["solve", "--linear", "--lambda", "0.1", "--mu", "0.5", "--zeta", "inf",
+                 "--steps", "5"],
+                "a and zeta must be finite",
+            ),
+            (  # was exit 0 with nan rows and a non-standard JSON NaN
+                ["solve", "--linear", "--lambda", "0.1", "--mu", "0.5", "--a", "nan",
+                 "--steps", "3"],
+                "a and zeta must be finite",
+            ),
+            (  # was exit 0: the forcing-base check compared inf with inf
+                ["solve", "--nonhomogeneous", "--lambda", "0.1", "--mu", "0.5", "--a", "inf",
+                 "--forcing-const", "1", "--steps", "3"],
+                "a and zeta must be finite",
+            ),
+            (  # was exit 3, "overflow_at: 1"
+                ["solve", "--linear", "--lambda", "inf", "--mu", "0.5", "--steps", "3"],
+                "lam must be finite",
+            ),
+            (  # was exit 0 with "transform": NaN
+                ["laplace", "--f-kind", "geometric", "--ratio", "nan", "--y", "2"],
+                "the transform needs finite samples",
+            ),
         ],
         ids=["singular-gamma", "series-pole", "series-convergence", "series-divergence", "series-cancellation",
              "truncation", "ml-overflow",
-             "bound-overflow", "linear-foreign-flags", "nonlinear-foreign-flags"],
+             "bound-overflow", "linear-foreign-flags", "nonlinear-foreign-flags",
+             "nan-forcing", "inf-zeta", "nan-base", "inf-base", "inf-lambda", "nan-laplace-ratio"],
     )
-    def test_one_line_on_stderr_and_exit_two(self, argv, error, capsys):
+    def test_one_line_on_stderr_and_exit_two(self, argv, error, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)  # a solve that got through would write here
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {error}: ")

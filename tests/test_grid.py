@@ -1,6 +1,7 @@
 """Grid substrate: falling factorials, monomials, sums, jump operators."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -388,6 +389,18 @@ class TestGridTypes:
             HilferOrder(1.0, 0.5)
         with pytest.raises(ValueError):
             HilferOrder(0.5, 1.2)
+
+    def test_hilfer_order_eta_is_derived_not_passed(self):
+        # a third argument used to be accepted and silently overwritten
+        with pytest.raises(TypeError):
+            HilferOrder(0.5, 0.5, 0.9)
+        with pytest.raises(TypeError):
+            HilferOrder(0.5, 0.5, eta=0.9)
+        order = HilferOrder(0.5, 0.5)
+        assert order.eta == 0.75
+        assert repr(order) == "HilferOrder(mu=0.5, nu=0.5, eta=0.75)"
+        assert order == HilferOrder(0.5, 0.5) and order != HilferOrder(0.5, 0.25)
+        assert replace(order, nu=0.25).eta == HilferOrder(0.5, 0.25).eta
 
     @given(mu=st.floats(0.01, 0.99), nu=st.floats(0.0, 1.0))
     @settings(max_examples=200, deadline=None)

@@ -211,19 +211,44 @@ def _mp_series(mp, mu, eta, gamma, lam, z, offset=0.0, last=None):
 class TestScalarSeriesOracle:
     TOL = 1e-13  # of the sum of |terms|: a few eps per term, fixed before the sweep
 
-    def test_lattice_points_against_mpmath(self):
-        # lattice points n <= 400 of both families, with gamma != 1: the
-        # termwise Taylor monomials and the running coefficient together
+    def test_off_lattice_sweep_against_mpmath(self):
+        # both families off the lattice, gamma in (0.5, 1.5), rate
+        # |lam| / (mu^mu (1-mu)^(1-mu)) <= 0.8, z down to 0, where the
+        # numerator gamma crosses its poles among the first 512 terms.  Each
+        # draw raises or meets the termwise sum within roundoff plus the cut
+        # tail, which the truncation rule keeps below tol / (1 - rate)
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 50
-        rng = np.random.default_rng(20261018)
-        for _ in range(60):
-            mu, eta, gamma = rng.uniform(0.2, 0.95), rng.uniform(0.2, 1.0), rng.uniform(0.5, 1.5)
-            lam, n, bold = rng.uniform(0.05, 0.95), int(rng.integers(0, 401)), rng.uniform() < 0.5
-            z = float(n) if bold else n + eta - 1.0
-            ev = ml_eval(MlParams(mu, eta, gamma, lam), z, bold=bold)
-            expect, size = _mp_series(mp, mu, eta, gamma, lam, z, eta - 1.0 if bold else 0.0, n)
-            assert abs(mp.mpf(ev.value) - expect) <= self.TOL * size, (mu, eta, gamma, lam, n, bold)
+        tol = SeriesCtl().tol
+        rng = np.random.default_rng(20261020)
+        summed = 0
+        for _ in range(200):
+            mu, eta, gamma = rng.uniform(0.1, 0.95), rng.uniform(0.1, 1.9), rng.uniform(0.5, 1.5)
+            rate = rng.uniform(0.0, 0.8)
+            lam = rng.choice((-1.0, 1.0)) * rate * mu**mu * (1.0 - mu) ** (1.0 - mu)
+            z, bold = rng.uniform(0.0, 60.0), rng.uniform() < 0.5
+            try:
+                ev = ml_eval(MlParams(mu, eta, gamma, lam), z, bold=bold)
+            except SeriesConvergenceError:
+                continue
+            assert not ev.exact
+            expect, size = _mp_series(mp, mu, eta, gamma, lam, z, eta - 1.0 if bold else 0.0)
+            bound = self.TOL * size + tol / (1.0 - rate)
+            assert abs(mp.mpf(ev.value) - expect) <= bound, (mu, eta, gamma, lam, z, bold)
+            summed += 1
+        assert summed >= 100
+
+    def test_terms_rising_past_the_cut_are_summed(self):
+        # the terms fall to 7e-15 near k = 26, then rise to 9e-12 at k = 32,
+        # where the numerator gamma's argument passes -1 at 0.004: a cut
+        # after three small terms left an error of 1.2e-11
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 50
+        args = (0.4920103635374993, 0.5538144662035256, 1.0267372172997924, 0.36327976761396114)
+        ev = ml_eval(MlParams(*args), 14.259843923197133)
+        expect, size = _mp_series(mp, *args, 14.259843923197133)
+        assert ev.terms_used > 40
+        assert abs(mp.mpf(ev.value) - expect) <= self.TOL * size + 1e-14 / (1.0 - 0.7265)
 
     def test_convergent_off_lattice_value_against_mpmath(self):
         # rate |lam| / (mu^mu (1-mu)^(1-mu)) = 0.9: the terms fall, slowly
@@ -282,6 +307,22 @@ class TestLatticeRoute:
     # of about eps r^-n mean|U| >= eps |U(0)| = eps, so values far below 1
     # (for lam < 0 they decay like n^(eta - gamma mu - 1)) carry it absolutely
     TOL = 1e-12
+
+    def test_positive_lam_lattice_points_within_the_term_scale(self):
+        # lattice points n <= 400 of both families with gamma != 1 and
+        # lam > 0, read from the transform, against the 50-digit sum of the
+        # n + 1 terms.  The terms are all positive, so 1e-13 of their sum is
+        # 1e-13 of the value: stricter than TOL for every value
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 50
+        rng = np.random.default_rng(20261018)
+        for _ in range(60):
+            mu, eta, gamma = rng.uniform(0.2, 0.95), rng.uniform(0.2, 1.0), rng.uniform(0.5, 1.5)
+            lam, n, bold = rng.uniform(0.05, 0.95), int(rng.integers(0, 401)), rng.uniform() < 0.5
+            z = float(n) if bold else n + eta - 1.0
+            ev = ml_eval(MlParams(mu, eta, gamma, lam), z, bold=bold)
+            expect, size = _mp_series(mp, mu, eta, gamma, lam, z, eta - 1.0 if bold else 0.0, n)
+            assert abs(mp.mpf(ev.value) - expect) <= 1e-13 * size, (mu, eta, gamma, lam, n, bold)
 
     def test_lattice_points_against_mpmath(self):
         # both families, lam in (-1, 1), gamma in (0.5, 1.5) and the

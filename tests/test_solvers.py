@@ -65,6 +65,31 @@ class TestSpecValidation:
         with pytest.raises(CoverageError):
             IvpSpec(0.0, 10, HilferOrder(0.5, 0.5), 1.0, NonHomogeneous(0.1, short))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_base_and_zeta_refused(self, bad):
+        # a nan a or zeta gave exit 0 with nan rows, an infinite zeta "overflow at 0"
+        order = HilferOrder(0.5, 0.5)
+        with pytest.raises(ValueError, match="a and zeta must be finite"):
+            IvpSpec(bad, 5, order, 1.0, Linear(0.1))
+        with pytest.raises(ValueError, match="a and zeta must be finite"):
+            IvpSpec(0.0, 5, order, bad, Linear(0.1))
+        # an infinite lam was reported as overflow at index 1
+        with pytest.raises(ValueError, match="lam must be finite"):
+            IvpSpec(0.0, 5, order, 1.0, Linear(bad))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_forcing_refused_where_it_is_read(self, bad):
+        # a nan forcing sample was reported as overflow by the transform route
+        order = HilferOrder(0.5, 0.5)
+        vals = np.ones(8)
+        vals[4] = bad
+        forcing = GridFn(Grid(0.5, 8), vals)
+        with pytest.raises(ValueError, match=r"forcing must be finite: sample 4 is"):
+            IvpSpec(0.0, 5, order, 1.0, NonHomogeneous(0.1, forcing))
+        # samples past the horizon are never read
+        spec = IvpSpec(0.0, 4, order, 1.0, NonHomogeneous(0.1, forcing))
+        assert np.isfinite(solve(spec).values.values).all()
+
 
 class TestLinearRecursion:
     def test_initial_value(self):

@@ -94,6 +94,20 @@ class TestDeltaLaplace:
         with pytest.raises(TruncationError):
             delta_laplace(f, 0.5, LaplaceCtl(r=1.05, tol=1e-12))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_raises(self, bad):
+        # max(growth, nan) dropped the nan and the sum came back as nan
+        vals = np.ones(200)
+        vals[3] = bad
+        with pytest.raises(ValueError, match=r"finite samples: f\[3\] is"):
+            delta_laplace(GridFn(Grid(0.0, 200), vals), 2.0)
+
+    def test_non_finite_sample_past_the_cut_is_not_read(self):
+        vals = np.full(400, 1.0)
+        vals[-1] = math.nan
+        res = delta_laplace(GridFn(Grid(0.0, 400), vals), 2.0, LaplaceCtl(r=1.1, tol=1e-10))
+        assert res.terms < 399 and res.value == pytest.approx(0.5, abs=1e-9)
+
     def test_fast_growth_is_flagged(self):
         # actual growth 2.6 exceeds |1+y| = 2.5: the sum diverges, the
         # running order estimate keeps climbing, and the evaluation must

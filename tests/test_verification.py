@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import hilfer_dfc.operators as operators
+import hilfer_dfc.verification as verification
+from hilfer_dfc import GridFn
 from hilfer_dfc.verification import available_checks, run_checks
 
 
@@ -68,3 +70,18 @@ class TestMutationSanity:
         monkeypatch.setattr(operators, "sum_kernel", skewed)
         results = run_checks("power-rule")
         assert not results[0].passed
+
+    def test_nan_in_an_operator_fails_the_checks_that_read_it(self, monkeypatch):
+        # a nan error used to fold away as max(worst, nan) == worst
+        true_difference = verification.hilfer_difference_fn
+
+        def one_nan(f, order):
+            diff = true_difference(f, order)
+            out = np.array(diff.values)
+            out[3] = np.nan
+            return GridFn(diff.grid, out)
+
+        monkeypatch.setattr(verification, "hilfer_difference_fn", one_nan)
+        for name in ("composition", "left-inverse", "endpoint-reduction"):
+            results = run_checks(name)
+            assert not any(r.passed for r in results), name
