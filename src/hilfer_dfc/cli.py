@@ -8,6 +8,9 @@ Exit codes: 0 ok, 1 verification failure, 2 bad configuration, 3 numeric
 overflow (partial output is written and flagged).  All file output is
 deterministic: floats are formatted with 17 significant digits and lines
 end with LF, so identical configurations produce byte-identical files.
+
+Each subcommand imports the package modules it runs in its own body, so
+a call loads only its own dependency chain.
 """
 
 from __future__ import annotations
@@ -17,32 +20,13 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .grid import Grid, GridFn, HilferOrder, SingularGammaError
-from .mittag_leffler import ContourError, MlParams, SeriesConvergenceError, SeriesCtl, ml_eval
-from .solvers import (
-    IvpSpec,
-    Linear,
-    NonFiniteError,
-    NonHomogeneous,
-    Nonlinear,
-    defining_equation_residual,
-    residual_scale,
-    solve,
-    solve_linear,
-    solve_linear_series,
-)
-from .stability import existence_report, uniqueness_report
-from .transforms import (
-    LaplaceCtl,
-    TruncationError,
-    delta_laplace,
-    laplace_of_fractional_sum_check,
-    laplace_of_hilfer_check,
-)
-from .verification import run_checks
+if TYPE_CHECKING:
+    from .grid import GridFn
+    from .solvers import IvpSpec
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -86,6 +70,9 @@ _RHS_FLAGS = {
 
 
 def _build_spec(args: argparse.Namespace) -> IvpSpec:
+    from .grid import Grid, GridFn, HilferOrder
+    from .solvers import IvpSpec, Linear, NonHomogeneous, Nonlinear
+
     order = HilferOrder(args.mu, args.nu)
     kinds = [kind for kind in _RHS_FLAGS if getattr(args, kind)]
     if len(kinds) != 1:
@@ -130,6 +117,10 @@ def _build_spec(args: argparse.Namespace) -> IvpSpec:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    from .solvers import (
+        Linear, NonHomogeneous, defining_equation_residual, residual_scale, solve, solve_linear_series,
+    )
+
     spec = _build_spec(args)
     sol = solve_linear_series(spec) if args.series and args.linear else solve(spec)
     out = Path(args.out)
@@ -182,6 +173,9 @@ _FIGURE_NUS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 def cmd_figures(args: argparse.Namespace) -> int:
+    from .grid import HilferOrder
+    from .solvers import IvpSpec, Linear, solve_linear
+
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for tag, mu in (("fig1", 0.8), ("fig2", 0.5)):
@@ -210,6 +204,8 @@ def cmd_figures(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verification import run_checks
+
     results = run_checks(args.only, tol_override=args.tol, y=args.y)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -225,6 +221,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
+    from .stability import existence_report, uniqueness_report
+
     if args.K is not None:
         rep = uniqueness_report(args.a, args.T, args.mu, args.K)
         kind = "uniqueness (strict)"
@@ -244,6 +242,8 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 
 def _laplace_test_fn(kind: str, ratio: float, count: int) -> GridFn:
+    from .grid import Grid, GridFn
+
     grid = Grid(0.0, count)
     if kind == "const":
         return GridFn.constant(grid, 1.0)
@@ -255,6 +255,11 @@ def _laplace_test_fn(kind: str, ratio: float, count: int) -> GridFn:
 
 
 def cmd_laplace(args: argparse.Namespace) -> int:
+    from .grid import HilferOrder
+    from .transforms import (
+        LaplaceCtl, delta_laplace, laplace_of_fractional_sum_check, laplace_of_hilfer_check,
+    )
+
     f = _laplace_test_fn(args.f_kind, args.ratio, args.count)
     order_bound = max(1.0 + 1e-9, abs(args.ratio)) + 0.1
     ctl = LaplaceCtl(r=order_bound, tol=args.tol or 1e-10)
@@ -276,6 +281,8 @@ def cmd_laplace(args: argparse.Namespace) -> int:
 
 
 def cmd_ml(args: argparse.Namespace) -> int:
+    from .mittag_leffler import MlParams, SeriesCtl, ml_eval
+
     params = MlParams(mu=args.mu, eta=args.eta, gamma=args.gamma, lam=args.lam)
     ctl = SeriesCtl(tol=args.tol or 1e-14)
     ev = ml_eval(params, args.z, ctl, bold=args.bold)
@@ -292,6 +299,23 @@ def cmd_ml(args: argparse.Namespace) -> int:
     }
     print(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK
+
+
+#: library errors meaning the arguments ask for a value the library cannot deliver
+_LIBRARY_ERRORS = (
+    "grid.SingularGammaError", "mittag_leffler.SeriesConvergenceError",
+    "mittag_leffler.ContourError", "transforms.TruncationError", "solvers.NonFiniteError",
+)
+
+
+def _library_errors() -> tuple[type[Exception], ...]:
+    """OverflowError and the library errors of the modules that loaded: an
+    error class whose module never loaded cannot have been raised."""
+    loaded = (
+        getattr(sys.modules.get(f"{__package__}.{module}"), name, None)
+        for module, name in (error.split(".") for error in _LIBRARY_ERRORS)
+    )
+    return (OverflowError, *filter(None, loaded))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -374,10 +398,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    except (
-        SingularGammaError, SeriesConvergenceError, TruncationError, NonFiniteError,
-        OverflowError, ContourError,
-    ) as exc:
+    except _library_errors() as exc:
         # the arguments ask for a value the library cannot deliver
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG

@@ -76,6 +76,13 @@ def _pole_index(x: float) -> int | None:
     return None
 
 
+def _require_finite(**values: float) -> None:
+    """Raise ValueError naming the first argument that is not a finite real."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite: got {value!r}")
+
+
 def _snap_int(x: float) -> int | None:
     """Nearest integer when ``x`` is within INTEGER_SNAP of it, else None."""
     n = round(x)

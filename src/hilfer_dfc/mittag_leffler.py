@@ -51,7 +51,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import INTEGER_SNAP, _snap_int, taylor_monomial
+from .grid import INTEGER_SNAP, _require_finite, _snap_int, taylor_monomial
 from .operators import _smooth_length
 
 __all__ = [
@@ -107,6 +107,7 @@ class MlParams:
     lam: float = 0.0
 
     def __post_init__(self) -> None:
+        _require_finite(mu=self.mu, eta=self.eta, gamma=self.gamma)
         if self.mu <= 0:
             raise ValueError(f"mu must be positive, got {self.mu}")
         if not abs(self.lam) < 1.0:
@@ -218,6 +219,7 @@ def ml_eval(
     index ``_LATTICE_MAX`` or the float range.  Elsewhere the series is
     summed to ``ctl``.
     """
+    _require_finite(z=z)
     offset = (p.eta - 1.0) if bold else 0.0
     n = _snap_int(z + offset - p.eta + 1.0)
     if n is None:

@@ -55,6 +55,7 @@ from .grid import (
     Grid,
     GridFn,
     HilferOrder,
+    _require_finite,
     falling_factorial,
 )
 from .mittag_leffler import MlParams, ml_lattice
@@ -116,6 +117,7 @@ class ContractionReport:
 
 def existence_bound(a: float, T: float, mu: float) -> float:
     """Threshold Gamma(mu+1) / (T-a-1+mu)^[mu] for the horizon T = a+steps."""
+    _require_finite(a=a, T=T, mu=mu)
     span = T - a
     steps = round(span)
     if steps < 1 or abs(span - steps) > 1e-9:
@@ -125,15 +127,23 @@ def existence_bound(a: float, T: float, mu: float) -> float:
     return math.gamma(mu + 1.0) / falling_factorial(T - a - 1.0 + mu, mu)
 
 
+def _require_constant(name: str, value: float) -> None:
+    """A Lipschitz or growth constant is a finite nonnegative real."""
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and nonnegative: got {value!r}")
+
+
 def existence_report(a: float, T: float, mu: float, l_star: float) -> BoundReport:
     """Existence holds when the growth constant satisfies l_star <= bound."""
     bound = existence_bound(a, T, mu)
+    _require_constant("l_star", l_star)
     return BoundReport(bound, l_star, l_star <= bound, strict=False)
 
 
 def uniqueness_report(a: float, T: float, mu: float, k: float) -> BoundReport:
     """Uniqueness/contraction requires the strict inequality k < bound."""
     bound = existence_bound(a, T, mu)
+    _require_constant("k", k)
     return BoundReport(bound, k, k < bound, strict=True)
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .grid import Grid, GridFn, HilferOrder
+from .grid import Grid, GridFn, HilferOrder, _require_finite
 from .operators import (
     forward_difference_fn,
     fractional_sum_fn,
@@ -120,8 +120,9 @@ def delta_laplace(f: GridFn, y: float, ctl: LaplaceCtl = LaplaceCtl()) -> Laplac
 
     Terms are added until the geometric tail bound drops below ctl.tol;
     running out of samples or of ``_MAX_TERMS`` terms first raises
-    TruncationError, and a non-finite sample it reaches raises ValueError.
+    TruncationError, and a non-finite y or sample it reaches raises ValueError.
     """
+    _require_finite(y=y)
     q = 1.0 + y
     if abs(q) <= ctl.r:
         raise TransformDomainError(
@@ -167,6 +168,7 @@ def laplace_of_fractional_sum_check(
 ) -> tuple[float, float]:
     """lhs: transform (based at base+mu) of the order-mu sum of f;
     rhs: ((y+1)/y)^mu times the transform of f."""
+    _require_finite(mu=mu)
     lhs = delta_laplace(fractional_sum_fn(f, mu), y, ctl).value
     rhs = _real_power((y + 1.0) / y, mu) * delta_laplace(f, y, ctl).value
     return lhs, rhs

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from hilfer_dfc import ContourError, HilferOrder, IvpSpec, Linear, solve_linear
-from hilfer_dfc import cli
+from hilfer_dfc import cli, solvers
 from hilfer_dfc.cli import main
 
 
@@ -295,7 +295,9 @@ class TestLibraryErrorsExitTwo:
                 "TruncationError",
             ),
             (["ml", "--mu", "0.7", "--lambda", "0.2", "--z", "1e17"], "OverflowError"),
-            (["bound", "--a", "0", "--T", "inf", "--mu", "0.5"], "OverflowError"),
+            (  # finite ends whose span T - a overflows
+                ["bound", "--a=-1e308", "--T", "1e308", "--mu", "0.5"], "OverflowError",
+            ),
             (
                 ["solve", "--mu", "0.5", "--linear", "--lambda", "0.2", "--g", "example45",
                  "--forcing-const", "3"],
@@ -333,11 +335,36 @@ class TestLibraryErrorsExitTwo:
                 ["laplace", "--f-kind", "geometric", "--ratio", "nan", "--y", "2"],
                 "the transform needs finite samples",
             ),
+            # each non-finite argument is named, not reported as an integer
+            # conversion, a contour, a truncation or an overflow failure
+            (["ml", "--mu", "0.7", "--lambda", "0.2", "--z", "nan"], "z must be finite"),
+            (["ml", "--mu", "0.7", "--lambda", "0.2", "--z", "inf"], "z must be finite"),
+            (["ml", "--mu", "0.7", "--eta", "nan", "--lambda", "0.2", "--z", "3"], "eta must be finite"),
+            (["ml", "--mu", "0.7", "--gamma", "nan", "--lambda", "0.2", "--z", "3"],
+             "gamma must be finite"),
+            (["ml", "--mu", "nan", "--lambda", "0.2", "--z", "3"], "mu must be finite"),
+            (["laplace", "--y", "nan"], "y must be finite"),
+            (["laplace", "--y", "2", "--mu", "nan"], "mu must be finite"),
+            (["bound", "--a", "0", "--T", "nan", "--mu", "0.5"], "T must be finite"),
+            (["bound", "--a", "0", "--T", "inf", "--mu", "0.5"], "T must be finite"),
+            (["bound", "--a", "nan", "--T", "3", "--mu", "0.5"], "a must be finite"),
+            (["bound", "--a", "0", "--T", "3", "--mu", "nan"], "mu must be finite"),
+            # a meaningless constant was reported as satisfied or not, exit 0
+            (["bound", "--a", "0", "--T", "3", "--mu", "0.5", "--K", "nan"], "k must be finite and nonnegative"),
+            (["bound", "--a", "0", "--T", "3", "--mu", "0.5", "--K", "-0.1"], "k must be finite and nonnegative"),
+            (["bound", "--a", "0", "--T", "3", "--mu", "0.5", "--L-star", "inf"],
+             "l_star must be finite and nonnegative"),
+            (["bound", "--a", "0", "--T", "3", "--mu", "0.5", "--L-star", "-0.1"],
+             "l_star must be finite and nonnegative"),
         ],
         ids=["singular-gamma", "series-pole", "series-convergence", "series-divergence", "series-cancellation",
              "truncation", "ml-overflow",
              "bound-overflow", "linear-foreign-flags", "nonlinear-foreign-flags",
-             "nan-forcing", "inf-zeta", "nan-base", "inf-base", "inf-lambda", "nan-laplace-ratio"],
+             "nan-forcing", "inf-zeta", "nan-base", "inf-base", "inf-lambda", "nan-laplace-ratio",
+             "nan-ml-z", "inf-ml-z", "nan-ml-eta", "nan-ml-gamma", "nan-ml-mu",
+             "nan-laplace-y", "nan-laplace-mu",
+             "nan-bound-horizon", "inf-bound-horizon", "nan-bound-base", "nan-bound-mu",
+             "nan-bound-k", "negative-bound-k", "inf-bound-l-star", "negative-bound-l-star"],
     )
     def test_one_line_on_stderr_and_exit_two(self, argv, error, capsys, monkeypatch, tmp_path):
         monkeypatch.chdir(tmp_path)  # a solve that got through would write here
@@ -350,7 +377,7 @@ class TestLibraryErrorsExitTwo:
         def refuse(spec):
             raise ContourError("a zero of D lies inside the contour")
 
-        monkeypatch.setattr(cli, "solve_linear_series", refuse)
+        monkeypatch.setattr(solvers, "solve_linear_series", refuse)
         argv = ["solve", "--linear", "--series", "--lambda", "0.5", "--mu", "0.5",
                 "--out", str(tmp_path)]
         assert main(argv) == 2
