@@ -6,11 +6,14 @@ points are carried as (real base, integer index) so that shifted grids
 (base + mu, base + 1 - eta, ...) never accumulate floating-point drift
 in the step.
 
-A gamma ratio is Stirling's series where its arguments are large, else
-a quotient of ``math.gamma`` values where those are normal floats, else
-``math.lgamma`` (log|Gamma(x)|) with the sign +1 for x > 0, else
-(-1)^floor(x).  Callers reject the poles (nonpositive integers, to
-within INTEGER_SNAP) first, so neither ever sees one.
+Every gamma ratio Gamma(x+1) / Gamma(x-r+1) / Gamma(d) climbs one
+ladder: Stirling's series under a power where x+1 and x-r+1 are large,
+else a quotient of ``math.gamma`` values where those are normal floats,
+else exp of the log form, ``math.lgamma`` with the sign of Gamma.  Its
+callers reject the poles (nonpositive integers, to within INTEGER_SNAP)
+first.  An integer order r multiplies |r| factors instead (divides by
+them for r < 0), and is zero where one of them is 0.0, in the value and
+the log form alike.
 
 All operations are pure functions of immutable inputs and are safe to
 share across threads.
@@ -18,8 +21,10 @@ share across threads.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,15 +70,9 @@ class SingularGammaError(ArithmeticError):
 
 
 def _pole_index(x: float) -> int | None:
-    """Order index of the gamma pole at ``x`` (0 for x=0, 1 for x=-1, ...).
-
-    Returns None when ``x`` is not within INTEGER_SNAP of a nonpositive
-    integer.
-    """
-    n = round(x)
-    if n <= 0 and abs(x - n) <= INTEGER_SNAP:
-        return -n
-    return None
+    """Index -n of the gamma pole n <= 0 within INTEGER_SNAP of x, else None."""
+    n = _snap_int(x)
+    return -n if n is not None and n <= 0 else None
 
 
 def _require_finite(**values: float) -> None:
@@ -86,33 +85,28 @@ def _require_finite(**values: float) -> None:
 def _snap_int(x: float) -> int | None:
     """Nearest integer when ``x`` is within INTEGER_SNAP of it, else None."""
     n = round(x)
-    if abs(x - n) <= INTEGER_SNAP:
-        return n
-    return None
+    return n if abs(x - n) <= INTEGER_SNAP else None
+
+
+@functools.lru_cache(maxsize=256)
+def _smooth_length(target: int) -> int:
+    """Smallest 2^i 3^j 5^k >= target: a length numpy.fft transforms fast."""
+    best = 1 << (target - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # p35 times the least power of two that reaches target
+            best = min(best, p35 << (-(-target // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _sign_lgamma(x: float) -> tuple[float, float]:
     """(sign of Gamma(x), log|Gamma(x)|) for x off the poles."""
     sign = 1.0 if x > 0.0 or math.floor(x) % 2 == 0 else -1.0
     return sign, math.lgamma(x)
-
-
-def _gamma_ratio(num: float, *dens: float) -> float | None:
-    """Gamma(num) divided by Gamma(den) for each den, from math.gamma.
-
-    None unless every argument lies in (-170, 171) and every quotient is
-    a normal float.  Callers keep the poles out; there math.gamma is a
-    normal float that holds a few ulps, where exp of an lgamma difference
-    is 1e-15 off near the zeros of lgamma at 1 and 2.
-    """
-    if not (-170.0 < min(num, *dens) and max(num, *dens) < 171.0):
-        return None
-    value = math.gamma(num)
-    for den in dens:
-        value /= math.gamma(den)
-        if not _TINY <= abs(value) < math.inf:
-            return None
-    return value
 
 
 def _ratio_correction(x: float, r: float) -> float:
@@ -126,15 +120,12 @@ def _ratio_correction(x: float, r: float) -> float:
     return -(x - r - 0.5) * math.log1p(-r / x) - r + tails[0] - tails[1]
 
 
-def _large_ratio(t: float, r: float, scale: float = 1.0) -> float:
+def _large_ratio(t: float, r: float, scale: float) -> float:
     """scale Gamma(t+1) / Gamma(t-r+1), both arguments >= _STIRLING_MIN;
-    inf past the float range.
-
-    pow keeps the value to an ulp where exp of the log form loses
-    eps |r log t|.  Halved, or cut into more power-of-two parts where a
-    half would leave the float range, no intermediate overflows or
-    underflows unless the value does.
-    """
+    inf past the float range.  pow keeps the value to an ulp where exp of
+    the log form loses eps |r log t|.  Halved, or cut into more
+    power-of-two parts where a half would leave the float range, no
+    intermediate overflows or underflows unless the value does."""
     log_power = r * math.log(t + 1.0)
     correction = _ratio_correction(t + 1.0, r)
     if abs(log_power) < 1400.0 and abs(correction) < 700.0:
@@ -288,87 +279,95 @@ class HilferOrder:
 # gamma-ratio special functions
 
 
+def _falling_factors(t: float, r: float, n: int) -> Iterator[float]:
+    """Factors t - i of the falling function of integer order n = round(r),
+    in order: i = 0, ..., n-1 for n >= 0, else i = -1, ..., n, dividing the
+    value; a divisor within INTEGER_SNAP of 0 is a pole."""
+    for i in range(n) if n >= 0 else range(-1, n - 1, -1):
+        if n < 0 and abs(t - i) <= INTEGER_SNAP:
+            raise SingularGammaError(f"falling_factorial({t!r}, {r!r}) is singular")
+        yield t - i
+
+
+def _ratio_ladder(x: float, r: float, d: float, name: str, args: tuple) -> float:
+    """Gamma(x+1) / Gamma(x-r+1) / Gamma(d), d off the poles, by the ladder
+    of the module docstring; integer r takes the log form alone.  Past
+    the float range raises OverflowError naming the call name(*args).
+    A math.gamma quotient holds a few ulps where exp of an lgamma
+    difference is 1e-15 off near the zeros of lgamma at 1 and 2.
+    """
+    num, den = x + 1.0, x - r + 1.0
+    if _snap_int(r) is None:
+        # on -169 < d < 171, Gamma(d) and 1 / Gamma(d) are normal floats
+        if -169.0 < d < 171.0 and min(num, den) >= _STIRLING_MIN:
+            value = _large_ratio(x, r, 1.0 / math.gamma(d))
+            if math.isinf(value):
+                raise OverflowError(f"{name}{args!r} is past the float range")
+            return value
+        in_range = -170.0 < min(num, den, d) and max(num, den, d) < 171.0
+        if _pole_index(num) is None and _pole_index(den) is None and in_range:
+            value = math.gamma(num)
+            for divisor in (den, d):
+                value /= math.gamma(divisor)
+                if not _TINY <= abs(value) < math.inf:
+                    break  # a quotient that is not a normal float has lost digits
+            else:
+                return value
+    sign, logmag = falling_factorial_sign_logmag(x, r)
+    if sign == 0.0:
+        return 0.0
+    d_sign, d_log = _sign_lgamma(d)
+    return sign * d_sign * math.exp(logmag - d_log)
+
+
 def falling_factorial(t: float, r: float) -> float:
-    """Generalized falling function Gamma(t+1)/Gamma(t-r+1).
+    """Generalized falling function Gamma(t+1)/Gamma(t-r+1); a value past
+    the float range raises OverflowError.  Conventions at gamma poles:
 
-    Conventions at gamma poles:
-
-    * integer r >= 0: evaluated as the exact product t(t-1)...(t-r+1),
-      which equals the limit of the gamma ratio everywhere (including
-      negative integer t, where numerator and denominator pole together);
-      a product past the float range raises OverflowError, as the
-      non-integer orders do;
-    * integer r < 0: the reciprocal product 1/((t+1)...(t-r)); a zero
-      factor means the value is genuinely singular;
-    * non-integer r with a denominator pole only: returns exactly 0.0
-      (this zero is what makes the discrete Mittag-Leffler series and the
-      solution series terminate);
-    * non-integer r with a numerator pole: raises SingularGammaError.
-      That includes both arguments within INTEGER_SNAP of a pole, which
-      a non-integer r allows only for |r - round(r)| <= 2 INTEGER_SNAP;
-      the ratio there hangs on digits below the snap.
+    * integer r >= 0: the exact product t(t-1)...(t-r+1), the limit of the
+      gamma ratio everywhere (also at negative integer t, where numerator
+      and denominator pole together);
+    * integer r < 0: the reciprocal product 1/((t+1)...(t-r)), singular
+      where a factor is within INTEGER_SNAP of 0;
+    * non-integer r with a denominator pole only: exactly 0.0 (the zero
+      that ends the discrete Mittag-Leffler and solution series);
+    * non-integer r with a numerator pole: raises SingularGammaError,
+      also where both arguments are within INTEGER_SNAP of a pole, as a
+      non-integer r allows for |r - round(r)| <= 2 INTEGER_SNAP: the
+      ratio there hangs on digits below the snap.
     """
     ri = _snap_int(r)
-    if ri is not None:
-        if ri >= 0:
-            out = 1.0
-            for i in range(ri):
-                out *= t - i
-            if not math.isfinite(out):
-                if 0.0 <= t < ri and t == math.floor(t):
-                    return 0.0  # a zero factor met the overflowed product
-                raise OverflowError(f"falling_factorial({t!r}, {r!r}) is past the float range")
-            return out
-        out = 1.0
-        for i in range(1, -ri + 1):
-            factor = t + i
-            if abs(factor) <= INTEGER_SNAP:
-                raise SingularGammaError(
-                    f"falling_factorial({t!r}, {r!r}) is singular"
-                )
-            out *= factor
+    if ri is None:
+        return _ratio_ladder(t, r, 1.0, "falling_factorial", (t, r))
+    out = 1.0
+    for factor in _falling_factors(t, r, ri):
+        out *= factor
+    if ri < 0:
         return 1.0 / out
-
-    if min(t + 1.0, t - r + 1.0) >= _STIRLING_MIN:
-        value = _large_ratio(t, r)
-        if math.isinf(value):
-            raise OverflowError(f"falling_factorial({t!r}, {r!r}) is past the float range")
-        return value
-    if _pole_index(t + 1.0) is None and _pole_index(t - r + 1.0) is None:
-        value = _gamma_ratio(t + 1.0, t - r + 1.0)
-        if value is not None:
-            return value
-    sign, logmag = falling_factorial_sign_logmag(t, r)
-    return sign * math.exp(logmag)
+    if not math.isfinite(out):
+        if 0.0 <= t < ri and t == math.floor(t):
+            return 0.0  # a zero factor met the overflowed product
+        raise OverflowError(f"falling_factorial({t!r}, {r!r}) is past the float range")
+    return out
 
 
 def falling_factorial_sign_logmag(t: float, r: float) -> tuple[float, float]:
     """(sign, log|value|) of the falling factorial; sign 0.0 encodes value 0.
 
     Useful for assembling large series terms in log space.  Raises
-    SingularGammaError exactly where :func:`falling_factorial` does.
+    SingularGammaError exactly where :func:`falling_factorial` does, and
+    has its exact zeros: a denominator pole, or for integer r a factor
+    that is 0.0.
     """
     ri = _snap_int(r)
     if ri is not None:
-        sign, logmag = 1.0, 0.0
-        if ri >= 0:
-            for i in range(ri):
-                factor = t - i
-                if abs(factor) <= INTEGER_SNAP:
-                    return 0.0, -math.inf
-                sign *= math.copysign(1.0, factor)
-                logmag += math.log(abs(factor))
-            return sign, logmag
-        for i in range(1, -ri + 1):
-            factor = t + i
-            if abs(factor) <= INTEGER_SNAP:
-                raise SingularGammaError(
-                    f"falling_factorial({t!r}, {r!r}) is singular"
-                )
+        sign, logmag, power = 1.0, 0.0, (1.0 if ri >= 0 else -1.0)
+        for factor in _falling_factors(t, r, ri):
+            if factor == 0.0:
+                return 0.0, -math.inf
             sign *= math.copysign(1.0, factor)
-            logmag -= math.log(abs(factor))
+            logmag += power * math.log(abs(factor))
         return sign, logmag
-
     if _pole_index(t + 1.0) is not None:
         raise SingularGammaError(f"falling_factorial({t!r}, {r!r}) is singular")
     if _pole_index(t - r + 1.0) is not None:
@@ -388,27 +387,10 @@ def taylor_monomial(r: float, t: float, s: float) -> float:
     whenever the falling factorial stays finite; this limit is needed for
     the type-0 edge of the composed difference operators.
     """
-    r_pole = _pole_index(r + 1.0)
-    if r_pole is not None:
+    if _pole_index(r + 1.0) is not None:
         falling_factorial(t - s, r)  # raises if the other factor is singular
         return 0.0
-    x = t - s
-    if -170.0 < r < 170.0 and _snap_int(r) is None and min(x + 1.0, x - r + 1.0) >= _STIRLING_MIN:
-        # math.gamma is a normal float here and holds an ulp or two, where
-        # lgamma is 1e-15 off near its zeros at 1 and 2
-        value = _large_ratio(x, r, 1.0 / math.gamma(r + 1.0))
-        if math.isinf(value):
-            raise OverflowError(f"taylor_monomial({r!r}, {t!r}, {s!r}) is past the float range")
-        return value
-    if _snap_int(r) is None and _pole_index(x + 1.0) is None and _pole_index(x - r + 1.0) is None:
-        value = _gamma_ratio(x + 1.0, x - r + 1.0, r + 1.0)
-        if value is not None:
-            return value
-    sign, logmag = falling_factorial_sign_logmag(x, r)
-    if sign == 0.0:
-        return 0.0
-    gamma_sign, gamma_log = _sign_lgamma(r + 1.0)
-    return sign * gamma_sign * math.exp(logmag - gamma_log)
+    return _ratio_ladder(t - s, r, r + 1.0, "taylor_monomial", (r, t, s))
 
 
 # ---------------------------------------------------------------------------

@@ -51,8 +51,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import INTEGER_SNAP, _require_finite, _snap_int, taylor_monomial
-from .operators import _smooth_length
+from .grid import INTEGER_SNAP, _require_finite, _smooth_length, _snap_int, taylor_monomial
 
 __all__ = [
     "SeriesCtl",

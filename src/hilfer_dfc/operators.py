@@ -54,6 +54,8 @@ from .grid import (
     Grid,
     GridFn,
     HilferOrder,
+    _require_finite,
+    _smooth_length,
 )
 
 __all__ = [
@@ -93,23 +95,6 @@ _BRACKET_SLACK.flags.writeable = False
 _WORKSPACE_MAX = 16 << 20
 
 _log = logging.getLogger(__name__)
-
-
-@functools.lru_cache(maxsize=256)
-def _smooth_length(target: int) -> int:
-    """Smallest 2^i 3^j 5^k >= target: a length numpy.fft transforms fast."""
-    best = 1 << (target - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            length = p35
-            while length < target:
-                length *= 2
-            best = min(best, length)
-            p35 *= 3
-        p5 *= 5
-    return best
 
 
 def _binade(x: np.ndarray) -> int:
@@ -430,8 +415,9 @@ def fractional_sum_fn(f: GridFn, mu: float) -> GridFn:
     Order 0 is the identity.  The output has one value per input point:
     the value at base+mu+j uses f at offsets 0..j.  A sum of finite
     samples past the float range raises OverflowError; non-finite samples
-    propagate.
+    propagate, and a non-finite order raises ValueError.
     """
+    _require_finite(mu=mu)
     if abs(mu) <= INTEGER_SNAP:
         return f
     if mu < 0:
@@ -445,6 +431,7 @@ def fractional_sum_fn(f: GridFn, mu: float) -> GridFn:
 def fractional_sum(f: GridFn, mu: float, x: float) -> float:
     """Fractional sum of order mu of f, evaluated at one point of base+mu:
     :func:`fractional_sum_fn` of the samples up to x, read at x."""
+    _require_finite(mu=mu)
     if abs(mu) <= INTEGER_SNAP:
         return f(x)
     if mu < 0:

@@ -264,6 +264,13 @@ def _stepped(spec: IvpSpec, solver_name: str) -> Solution:
     return _truncated(spec, y, SolverMeta(solver_name))
 
 
+def _closed_form(spec: IvpSpec, forcing: np.ndarray | None, solver_name: str) -> Solution:
+    """The series solution of a linear right-hand side, forced or not."""
+    params = MlParams(mu=spec.order.mu, eta=spec.order.eta, lam=spec.rhs.lam)
+    y, samples = ml_lattice_solution(params, spec.steps + 1, spec.zeta, forcing)
+    return _truncated(spec, y, SolverMeta(solver_name, samples))
+
+
 def solve_linear(spec: IvpSpec) -> Solution:
     """Exact forward recursion for the linear problem, O(steps^2) multiply-adds."""
     if not isinstance(spec.rhs, Linear):
@@ -279,9 +286,7 @@ def solve_linear_series(spec: IvpSpec) -> Solution:
     """
     if not isinstance(spec.rhs, Linear):
         raise TypeError("solve_linear_series needs a Linear right-hand side")
-    params = MlParams(mu=spec.order.mu, eta=spec.order.eta, lam=spec.rhs.lam)
-    y, samples = ml_lattice_solution(params, spec.steps + 1, spec.zeta)
-    return _truncated(spec, y, SolverMeta("linear-series", samples))
+    return _closed_form(spec, None, "linear-series")
 
 
 def solve_nonlinear(spec: IvpSpec) -> Solution:
@@ -303,10 +308,7 @@ def solve_nonhomogeneous(spec: IvpSpec) -> Solution:
     """
     if not isinstance(spec.rhs, NonHomogeneous):
         raise TypeError("solve_nonhomogeneous needs a NonHomogeneous right-hand side")
-    params = MlParams(mu=spec.order.mu, eta=spec.order.eta, lam=spec.rhs.lam)
-    forcing = spec.rhs.forcing.values[: spec.steps]
-    y, samples = ml_lattice_solution(params, spec.steps + 1, spec.zeta, forcing)
-    return _truncated(spec, y, SolverMeta("nonhomogeneous-series", samples))
+    return _closed_form(spec, spec.rhs.forcing.values[: spec.steps], "nonhomogeneous-series")
 
 
 def solve(spec: IvpSpec) -> Solution:

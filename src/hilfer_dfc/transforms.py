@@ -99,19 +99,12 @@ def delta_exp(p, x: float, y: float) -> float:
     if abs((x - y) - span) > 1e-9:
         raise ValueError(f"x - y = {x - y!r} is not an integer step count")
 
-    out = 1.0
-    if span >= 0:
-        for k in range(span):
-            factor = 1.0 + float(p_at(y + k))
-            if factor == 0.0:
-                raise RegressivityError(f"1 + p({y + k!r}) = 0")
-            out *= factor
-        return out
-    for k in range(-span):
-        factor = 1.0 + float(p_at(x + k))
+    out, start = 1.0, min(x, y)
+    for k in range(abs(span)):
+        factor = 1.0 + float(p_at(start + k))
         if factor == 0.0:
-            raise RegressivityError(f"1 + p({x + k!r}) = 0")
-        out /= factor
+            raise RegressivityError(f"1 + p({start + k!r}) = 0")
+        out = out * factor if span >= 0 else out / factor
     return out
 
 

@@ -172,25 +172,35 @@ class TestGammaOracle:
         offsets = rng.choice([-1.0, 1.0], 200) * 10 ** rng.uniform(-8, -1, 200)
         t_values = np.concatenate([rng.uniform(-30.0, 170.0, 600), -rng.integers(1, 30, 200) + offsets])
         r_values = rng.uniform(-3.0, 6.0, t_values.size)
+        # integer orders at t within INTEGER_SNAP of an integer in [0, r):
+        # a factor is tiny, not 0.0, so no form of the value is zero
+        k = rng.integers(0, 11, 100)
+        near_t = k + rng.choice([-1.0, 1.0], 100) * 10 ** rng.uniform(-12, -9.5, 100)
+        t_values = np.concatenate([t_values, [3 + 5e-10], near_t])
+        r_values = np.concatenate([r_values, [5.0], rng.integers(k + 1, 12).astype(float)])
         checked = 0
         for t, r in zip(map(float, t_values), map(float, r_values)):
             try:
                 ff = falling_factorial(t, r)
+                logform = _via_logmag(t, r)
                 mono = _monomial(t, r)
             except SingularGammaError:
                 continue
             # the gamma arguments as the library forms them in float64: next
             # to a pole the ratio amplifies the rounding of t - r + 1, which
-            # is conditioning of the inputs, not error of the gamma layer
+            # is conditioning of the inputs, not error of the gamma layer.
+            # An integer order forms none: it multiplies the exact t - i
             num, den = mp.mpf(t + 1.0), mp.mpf(t - r + 1.0)
+            if r == round(r):
+                num, den = mp.mpf(t) + 1, mp.mpf(t) - r + 1
             if den <= 0 and den == mp.floor(den):
                 expect = mp.mpf(0)
             else:
                 expect = mp.gamma(num) / mp.gamma(den)
-            for got, ref in ((ff, expect), (mono, expect / mp.gamma(mp.mpf(r + 1.0)))):
+            for got, ref in ((ff, expect), (logform, expect), (mono, expect / mp.gamma(mp.mpf(r + 1.0)))):
                 assert abs(mp.mpf(got) - ref) <= 1e-12 * abs(ref), (t, r)
             checked += 1
-        assert checked > 700
+        assert checked > 800
 
     def test_small_arguments_are_a_gamma_quotient(self):
         # below Stirling's range exp of an lgamma difference was up to

@@ -20,9 +20,8 @@ from hilfer_dfc import (
     sum_kernel,
     taylor_monomial,
 )
-from hilfer_dfc.grid import SingularGammaError
+from hilfer_dfc.grid import SingularGammaError, _smooth_length
 from hilfer_dfc.mittag_leffler import _LATTICE_MAX, _certify, _pole
-from hilfer_dfc.operators import _smooth_length
 
 
 def _term(mu, eta, gamma, lam, z, k):

@@ -157,6 +157,16 @@ class TestFractionalSum:
         assert summed[0] == 1.0 and not np.isfinite(summed[1:]).any()
         assert not math.isfinite(fractional_sum(f, 0.5, 2.5))
 
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
+    def test_non_finite_order_is_named(self, mu):
+        # not reported as overflow, nor as a failed integer conversion
+        f = GridFn.constant(Grid(0.0, 10), 1.0)
+        message = f"mu must be finite: got {mu!r}"
+        with pytest.raises(ValueError, match=message):
+            fractional_sum_fn(f, mu)
+        with pytest.raises(ValueError, match=message):
+            fractional_sum(f, mu, 0.5)
+
     def test_power_rule(self, rng):
         # summed monomial equals the closed-form gamma-ratio monomial
         a = 0.3

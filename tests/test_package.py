@@ -80,8 +80,8 @@ loaded = sorted(name.split(".", 1)[1] for name in sys.modules if name.startswith
 print(json.dumps({"code": code, "loaded": loaded}))
 """
 
-_ML = ["cli", "grid", "mittag_leffler", "operators"]
-_SOLVE = [*_ML, "solvers"]
+_ML = ["cli", "grid", "mittag_leffler"]
+_SOLVE = [*_ML, "operators", "solvers"]
 
 
 class TestLazyImports:
