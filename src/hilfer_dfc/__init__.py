@@ -13,14 +13,9 @@ below and binds their public names here, so a command line call pays only
 for the modules its subcommand runs.
 """
 
-import logging
 from importlib import import_module
 
 __version__ = "0.1.0"
-
-# silent unless the application configures logging (e.g. DEBUG records
-# of the convolution path that ran)
-logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 #: each module's __all__ is its public surface; the package's is their union
 _MODULES = ("grid", "operators", "mittag_leffler", "transforms", "solvers", "stability")

@@ -13,7 +13,8 @@ else exp of the log form, ``math.lgamma`` with the sign of Gamma.  Its
 callers reject the poles (nonpositive integers, to within INTEGER_SNAP)
 first.  An integer order r multiplies |r| factors instead (divides by
 them for r < 0), and is zero where one of them is 0.0, in the value and
-the log form alike.
+the log form alike; the value form stops at its first zero or overflowed
+product, whose sign the factors left only flip.
 
 All operations are pure functions of immutable inputs and are safe to
 share across threads.
@@ -336,12 +337,23 @@ def falling_factorial(t: float, r: float) -> float:
       non-integer r allows for |r - round(r)| <= 2 INTEGER_SNAP: the
       ratio there hangs on digits below the snap.
     """
+    _require_finite(t=t, r=r)
     ri = _snap_int(r)
     if ri is None:
         return _ratio_ladder(t, r, 1.0, "falling_factorial", (t, r))
     out = 1.0
-    for factor in _falling_factors(t, r, ri):
+    for done, factor in enumerate(_falling_factors(t, r, ri), 1):
         out *= factor
+        if out == 0.0 or not math.isfinite(out):
+            # a zero or an infinity: the factors t - i left, lo <= i < hi,
+            # only flip its sign, once per i > t; for r < 0 one may be a pole
+            lo, hi = (done, ri) if ri >= 0 else (ri, -done)
+            pole = _snap_int(t)
+            if ri < 0 and pole is not None and lo <= pole < hi:
+                raise SingularGammaError(f"falling_factorial({t!r}, {r!r}) is singular")
+            if max(hi - max(lo, math.floor(t) + 1), 0) % 2:
+                out = -out
+            break
     if ri < 0:
         return 1.0 / out
     if not math.isfinite(out):
@@ -359,6 +371,7 @@ def falling_factorial_sign_logmag(t: float, r: float) -> tuple[float, float]:
     has its exact zeros: a denominator pole, or for integer r a factor
     that is 0.0.
     """
+    _require_finite(t=t, r=r)
     ri = _snap_int(r)
     if ri is not None:
         sign, logmag, power = 1.0, 0.0, (1.0 if ri >= 0 else -1.0)
@@ -387,6 +400,7 @@ def taylor_monomial(r: float, t: float, s: float) -> float:
     whenever the falling factorial stays finite; this limit is needed for
     the type-0 edge of the composed difference operators.
     """
+    _require_finite(r=r, t=t, s=s)
     if _pole_index(r + 1.0) is not None:
         falling_factorial(t - s, r)  # raises if the other factor is singular
         return 0.0

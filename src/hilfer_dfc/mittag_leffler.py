@@ -18,14 +18,19 @@ Taylor coefficients of
 :func:`ml_lattice` takes them by the trapezoid rule on a circle |z| = r
 (Bornemann 2011, Found. Comput. Math. 11): U at M >= 16N points, one
 inverse real FFT, scaled by r^-n.  U is real on the real axis, so the
-half circle is sampled.  r sits a relative 2/N inside the nearest
-singularity (more past order 1), which bounds both the aliasing and the
-r^-n growth of roundoff: the branch point z = 1, or for lam > 0 the real
-zero z* in (0, 1) of D, unless a nonpositive integer gamma makes D^-gamma
-a polynomial in D.  The samples of D certify a contour inside z*: its
-winding number around 0 must be 0, or ContourError is raised, and each
-step of arg D stays below pi/2, so their running sum is the continuous
-log D that D^-gamma needs.
+half circle is sampled, in real arithmetic from one table
+s = sin(pi j / M) and its reverse c = cos(pi j / M): 1 - z is
+(1 - r) + 2 r s^2 + i 2 r s c, with no cancellation near z = 1,
+log|1 - z| is one real log, arg(1 - z) one arctan2, and a power
+(1 - z)^-e is exp(-e log|1 - z|) (cos(e arg) - i sin(e arg)).  r sits
+a relative 2/N inside the nearest singularity (more past order 1),
+which bounds both the aliasing and the r^-n growth of roundoff: the
+branch point z = 1, or for lam > 0 the real zero z* in (0, 1) of D,
+unless a nonpositive integer gamma makes D^-gamma a polynomial in D.
+The samples of D certify a contour inside z*: its winding number around
+0 must be 0, or ContourError is raised, and each step of arg D stays
+below pi/2, so their running sum is the continuous log D that D^-gamma
+needs.
 
 Off the lattice the series is summed: term k is a running coefficient
 lam^k (gamma)_k / k! times the Taylor monomial h_{mu k + eta - 1} of
@@ -286,6 +291,32 @@ def _certify(denom: np.ndarray) -> np.ndarray:
     return turns
 
 
+def _contour(r: float, m: int, mu: float, eta: float) -> tuple[np.ndarray, ...]:
+    """The half circle z = r exp(-2 pi i j / m), j = 0..m/2, and there
+    log|1 - z|, arg(1 - z), (1 - z)^-mu and (1 - z)^-eta, in real
+    arithmetic (module docstring): z = r - 2 r s^2 - i 2 r s c, and
+    |1 - z|^2 = (1 - r)^2 + 4 r s^2 has no cancelling term either."""
+    s = np.sin(np.pi / m * np.arange(m // 2 + 1))
+    rs = 2.0 * r * s
+    rss = rs * s
+    im = rs * s[::-1]  # Im(1 - z) = -Im z
+    z = np.empty(len(s), complex)
+    np.subtract(r, rss, out=z.real)
+    np.negative(im, out=z.imag)
+    log_mod = 0.5 * np.log((1.0 - r) ** 2 + 2.0 * rss)
+    arg = np.arctan2(im, (1.0 - r) + rss)
+
+    def power(e: float) -> np.ndarray:
+        mod, angle = np.exp(-e * log_mod), e * arg
+        out = np.empty(len(s), complex)
+        np.multiply(mod, np.cos(angle), out=out.real)
+        np.multiply(mod, -np.sin(angle), out=out.imag)
+        return out
+
+    k_mu = power(mu)
+    return z, log_mod, arg, k_mu, k_mu if eta == mu else power(eta)
+
+
 def ml_lattice_solution(
     p: MlParams, count: int, zeta: float = 1.0, forcing: np.ndarray | None = None
 ) -> tuple[np.ndarray, int]:
@@ -312,12 +343,10 @@ def ml_lattice_solution(
     m = 2 * _smooth_length(8 * n)
     shift = 2.0 + max(order - 1.0, 0.0) * math.log(m) / 16.0
     r = (1.0 - shift / n) * (_pole(p.mu, p.lam) if pole else 1.0)
-    z = r * np.exp(-2j * np.pi / m * np.arange(m // 2 + 1))
-    log_1mz = np.log1p(-z)
-    k_mu = np.exp(-p.mu * log_1mz)
+    z, _, _, k_mu, u_eta = _contour(r, m, p.mu, p.eta)
     denom = 1.0 - p.lam * z * k_mu
     turns = _turns(denom) if polynomial else _certify(denom)
-    samples = zeta * np.exp(-p.eta * log_1mz)
+    samples = zeta * u_eta
     if forcing is not None:
         f = np.asarray(forcing, dtype=float)[:count]
         samples += z * k_mu * np.fft.rfft(f * r ** np.arange(len(f)), m)

@@ -42,8 +42,8 @@ each thread owns the scratch workspace the transforms reuse, kept up to
 from __future__ import annotations
 
 import functools
-import logging
 import math
+import sys
 import threading
 
 import numpy as np
@@ -93,8 +93,6 @@ _BRACKET_SLACK.flags.writeable = False
 #: bytes of transform scratch one thread keeps between causal_convolve
 #: calls: about 17 x 8n bytes for n points, so up to about 120000 points
 _WORKSPACE_MAX = 16 << 20
-
-_log = logging.getLogger(__name__)
 
 
 def _binade(x: np.ndarray) -> int:
@@ -313,7 +311,8 @@ def causal_convolve(kernel: np.ndarray, values: np.ndarray) -> np.ndarray:
     and sums live in this thread's workspace, so a repeated call
     allocates little more than its result.  The ``hilfer_dfc.operators``
     DEBUG record gives n, B, the block count and how many points were
-    summed directly.
+    summed directly; it is emitted once the application has imported
+    ``logging``.
     """
     values = np.asarray(values, dtype=float)
     n = len(values)
@@ -382,11 +381,14 @@ def causal_convolve(kernel: np.ndarray, values: np.ndarray) -> np.ndarray:
             out[:head] = np.convolve(kernel[:head], values[:head])[:head]
         if len(late):
             out[late] = _direct_points(kernel, values, late)
-    # logged after the last workspace read: a handler may convolve
-    _log.debug(
-        "causal_convolve n=%d B=%d blocks=%d direct=%d",
-        n, block, count, n if head == n else head + len(late),
-    )
+    # logged after the last workspace read: a handler may convolve.  A
+    # handler needs logging imported, so the call path never imports it
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger(__name__).debug(
+            "causal_convolve n=%d B=%d blocks=%d direct=%d",
+            n, block, count, n if head == n else head + len(late),
+        )
     return out
 
 

@@ -26,7 +26,9 @@ is allowed) runs on it.  Each right-hand side has a method g(w, u, x):
 g at w = x+mu-1 with u = u(w), where x is the equation point the
 forcing is sampled at; and a method on_grid(u, a, mu) that gives g at
 every point of u's base grid {a, a+1, ...} at once, bit for bit the
-values of g.
+values of g.  The two the engine steps also hand it one callable of
+(base-grid index, u), the same values again, so a step makes one
+Python call.
 
 For the linear right-hand side two independent evaluations are provided:
 the forward recursion, and the closed-form discrete Mittag-Leffler
@@ -100,6 +102,10 @@ class Linear:
     def on_grid(self, u: np.ndarray, a: float, mu: float) -> np.ndarray:
         return -self.lam * u
 
+    def _stepper(self, a: float) -> Callable[[int, float], float]:
+        c = -self.lam
+        return lambda j, u: c * u
+
 
 @dataclass(frozen=True)
 class Nonlinear:
@@ -112,6 +118,10 @@ class Nonlinear:
 
     def on_grid(self, u: np.ndarray, a: float, mu: float) -> np.ndarray:
         return np.array([self.fn(a + j, v) for j, v in enumerate(u.tolist())], dtype=float)
+
+    def _stepper(self, a: float) -> Callable[[int, float], float]:
+        fn = self.fn
+        return lambda j, u: fn(a + j, u)
 
 
 @dataclass(frozen=True)
@@ -216,7 +226,8 @@ def _volterra(
     and is caught by the range test.
     """
     zeta = float(zeta)
-    c = sum_kernel(eta, steps + 1).tolist()
+    # the monomial term zeta c_eta[n] of outputs n = 1..steps
+    monomial = (zeta * sum_kernel(eta, steps + 1)[1:]).tolist()
     k = sum_kernel(mu, steps)
     # near[m] = k[m], ..., k[0]: the lags from block offsets 0..m to offset m
     near = [k[m::-1].tolist() for m in range(min(_BLOCK, steps))]
@@ -228,12 +239,12 @@ def _volterra(
         e = min(s + _BLOCK, steps)
         far = np.convolve(g[:s], k[1:e], "valid").tolist() if s else [0.0] * (e - s)
         block = []
-        for m in range(e - s):
-            gj = float(g_at(s + m, u))
+        for j, term, far_j, lags in zip(range(s, e), monomial[s:e], far, near):
+            gj = float(g_at(j, u))
             if gj != gj:
-                raise NonFiniteError(f"right-hand side is nan at index {s + m} (u = {u!r})")
+                raise NonFiniteError(f"right-hand side is nan at index {j} (u = {u!r})")
             block.append(gj)
-            u = zeta * c[s + m + 1] - (far[m] + sum(map(mul, near[m], block)))
+            u = term - (far_j + sum(map(mul, lags, block)))
             if not -OVERFLOW_LIMIT <= u <= OVERFLOW_LIMIT:
                 y[: len(done)] = done
                 return y
@@ -253,14 +264,8 @@ def _truncated(spec: IvpSpec, y: np.ndarray, meta: SolverMeta) -> Solution:
 
 
 def _stepped(spec: IvpSpec, solver_name: str) -> Solution:
-    rhs, a, mu = spec.rhs, spec.a, spec.order.mu
-    y = _volterra(
-        mu,
-        spec.order.eta,
-        spec.zeta,
-        spec.steps,
-        lambda j, u: rhs.g(a + j, u, a + j + 1.0 - mu),
-    )
+    stepper = spec.rhs._stepper(spec.a)
+    y = _volterra(spec.order.mu, spec.order.eta, spec.zeta, spec.steps, stepper)
     return _truncated(spec, y, SolverMeta(solver_name))
 
 

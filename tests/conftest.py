@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,6 +20,13 @@ def random_grid_fn(rng, base=0.0, count=24, scale=1.0):
 
 def rel_err(got, expect):
     return abs(got - expect) / max(1.0, abs(expect))
+
+
+def run_python(code, timeout=120):
+    """Run ``code`` in a fresh interpreter that imports the package from src/."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=timeout)
 
 
 def ld_recursion(mu, eta, lam, zeta, count, forcing=None):

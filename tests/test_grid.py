@@ -1,6 +1,8 @@
 """Grid substrate: falling factorials, monomials, sums, jump operators."""
 
+import json
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +25,8 @@ from hilfer_dfc import (
     taylor_monomial,
 )
 from hilfer_dfc.grid import INTEGER_SNAP, _sign_lgamma
+
+from conftest import run_python
 
 
 class TestFallingFactorial:
@@ -80,6 +84,89 @@ class TestFallingFactorial:
     def test_sign_logmag_encodes_zero(self):
         sign, logmag = falling_factorial_sign_logmag(2.0, 5.0)
         assert sign == 0.0 and logmag == -math.inf
+
+    def test_huge_integer_order_stops_at_the_first_zero_or_overflow(self):
+        # a loop over every factor would not end; a fresh interpreter under
+        # a timeout keeps such a loop from hanging the suite
+        code = (
+            "import json\n"
+            "from hilfer_dfc.grid import falling_factorial\n"
+            "out = []\n"
+            "for t, r in ((0.5, 1e300), (0.5, -1e300), (3.0, 1e300), (4.0, 1e300), (-7.0, -1e300)):\n"
+            "    try:\n"
+            "        v = falling_factorial(t, r)\n"
+            "        out.append(repr(v))\n"
+            "    except ArithmeticError as exc:\n"
+            "        out.append(type(exc).__name__)\n"
+            "print(json.dumps(out))\n"
+        )
+        proc = run_python(code, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        # 1e300 is even: 3.0 leaves an even count of negative factors after
+        # its zero (i = 4 ... 1e300 - 1), 4.0 an odd one
+        expect = ["OverflowError", "0.0", "0.0", "-0.0", "SingularGammaError"]
+        assert json.loads(proc.stdout) == expect
+
+    def test_integer_order_sweep_matches_every_factor_loop(self):
+        # the product over every factor, as falling_factorial's conventions
+        # read it, against the loop that stops at the first zero or
+        # overflow: value bits (signed zeros too), exception types and messages
+        def every_factor(t, r):
+            ri = round(r)
+            out = 1.0
+            for i in range(ri) if ri >= 0 else range(-1, ri - 1, -1):
+                if ri < 0 and abs(t - i) <= INTEGER_SNAP:
+                    raise SingularGammaError(f"falling_factorial({t!r}, {r!r}) is singular")
+                out *= t - i
+            if ri < 0:
+                return 1.0 / out
+            if not math.isfinite(out):
+                if 0.0 <= t < ri and t == math.floor(t):
+                    return 0.0
+                raise OverflowError(f"falling_factorial({t!r}, {r!r}) is past the float range")
+            return out
+
+        def outcome(fn, t, r):
+            try:
+                return "value", struct.pack("<d", fn(t, r))
+            except ArithmeticError as exc:
+                return type(exc), str(exc)
+
+        rng = np.random.default_rng(18)
+        kinds = {"value": 0, OverflowError: 0, SingularGammaError: 0, "signed zero": 0}
+        for k in range(300):
+            r = float(round(math.exp(rng.uniform(0.0, math.log(1e5))))) * (1 - 2 * (k % 2))
+            t = (
+                float(rng.integers(0, 400)),  # a zero factor, before or after overflow
+                float(-rng.integers(1, 2000)),  # a pole for r < 0, maybe past overflow
+                float(rng.uniform(-2000.0, 2000.0)),
+                float(rng.integers(-400, 400)) + float(rng.choice([5e-10, -5e-10, 2e-9])),
+                float(rng.uniform(-3.0, 3.0)),
+            )[k % 5]
+            expect = outcome(every_factor, t, r)
+            assert outcome(falling_factorial, t, r) == expect, (t, r)
+            kinds[expect[0]] += 1
+            kinds["signed zero"] += expect[1] == struct.pack("<d", -0.0)
+        assert min(kinds.values()) >= 10, kinds
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda x: falling_factorial(x, 2.5), "t"),
+            (lambda x: falling_factorial(2.0, x), "r"),
+            (lambda x: falling_factorial_sign_logmag(x, 2.0), "t"),
+            (lambda x: falling_factorial_sign_logmag(2.0, x), "r"),
+            (lambda x: taylor_monomial(x, 2.0, 0.0), "r"),
+            (lambda x: taylor_monomial(2.0, x, 0.0), "t"),
+            (lambda x: taylor_monomial(2.0, 5.0, x), "s"),
+        ],
+        ids=["ff-t", "ff-r", "logmag-t", "logmag-r", "monomial-r", "monomial-t", "monomial-s"],
+    )
+    def test_non_finite_argument_is_named(self, call, name, bad):
+        # not reported as overflow, nor returned as a value
+        with pytest.raises(ValueError, match=rf"^{name} must be finite: got {bad!r}$"):
+            call(bad)
 
     @given(
         t=st.floats(0.5, 20.0),

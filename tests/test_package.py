@@ -77,7 +77,7 @@ else:
     import hilfer_dfc
     code = 0
 loaded = sorted(name.split(".", 1)[1] for name in sys.modules if name.startswith("hilfer_dfc."))
-print(json.dumps({"code": code, "loaded": loaded}))
+print(json.dumps({"code": code, "loaded": loaded, "logging": "logging" in sys.modules}))
 """
 
 _ML = ["cli", "grid", "mittag_leffler"]
@@ -104,9 +104,11 @@ class TestLazyImports:
     def test_each_subcommand_loads_only_its_modules(self, argv, loaded, tmp_path):
         if argv and argv[0] in ("solve", "figures", "verify"):
             argv = [*argv, "--out", str(tmp_path)]
-        assert run_fresh(_LOADED, json.dumps(argv)) == {"code": 0, "loaded": sorted(loaded)}
+        # no call enables logging, so none pays for importing it
+        expect = {"code": 0, "loaded": sorted(loaded), "logging": False}
+        assert run_fresh(_LOADED, json.dumps(argv)) == expect
 
     def test_a_library_error_of_a_loaded_module_exits_two(self):
         # the except clause of main resolves error classes from sys.modules
         argv = ["ml", "--mu", "0.7", "--lambda", "0.2", "--z", "3.5"]
-        assert run_fresh(_LOADED, json.dumps(argv)) == {"code": 2, "loaded": _ML}
+        assert run_fresh(_LOADED, json.dumps(argv)) == {"code": 2, "loaded": _ML, "logging": False}

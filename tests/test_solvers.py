@@ -3,6 +3,7 @@
 import logging
 import math
 import re
+from operator import mul
 from types import SimpleNamespace
 
 import numpy as np
@@ -43,7 +44,7 @@ from hilfer_dfc import (
     sum_kernel,
     taylor_monomial,
 )
-from hilfer_dfc.solvers import _BLOCK
+from hilfer_dfc.solvers import _BLOCK, OVERFLOW_LIMIT, _volterra
 
 
 def linear_spec(a=0.0, steps=12, mu=0.8, nu=0.5, zeta=1.0, lam=0.1):
@@ -419,6 +420,37 @@ def reference_step(spec, g_of_index):
     return np.array(y), overflow_at, scale
 
 
+def first_engine(mu, eta, zeta, steps, g_at):
+    """The block-stepped engine as first written: each step indexes the
+    block's lists and forms zeta c_eta[n] itself.  The engine must give
+    its bits, its overflow index and its nan index."""
+    zeta = float(zeta)
+    c = sum_kernel(eta, steps + 1).tolist()
+    k = sum_kernel(mu, steps)
+    near = [k[m::-1].tolist() for m in range(min(_BLOCK, steps))]
+    g = np.empty(steps)
+    y = np.full(steps + 1, np.nan)
+    done = [zeta]
+    u = zeta
+    for s in range(0, steps, _BLOCK):
+        e = min(s + _BLOCK, steps)
+        far = np.convolve(g[:s], k[1:e], "valid").tolist() if s else [0.0] * (e - s)
+        block = []
+        for m in range(e - s):
+            gj = float(g_at(s + m, u))
+            if gj != gj:
+                raise NonFiniteError(f"right-hand side is nan at index {s + m} (u = {u!r})")
+            block.append(gj)
+            u = zeta * c[s + m + 1] - (far[m] + sum(map(mul, near[m], block)))
+            if not -OVERFLOW_LIMIT <= u <= OVERFLOW_LIMIT:
+                y[: len(done)] = done
+                return y
+            done.append(u)
+        g[s:e] = block
+    y[:] = done
+    return y
+
+
 def _forced_g(w, u):
     return -0.4 * u - 0.2 * math.cos(0.3 * w) + 0.05 * math.sin(u)
 
@@ -467,6 +499,36 @@ class TestEngineAgainstScalarLoop:
         assert ref_overflow is not None
         assert sol.values.count == ref_overflow
         self.assert_matches(sol, ref, ref_overflow, scale)
+
+    @pytest.mark.parametrize("steps", STEPS)
+    def test_bit_for_bit_the_first_engine(self, steps):
+        a, order = 2.5, HilferOrder(0.35, 0.6)
+        mu, eta = order.mu, order.eta
+        for rhs in (Linear(0.7), Linear(-0.9), Nonlinear(_forced_g)):
+            spec = IvpSpec(a, steps, order, 1.3, rhs)
+            ref = first_engine(mu, eta, 1.3, steps, lambda j, u: rhs.g(a + j, u, a + j + 1.0 - mu))
+            got = solve(spec).values.values
+            assert np.array_equal(got, ref[: len(got)]) and np.isnan(ref[len(got) :]).all()
+        # the Gronwall series' callable
+        vals = (0.9 * np.cos(0.7 * np.arange(steps))).tolist()
+        for g_at in (lambda j, w: -vals[j] * w, lambda j, w: 1e30 * vals[j] * w):
+            ref = first_engine(1.0, 0.45, 1.7, steps, g_at)
+            assert np.array_equal(_volterra(1.0, 0.45, 1.7, steps, g_at), ref, equal_nan=True)
+
+    def test_bit_for_bit_the_first_engine_at_overflow_and_nan(self):
+        a, order = 0.0, HilferOrder(0.3, 0.5)
+        mu, eta = order.mu, order.eta
+        for rhs in (Linear(0.99), Nonlinear(lambda w, u: -u * u * u - 10.0)):
+            ref = first_engine(mu, eta, 1.0, 2000, lambda j, u: rhs.g(a + j, u, a + j + 1.0 - mu))
+            got = solve(IvpSpec(a, 2000, order, 1.0, rhs))
+            assert got.meta.overflow_at == int(np.argmax(np.isnan(ref))) > 0
+            assert np.array_equal(got.values.values, ref[: got.meta.overflow_at])
+        rhs = Nonlinear(lambda w, u: math.nan if w >= 2 * _BLOCK + 3 else math.sin(u))
+        with pytest.raises(NonFiniteError) as caught:
+            first_engine(mu, eta, 1.0, 3 * _BLOCK, lambda j, u: rhs.g(a + j, u, a + j + 1.0 - mu))
+        with pytest.raises(NonFiniteError) as engine:
+            solve(IvpSpec(a, 3 * _BLOCK, order, 1.0, rhs))
+        assert str(engine.value) == str(caught.value)
 
     @staticmethod
     def sweep_cases(seed=8, count=9):
@@ -542,6 +604,11 @@ class TestRightHandSideMethod:
         assert whole.dtype == np.float64
         assert whole.tobytes() == scalar.tobytes()
         assert rhs.on_grid(u[:0], a, mu).shape == (0,)
+        if kind != "nonhomogeneous":
+            # the per-step callable the engine steps with
+            stepper = rhs._stepper(a)
+            stepped = np.array([stepper(j, float(u[j])) for j in range(n)])
+            assert stepped.tobytes() == scalar.tobytes()
 
     def test_short_forcing_fails_as_g_does(self):
         a, mu = 0.0, 0.6
