@@ -22,13 +22,12 @@ the g values before the block (exact dot products), and each step adds
 the terms from inside the block in plain floats.  The n = 0 value is
 the monomial term's limit, u(a) = zeta, which anchors the recursion.
 The engine takes a raw (mu, eta), so the Gronwall series (where mu = 1
-is allowed) runs on it.  Each right-hand side has a method g(w, u, x):
-g at w = x+mu-1 with u = u(w), where x is the equation point the
-forcing is sampled at; and a method on_grid(u, a, mu) that gives g at
-every point of u's base grid {a, a+1, ...} at once, bit for bit the
-values of g.  The two the engine steps also hand it one callable of
-(base-grid index, u), the same values again, so a step makes one
-Python call.
+is allowed) runs on it.  Each right-hand side evaluates g two ways, bit
+for bit alike: on_grid(u, a) gives g at every point of u's base grid
+{a, a+1, ...} at once, for the residuals and the fixed-point map; and
+a per-step callable of (base-grid index j, u) is what the engine steps
+with, one Python call per step.  Index j stands for w = a+j and, for a
+forcing, its sample at the equation point a+j+1-mu.
 
 For the linear right-hand side two independent evaluations are provided:
 the forward recursion, and the closed-form discrete Mittag-Leffler
@@ -96,10 +95,7 @@ class Linear:
 
     lam: float
 
-    def g(self, w: float, u: float, x: float) -> float:
-        return -self.lam * u
-
-    def on_grid(self, u: np.ndarray, a: float, mu: float) -> np.ndarray:
+    def on_grid(self, u: np.ndarray, a: float) -> np.ndarray:
         return -self.lam * u
 
     def _stepper(self, a: float) -> Callable[[int, float], float]:
@@ -113,11 +109,9 @@ class Nonlinear:
 
     fn: Callable[[float, float], float]
 
-    def g(self, w: float, u: float, x: float) -> float:
-        return self.fn(w, u)
-
-    def on_grid(self, u: np.ndarray, a: float, mu: float) -> np.ndarray:
-        return np.array([self.fn(a + j, v) for j, v in enumerate(u.tolist())], dtype=float)
+    def on_grid(self, u: np.ndarray, a: float) -> np.ndarray:
+        step = self._stepper(a)
+        return np.array([step(j, v) for j, v in enumerate(u.tolist())], dtype=float)
 
     def _stepper(self, a: float) -> Callable[[int, float], float]:
         fn = self.fn
@@ -131,14 +125,14 @@ class NonHomogeneous:
     lam: float
     forcing: GridFn
 
-    def g(self, w: float, u: float, x: float) -> float:
-        return -self.lam * u - self.forcing(x)
+    def on_grid(self, u: np.ndarray, a: float) -> np.ndarray:
+        if self.forcing.count < len(u):
+            raise CoverageError(f"forcing must cover {len(u)} points, has {self.forcing.count}")
+        return -self.lam * u - self.forcing.values[: len(u)]
 
-    def on_grid(self, u: np.ndarray, a: float, mu: float) -> np.ndarray:
-        f = self.forcing.values[: len(u)]
-        if len(f) < len(u):
-            self.forcing(a + len(f) + 1.0 - mu)  # raises as g does there
-        return -self.lam * u - f
+    def _stepper(self, a: float) -> Callable[[int, float], float]:
+        c, f = -self.lam, self.forcing.values.tolist()
+        return lambda j, u: c * u - f[j]
 
 
 @dataclass(frozen=True)
@@ -263,8 +257,7 @@ def _truncated(spec: IvpSpec, y: np.ndarray, meta: SolverMeta) -> Solution:
     return Solution(GridFn._adopt(Grid(spec.a, len(y)), y), meta)
 
 
-def _stepped(spec: IvpSpec, solver_name: str) -> Solution:
-    stepper = spec.rhs._stepper(spec.a)
+def _stepped(spec: IvpSpec, stepper: Callable[[int, float], float], solver_name: str) -> Solution:
     y = _volterra(spec.order.mu, spec.order.eta, spec.zeta, spec.steps, stepper)
     return _truncated(spec, y, SolverMeta(solver_name))
 
@@ -280,7 +273,7 @@ def solve_linear(spec: IvpSpec) -> Solution:
     """Exact forward recursion for the linear problem, O(steps^2) multiply-adds."""
     if not isinstance(spec.rhs, Linear):
         raise TypeError("solve_linear needs a Linear right-hand side")
-    return _stepped(spec, "linear-recursion")
+    return _stepped(spec, spec.rhs._stepper(spec.a), "linear-recursion")
 
 
 def solve_linear_series(spec: IvpSpec) -> Solution:
@@ -298,7 +291,7 @@ def solve_nonlinear(spec: IvpSpec) -> Solution:
     """Explicit forward stepping for a general right-hand side."""
     if not isinstance(spec.rhs, Nonlinear):
         raise TypeError("solve_nonlinear needs a Nonlinear right-hand side")
-    return _stepped(spec, "nonlinear-stepping")
+    return _stepped(spec, spec.rhs._stepper(spec.a), "nonlinear-stepping")
 
 
 def solve_nonhomogeneous(spec: IvpSpec) -> Solution:
@@ -335,7 +328,7 @@ def apply_summation_operator(spec: IvpSpec, u: GridFn) -> GridFn:
         raise CoverageError(f"u must be based at {spec.a!r}")
     n_pts = u.count
     out = spec.zeta * sum_kernel(spec.order.eta, n_pts)
-    g = spec.rhs.on_grid(u.values[: n_pts - 1], spec.a, spec.order.mu)
+    g = spec.rhs.on_grid(u.values[: n_pts - 1], spec.a)
     out[1:] -= causal_convolve(sum_kernel(spec.order.mu, n_pts - 1), g)
     return GridFn._adopt(u.grid, out)
 
@@ -351,7 +344,7 @@ def defining_equation_residual(solution: Solution, spec: IvpSpec) -> GridFn:
     """
     u = solution.values
     diff = hilfer_difference_fn(u, spec.order)
-    g = spec.rhs.on_grid(u.values[: diff.count], spec.a, spec.order.mu)
+    g = spec.rhs.on_grid(u.values[: diff.count], spec.a)
     return GridFn._adopt(diff.grid, diff.values + g)
 
 
@@ -370,7 +363,7 @@ def residual_scale(solution: Solution, spec: IvpSpec) -> GridFn:
     inner = causal_convolve(sum_kernel(order.inner_sum_order, n), np.abs(u.values))
     spread = inner[1:] + inner[:-1]
     size = causal_convolve(sum_kernel(order.outer_sum_order, n - 1), spread)
-    g = spec.rhs.on_grid(u.values[: n - 1], spec.a, spec.order.mu)
+    g = spec.rhs.on_grid(u.values[: n - 1], spec.a)
     return GridFn._adopt(Grid(spec.a + 1.0 - order.mu, n - 1), size + np.abs(g))
 
 

@@ -26,8 +26,9 @@ deviation |u - v| with one pointwise envelope on the solution grid:
 
 * initial-value perturbations (zeta -> zeta_n), both systems through
   :func:`solve`: |zeta - zeta_n| E_[mu,eta](K, x+eta-a-1);
-* residual perturbations (|residual| <= eps), both systems stepped with
-  the residual subtracted from g (a zero one for the exact system):
+* residual perturbations (|residual| <= eps), both systems stepped on
+  the Volterra engine with the residual subtracted from the right-hand
+  side's per-step g (a zero one for the exact system):
   eps C, with C = sup_x (E_[mu](K, x-a) - 1)/K the Gronwall iteration
   of the kernel's running sum;
 * the Rassias variant, |residual(y)| <= eps psi(y - 1 + nu) at the
@@ -66,6 +67,8 @@ from .solvers import (
     NonFiniteError,
     NonHomogeneous,
     Nonlinear,
+    Solution,
+    _stepped,
     _volterra,
     apply_summation_operator,
     solve,
@@ -128,7 +131,8 @@ def existence_bound(a: float, T: float, mu: float) -> float:
 
 
 def _require_constant(name: str, value: float) -> None:
-    """A Lipschitz or growth constant is a finite nonnegative real."""
+    """A Lipschitz or growth constant, or a perturbation size, is a finite
+    nonnegative real."""
     if not 0.0 <= value < math.inf:
         raise ValueError(f"{name} must be finite and nonnegative: got {value!r}")
 
@@ -224,9 +228,10 @@ def _gronwall_solve(
 
     Values past the float range read as inf.
     """
+    _require_finite(u_a=u_a)
     if n_pts == 0:
         return np.empty(0)
-    if float(np.max(np.abs(v.values[:n_pts]))) >= 1.0:
+    if not np.all(np.abs(v.values[:n_pts]) < 1.0):
         raise ValueError("the comparison series requires |v| < 1 on the grid")
     vals = v.values[: n_pts - 1].tolist()
     w = _volterra(mu, eta, u_a, n_pts - 1, lambda j, y: -vals[j] * y)
@@ -288,10 +293,10 @@ def gronwall_check(
     if abs(u.base - a) > 1e-9:
         raise CoverageError(f"u must be based at {a!r}")
     n_pts = min(u.count, v.count)
+    series = _gronwall_solve(u_a, v, mu, eta, n_pts)  # validates u_a and v first
     uv = u.values[:n_pts]
     rhs = u_a * sum_kernel(eta, n_pts) + ev_operator(v, u, mu, a).values
     hypothesis_ok = uv <= rhs + 1e-12 * np.maximum(1.0, np.abs(rhs))
-    series = _gronwall_solve(u_a, v, mu, eta, n_pts)
     verdict = uv <= series + 1e-12 * np.maximum(1.0, np.abs(series))
     return GronwallCheck(Grid(a, n_pts).points, series, hypothesis_ok, verdict)
 
@@ -324,46 +329,28 @@ class StabilityReport:
     psi_values: np.ndarray | None = None
 
 
-def _estimate_lipschitz(
-    rhs: Nonlinear,
-    a: float,
-    count: int,
-    mu: float,
-    u_range: tuple[float, float],
-) -> float:
+def _estimate_lipschitz(rhs: Nonlinear, a: float, count: int, u_range: tuple[float, float]) -> float:
     """Steepest slope in u of the right-hand side between neighbouring
     levels of 41 values spanning u_range, at ``count`` points from a."""
     lo, hi = u_range
     if hi - lo < 1e-6:
         lo, hi = lo - 0.5, hi + 0.5
     us = np.linspace(lo, hi, 41)
-    gs = np.array([rhs.on_grid(np.full(count, u), a, mu) for u in us])
+    gs = np.array([rhs.on_grid(np.full(count, u), a) for u in us])
     k = float(np.max(np.abs(np.diff(gs, axis=0) / np.diff(us)[:, None])))
     if math.isnan(k):
         raise NonFiniteError("right-hand side is nan on the sampled range of u")
     return k
 
 
-def _perturbed_spec(spec: IvpSpec, residual: GridFn) -> IvpSpec:
-    """System whose defining-equation residual is exactly ``residual``.
-
-    Any trajectory satisfying the residual inequality arises this way, so
-    solving the modified system makes the inequality constructive.
-    """
-    mu = spec.order.mu
-    base = spec.a + 1.0 - mu
-    if abs(residual.base - base) > 1e-9 or residual.count < spec.steps:
-        raise CoverageError(
-            f"residual must cover {spec.steps} points based at {base!r}"
-        )
-    rhs = spec.rhs
-
-    def g(w: float, u: float) -> float:
-        # w = x + mu - 1 maps back to the equation point x = w + 1 - mu
-        x = w + 1.0 - mu
-        return rhs.g(w, u, x) - residual(x)
-
-    return replace(spec, rhs=Nonlinear(g))
+def _psi_at(psi: Callable[[float], float], points: list[float]) -> np.ndarray:
+    """psi at each point, where it must be finite and positive."""
+    vals = np.array([psi(t) for t in points], dtype=float)
+    bad = np.flatnonzero(~((vals > 0.0) & (vals < math.inf)))
+    if bad.size:
+        t = points[bad[0]]
+        raise ValueError(f"psi must be finite and positive: psi({t!r}) = {float(vals[bad[0]])!r}")
+    return vals
 
 
 def ulam_experiment(
@@ -382,8 +369,9 @@ def ulam_experiment(
     a+1-mu, with |residual| <= epsilon, or <= epsilon*psi(y - 1 + nu) at
     the equation point y when psi is given) must be supplied.  Both
     systems go through one route: :func:`solve` for an initial
-    perturbation; for a residual one, the stepped system whose residual is
-    the perturbation, the exact system being the same with a zero residual.
+    perturbation; for a residual one, the Volterra engine stepping the
+    right-hand side less the perturbation (a system whose defining-equation
+    residual is the perturbation) and less zero.
 
     Every kind builds one pointwise envelope on {a, ..., a+steps}:
     epsilon E_[mu,eta](K, n+eta-1) for the initial kind, epsilon C for the
@@ -398,13 +386,21 @@ def ulam_experiment(
     """
     if (zeta_n is None) == (perturbation is None):
         raise ValueError("supply exactly one of zeta_n or perturbation")
+    _require_constant("epsilon", epsilon)
     mu, eta = spec.order.mu, spec.order.eta
     if zeta_n is not None:
         exact, perturbed = solve(spec), solve(replace(spec, zeta=zeta_n))
     else:
-        zero = GridFn(perturbation.grid, np.zeros(perturbation.count))
-        exact = solve(_perturbed_spec(spec, zero))
-        perturbed = solve(_perturbed_spec(spec, perturbation))
+        base = spec.a + 1.0 - mu
+        if abs(perturbation.base - base) > 1e-9 or perturbation.count < spec.steps:
+            raise CoverageError(f"residual must cover {spec.steps} points based at {base!r}")
+        step = spec.rhs._stepper(spec.a)
+
+        def stepped(r: list[float]) -> Solution:
+            return _stepped(spec, lambda j, u: step(j, u) - r[j], "nonlinear-stepping")
+
+        exact = stepped([0.0] * spec.steps)
+        perturbed = stepped(perturbation.values[: spec.steps].tolist())
 
     if k is None:
         if isinstance(spec.rhs, (Linear, NonHomogeneous)):
@@ -413,9 +409,10 @@ def ulam_experiment(
             lo = float(np.min(exact.values.values))
             hi = float(np.max(exact.values.values))
             pad = 0.25 * (hi - lo) + 1e-3
-            k_val = _estimate_lipschitz(spec.rhs, spec.a, spec.steps, mu, (lo - pad, hi + pad))
+            k_val = _estimate_lipschitz(spec.rhs, spec.a, spec.steps, (lo - pad, hi + pad))
             k_source = "estimated"
     else:
+        _require_constant("k", k)
         k_val, k_source = float(k), "asserted"
 
     applies = k_val < existence_bound(spec.a, spec.horizon, mu)
@@ -429,7 +426,7 @@ def ulam_experiment(
         kind, eps_eff = "residual", epsilon
         # psi's argument at the equation point y = a+1-mu+j is y - 1 + nu
         args = spec.a + 1.0 - mu + np.arange(spec.steps) - 1.0 + spec.order.nu
-        weight = np.ones(spec.steps) if psi is None else np.array([psi(t) for t in args.tolist()])
+        weight = np.ones(spec.steps) if psi is None else _psi_at(psi, args.tolist())
         size = np.abs(perturbation.values[: spec.steps])
         if np.any(size > epsilon * weight * (1.0 + 1e-12) + 1e-300):
             raise ValueError("perturbation exceeds its stated envelope")
@@ -438,9 +435,7 @@ def ulam_experiment(
         constant = float(np.max(ml_lattice(MlParams(mu=mu, eta=mu + 1.0, lam=lam), spec.steps)))
         shape = np.full(spec.steps + 1, constant)
         if psi is not None:
-            psi_vals = np.array([psi(spec.a + n) for n in range(spec.steps + 1)])
-            if np.any(psi_vals <= 0):
-                raise ValueError("psi must be positive on the grid")
+            psi_vals = _psi_at(psi, [spec.a + n for n in range(spec.steps + 1)])
             constant *= float(np.max(weight)) / float(np.min(psi_vals))
             shape = psi_vals * constant
 

@@ -107,6 +107,72 @@ class TestFallingFactorial:
         expect = ["OverflowError", "0.0", "0.0", "-0.0", "SingularGammaError"]
         assert json.loads(proc.stdout) == expect
 
+    def test_huge_integer_order_log_form_returns(self):
+        # one log per factor would not end at |r| = 1e300; the long form
+        # reads the log sums off log-gammas of their ends
+        code = (
+            "import json\n"
+            "from hilfer_dfc.grid import falling_factorial_sign_logmag\n"
+            "out = []\n"
+            "for t, r in ((-0.5, 1e300), (0.5, -1e300), (0.5, 1e300), (3.0, 1e300), (-7.0, -1e300)):\n"
+            "    try:\n"
+            "        out.append(list(falling_factorial_sign_logmag(t, r)))\n"
+            "    except ArithmeticError as exc:\n"
+            "        out.append(type(exc).__name__)\n"
+            "print(json.dumps(out))\n"
+        )
+        proc = run_python(code, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        mp = TestGammaOracle._mp()
+        with mp.workdps(40):
+            m = mp.mpf(1e300)
+            expect = [
+                # (-0.5)(-1.5)...: Gamma(r + 0.5) / Gamma(0.5), an even count of signs
+                (1.0, mp.loggamma(m + 0.5) - mp.loggamma(0.5)),
+                # 1 / (1.5 * 2.5 * ... * (m + 0.5))
+                (1.0, mp.loggamma(1.5) - mp.loggamma(m + 1.5)),
+                # 0.5 times -(0.5)(1.5)...(m - 1.5): an odd count of signs
+                (-1.0, mp.log(0.5) + mp.loggamma(m - 0.5) - mp.loggamma(0.5)),
+            ]
+            for (sign, logmag), (e_sign, e_log) in zip(out, expect):
+                assert sign == e_sign and abs(logmag - e_log) <= 1e-14 * abs(e_log)
+        assert out[3:] == [[0.0, -math.inf], "SingularGammaError"]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_long_integer_order_log_form_meets_the_factor_loop(self, seed):
+        # past 256 factors the log sum comes from log-gammas of its ends;
+        # the loop it replaces sums one log per factor
+        def every_factor(t, ri):
+            sign, logmag = 1.0, 0.0
+            for i in range(ri) if ri >= 0 else range(-1, ri - 1, -1):
+                if ri < 0 and abs(t - i) <= INTEGER_SNAP:
+                    return "singular"
+                if t - i == 0.0:
+                    return 0.0, -math.inf
+                sign *= math.copysign(1.0, t - i)
+                logmag += math.log(abs(t - i))
+            return (sign, logmag) if ri >= 0 else (sign, -logmag)
+
+        rng = np.random.default_rng(seed)
+        for _ in range(150):
+            ri = int(rng.integers(257, 6000)) * int(rng.choice([-1, 1]))
+            k = int(rng.integers(-2 * abs(ri), 2 * abs(ri)))
+            # near an integer (within 1e-15 to 1e-3), on one, or anywhere
+            t = float(rng.choice([k + rng.choice([-1, 1]) * 10 ** rng.uniform(-15, -3), k,
+                                  rng.uniform(-3, 3) * abs(ri)]))
+            expect = every_factor(t, ri)
+            if expect == "singular":
+                with pytest.raises(SingularGammaError):
+                    falling_factorial_sign_logmag(t, float(ri))
+                continue
+            sign, logmag = falling_factorial_sign_logmag(t, float(ri))
+            assert sign == expect[0], (t, ri)
+            if sign:
+                assert abs(logmag - expect[1]) <= 1e-13 * abs(expect[1]), (t, ri)
+            else:
+                assert logmag == -math.inf
+
     def test_integer_order_sweep_matches_every_factor_loop(self):
         # the product over every factor, as falling_factorial's conventions
         # read it, against the loop that stops at the first zero or

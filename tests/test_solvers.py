@@ -21,7 +21,6 @@ from hilfer_dfc import (
     NonFiniteError,
     NonHomogeneous,
     Nonlinear,
-    OffGridError,
     apply_summation_operator,
     caputo_difference_fn,
     defining_equation_residual,
@@ -455,6 +454,10 @@ def _forced_g(w, u):
     return -0.4 * u - 0.2 * math.cos(0.3 * w) + 0.05 * math.sin(u)
 
 
+def _cubic(w, u):
+    return -u * u * u - 10.0
+
+
 class TestEngineAgainstScalarLoop:
     TOL = 1e-13  # relative to |zeta| c + conv(k, |g|), fixed from float64 eps
 
@@ -486,15 +489,13 @@ class TestEngineAgainstScalarLoop:
         self.assert_matches(solve_nonlinear(spec), ref, ref_overflow, scale)
 
     @pytest.mark.parametrize(
-        "rhs",
-        [Linear(0.99), Nonlinear(lambda w, u: -u * u * u - 10.0)],
+        "rhs, g",
+        [(Linear(0.99), lambda w, u: -0.99 * u), (Nonlinear(_cubic), _cubic)],
         ids=["linear-growth", "cubic-blowup"],
     )
-    def test_overflow_index_matches(self, rhs):
+    def test_overflow_index_matches(self, rhs, g):
         spec = IvpSpec(0.0, 2000, HilferOrder(0.3, 0.5), 1.0, rhs)
-        ref, ref_overflow, scale = reference_step(
-            spec, lambda j, u: rhs.g(j - 1.0, u, j - 0.3)
-        )
+        ref, ref_overflow, scale = reference_step(spec, lambda j, u: g(j - 1.0, u))
         sol = solve(spec)
         assert ref_overflow is not None
         assert sol.values.count == ref_overflow
@@ -504,9 +505,13 @@ class TestEngineAgainstScalarLoop:
     def test_bit_for_bit_the_first_engine(self, steps):
         a, order = 2.5, HilferOrder(0.35, 0.6)
         mu, eta = order.mu, order.eta
-        for rhs in (Linear(0.7), Linear(-0.9), Nonlinear(_forced_g)):
+        for rhs, g in (
+            (Linear(0.7), lambda w, u: -0.7 * u),
+            (Linear(-0.9), lambda w, u: 0.9 * u),
+            (Nonlinear(_forced_g), _forced_g),
+        ):
             spec = IvpSpec(a, steps, order, 1.3, rhs)
-            ref = first_engine(mu, eta, 1.3, steps, lambda j, u: rhs.g(a + j, u, a + j + 1.0 - mu))
+            ref = first_engine(mu, eta, 1.3, steps, lambda j, u: g(a + j, u))
             got = solve(spec).values.values
             assert np.array_equal(got, ref[: len(got)]) and np.isnan(ref[len(got) :]).all()
         # the Gronwall series' callable
@@ -518,14 +523,14 @@ class TestEngineAgainstScalarLoop:
     def test_bit_for_bit_the_first_engine_at_overflow_and_nan(self):
         a, order = 0.0, HilferOrder(0.3, 0.5)
         mu, eta = order.mu, order.eta
-        for rhs in (Linear(0.99), Nonlinear(lambda w, u: -u * u * u - 10.0)):
-            ref = first_engine(mu, eta, 1.0, 2000, lambda j, u: rhs.g(a + j, u, a + j + 1.0 - mu))
+        for rhs, g in ((Linear(0.99), lambda w, u: -0.99 * u), (Nonlinear(_cubic), _cubic)):
+            ref = first_engine(mu, eta, 1.0, 2000, lambda j, u: g(a + j, u))
             got = solve(IvpSpec(a, 2000, order, 1.0, rhs))
             assert got.meta.overflow_at == int(np.argmax(np.isnan(ref))) > 0
             assert np.array_equal(got.values.values, ref[: got.meta.overflow_at])
         rhs = Nonlinear(lambda w, u: math.nan if w >= 2 * _BLOCK + 3 else math.sin(u))
         with pytest.raises(NonFiniteError) as caught:
-            first_engine(mu, eta, 1.0, 3 * _BLOCK, lambda j, u: rhs.g(a + j, u, a + j + 1.0 - mu))
+            first_engine(mu, eta, 1.0, 3 * _BLOCK, lambda j, u: rhs.fn(a + j, u))
         with pytest.raises(NonFiniteError) as engine:
             solve(IvpSpec(a, 3 * _BLOCK, order, 1.0, rhs))
         assert str(engine.value) == str(caught.value)
@@ -581,45 +586,43 @@ class TestEngineAgainstScalarLoop:
 
 
 class TestRightHandSideMethod:
-    def test_each_kind_evaluates_g_at_its_points(self):
-        forcing = GridFn(Grid(0.4, 3), np.array([1.0, 2.0, 3.0]))
-        assert Linear(0.5).g(1.0, 2.0, 1.4) == -1.0
-        assert Nonlinear(lambda w, u: w * u).g(1.0, 2.0, 1.4) == 2.0
-        assert NonHomogeneous(0.5, forcing).g(1.0, 2.0, 1.4) == -1.0 - 2.0
-
     @pytest.mark.parametrize("kind", ["linear", "nonlinear", "nonhomogeneous"])
-    def test_on_grid_is_g_bit_for_bit(self, rng, kind):
+    def test_on_grid_and_stepper_are_the_formula_bit_for_bit(self, rng, kind):
         a, mu, n = 1e10 + 0.3, 0.37, 400
         u = rng.standard_normal(n) * np.exp(rng.uniform(-40.0, 40.0, n))
         u[:3] = (0.0, -0.0, 1e300)
         lam = float(rng.uniform(-1.0, 1.0))
-        forcing = GridFn(Grid(a + 1.0 - mu, n + 5), rng.standard_normal(n + 5))
-        rhs = {
-            "linear": Linear(lam),
-            "nonlinear": Nonlinear(lambda w, v: math.sin(w) * v - lam * v * v),
-            "nonhomogeneous": NonHomogeneous(lam, forcing),
-        }[kind]
-        scalar = np.array([rhs.g(a + j, float(u[j]), a + j + 1.0 - mu) for j in range(n)])
-        whole = rhs.on_grid(u, a, mu)
-        assert whole.dtype == np.float64
-        assert whole.tobytes() == scalar.tobytes()
-        assert rhs.on_grid(u[:0], a, mu).shape == (0,)
-        if kind != "nonhomogeneous":
-            # the per-step callable the engine steps with
-            stepper = rhs._stepper(a)
-            stepped = np.array([stepper(j, float(u[j])) for j in range(n)])
-            assert stepped.tobytes() == scalar.tobytes()
+        f = rng.standard_normal(n + 5)
 
-    def test_short_forcing_fails_as_g_does(self):
+        def fn(w, v):
+            return math.sin(w) * v - lam * v * v
+
+        # g at base-grid index j, w = a + j; the forcing's sample j is at a + j + 1 - mu
+        rhs, formula = {
+            "linear": (Linear(lam), lambda j, v: -lam * v),
+            "nonlinear": (Nonlinear(fn), lambda j, v: fn(a + j, v)),
+            "nonhomogeneous": (
+                NonHomogeneous(lam, GridFn(Grid(a + 1.0 - mu, n + 5), f)),
+                lambda j, v: -lam * v - float(f[j]),
+            ),
+        }[kind]
+        expected = np.array([formula(j, float(u[j])) for j in range(n)])
+        whole = rhs.on_grid(u, a)
+        assert whole.dtype == np.float64
+        assert whole.tobytes() == expected.tobytes()
+        assert rhs.on_grid(u[:0], a).shape == (0,)
+        # the per-step callable the engine steps with
+        stepper = rhs._stepper(a)
+        stepped = np.array([stepper(j, float(u[j])) for j in range(n)])
+        assert stepped.tobytes() == expected.tobytes()
+
+    def test_short_forcing_is_a_coverage_error(self):
         a, mu = 0.0, 0.6
         rhs = NonHomogeneous(0.2, GridFn(Grid(a + 1.0 - mu, 3), np.ones(3)))
         u = np.linspace(1.0, 2.0, 5)
-        with pytest.raises(OffGridError) as scalar:
-            [rhs.g(a + j, float(u[j]), a + j + 1.0 - mu) for j in range(len(u))]
-        with pytest.raises(OffGridError) as whole:
-            rhs.on_grid(u, a, mu)
-        assert str(whole.value) == str(scalar.value)
-        assert rhs.on_grid(u[:3], a, mu).tolist() == [-0.2 * x - 1.0 for x in u[:3]]
+        with pytest.raises(CoverageError, match=r"^forcing must cover 5 points, has 3$"):
+            rhs.on_grid(u, a)
+        assert rhs.on_grid(u[:3], a).tolist() == [-0.2 * x - 1.0 for x in u[:3]]
 
 
 class TestLatticeSeries:

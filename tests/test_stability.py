@@ -1,6 +1,7 @@
 """Fixed-point thresholds, Gronwall comparison machinery, Ulam experiments."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -223,6 +224,26 @@ class TestGronwallSeries:
         with pytest.raises(ValueError):
             gronwall_series(1.0, v, desk_order(), 3.0)
 
+    @pytest.mark.parametrize(
+        "u_a, v_5, match",
+        [
+            (1.0, math.nan, r"requires \|v\| < 1"),
+            (1.0, -math.inf, r"requires \|v\| < 1"),
+            (1.0, -1.0, r"requires \|v\| < 1"),
+            (math.nan, 0.5, "u_a must be finite: got nan"),
+            (-math.inf, 0.5, "u_a must be finite: got -inf"),
+        ],
+    )
+    def test_bad_inputs_are_named(self, u_a, v_5, match):
+        # a nan in v passed the max(|v|) >= 1 test and surfaced from the
+        # engine as "right-hand side is nan at index 5"
+        grid = Grid(0.0, 8)
+        v = GridFn(grid, [0.5] * 5 + [v_5] + [0.5] * 2)
+        with pytest.raises(ValueError, match=match):
+            gronwall_series(u_a, v, desk_order(), 7.0)
+        with pytest.raises(ValueError, match=match):
+            gronwall_check(GridFn.constant(grid, 1.0), u_a, v, desk_order())
+
 
 class TestGronwallCheck:
     def test_exact_solution_achieves_equality(self, rng):
@@ -271,6 +292,15 @@ class TestGronwallCheck:
                 [gronwall_series(w_a, v, order, float(n)) for n in range(n_pts)]
             )
             assert np.all(series >= u_vals - 1e-10)
+
+
+#: a residual of 1e-4 on the equation grid of TestUlamExperiments' spec
+SMALL = GridFn(Grid(0.6, 9), np.full(9, 1e-4))
+
+
+def weighed_by(psi):
+    """ulam_experiment arguments of a Rassias run with SMALL and psi."""
+    return {"epsilon": 1e-3, "perturbation": SMALL, "psi": psi}
 
 
 class TestUlamExperiments:
@@ -417,6 +447,28 @@ class TestUlamExperiments:
         rep = ulam_experiment(self._spec(), 0.15, zeta_n=1.01)
         assert rep.k_source == "asserted"
         assert rep.k == 0.15
+
+    @pytest.mark.parametrize(
+        "k, run, match",
+        [
+            # a negative k built the envelope at lam = k, certificate applying
+            (-0.5, {"zeta_n": 1.01}, "k must be finite and nonnegative: got -0.5"),
+            (math.nan, {"zeta_n": 1.01}, "k must be finite and nonnegative: got nan"),
+            (math.inf, {"zeta_n": 1.01}, "k must be finite and nonnegative: got inf"),
+            (0.15, {"epsilon": math.nan, "zeta_n": 1.01}, "epsilon must be finite and nonnegative: got nan"),
+            (0.15, {"epsilon": math.inf, "perturbation": SMALL}, "epsilon must be .* got inf"),
+            (0.15, {"epsilon": -1e-3, "perturbation": SMALL}, "epsilon must be .* got -0.001"),
+            # a non-finite psi made the constant nan
+            (0.15, weighed_by(lambda t: math.nan), r"psi\(0\.1\d*\) = nan"),
+            (0.15, weighed_by(lambda t: math.inf), r"psi\(0\.1\d*\) = inf"),
+            (0.15, weighed_by(lambda t: float(t < 3.0)), r"psi\(3\.1\d*\) = 0\.0"),
+        ],
+        ids=["k-negative", "k-nan", "k-inf", "eps-nan", "eps-inf", "eps-negative"]
+        + ["psi-nan", "psi-inf", "psi-zero"],
+    )
+    def test_bad_inputs_are_named(self, k, run, match):
+        with pytest.raises(ValueError, match=match):
+            ulam_experiment(self._spec(), k, **run)
 
 
 def neumann_series(u_a, v: GridFn, mu, eta, n_pts):
@@ -567,3 +619,70 @@ class TestStabilitySweep:
         rep = ulam_experiment(spec, 0.1, epsilon=0.0, perturbation=zero)
         assert rep.deviation == 0.0
         assert rep.verdict and rep.pointwise_ok
+
+
+def closure_route_deviation(spec, g, perturbation):
+    """ulam_experiment's residual deviation by the route it once took: each
+    system a Nonlinear closure of g(w, u, x) less the residual at the
+    equation point x = w + 1 - mu, through solve()."""
+    mu = spec.order.mu
+
+    def system(residual):
+        def fn(w, u):
+            x = w + 1.0 - mu
+            return g(w, u, x) - residual(x)
+
+        return solve(replace(spec, rhs=Nonlinear(fn))).values.values
+
+    exact = system(GridFn(perturbation.grid, np.zeros(perturbation.count)))
+    perturbed = system(perturbation)
+    n = min(len(exact), len(perturbed))
+    return float(np.max(np.abs(exact[:n] - perturbed[:n]))) if n else math.inf
+
+
+def scalar_g(spec):
+    """The right-hand side as g(w, u, x): w = x + mu - 1, forcing sampled at x."""
+    rhs = spec.rhs
+    if isinstance(rhs, Linear):
+        return lambda w, u, x: -rhs.lam * u
+    if isinstance(rhs, Nonlinear):
+        return lambda w, u, x: rhs.fn(w, u)
+    return lambda w, u, x: -rhs.lam * u - rhs.forcing(x)
+
+
+class TestResidualRoute:
+    """The engine stepping the right-hand side less the residual is the
+    Nonlinear closure it replaced, bit for bit."""
+
+    EPS = 1e-3
+
+    @pytest.mark.parametrize("kind", RHS_KINDS)
+    @pytest.mark.parametrize("k, mu, nu, base, steps", stability_cases())
+    def test_deviation_is_the_closure_route(self, k, mu, nu, base, steps, kind):
+        spec = stability_spec(kind, k, base, steps, HilferOrder(mu, nu))
+        eq_base = base + 1.0 - mu
+        rng = np.random.default_rng(steps + 2)
+        plain = GridFn(Grid(eq_base, steps), rng.uniform(-self.EPS, self.EPS, steps))
+        rep = ulam_experiment(spec, k, epsilon=self.EPS, perturbation=plain)
+        assert rep.deviation == closure_route_deviation(spec, scalar_g(spec), plain)
+
+        def psi(t):
+            return 1.5 + math.cos(0.7 * t)
+
+        weights = np.array([psi(eq_base + j - 1.0 + nu) for j in range(steps)])
+        weighted = GridFn(plain.grid, plain.values * weights)
+        rep = ulam_experiment(spec, k, epsilon=self.EPS, perturbation=weighted, psi=psi)
+        assert rep.deviation == closure_route_deviation(spec, scalar_g(spec), weighted)
+
+    @pytest.mark.parametrize(
+        "rhs",
+        [Linear(50.0), Nonlinear(lambda w, u: -u * u * u - 10.0)],
+        ids=["linear-growth", "cubic-blowup"],
+    )
+    def test_overflowing_systems_match_the_closure_route(self, rhs):
+        spec = IvpSpec(0.0, 400, HilferOrder(0.3, 0.5), 1.0, rhs)
+        grid = Grid(0.7, 400)
+        perturbation = GridFn(grid, 0.5 * np.cos(np.arange(400.0)))
+        rep = ulam_experiment(spec, 0.5, epsilon=0.5, perturbation=perturbation)
+        assert solve(spec).meta.overflow_at is not None
+        assert rep.deviation == closure_route_deviation(spec, scalar_g(spec), perturbation)
