@@ -14,10 +14,10 @@ callers reject the poles (nonpositive integers, to within INTEGER_SNAP)
 first.  An integer order r multiplies |r| factors instead (divides by
 them for r < 0), and is zero where one of them is 0.0, in the value and
 the log form alike; the value form stops at its first zero or overflowed
-product, whose sign the factors left only flip.  Past _LOOP_FACTORS
-factors the log form reads the log sum of the positive factors and that
-of the negative ones each off two log-gammas (Stirling's series where
-both are large), so it is O(1) in r.
+product, whose sign the factors left only flip.  The log form reads the
+log sum of the positive factors and that of the negative ones each off
+two log-gammas (Stirling's series where both are large), so it is O(1)
+in r.
 
 All operations are pure functions of immutable inputs and are safe to
 share across threads.
@@ -55,8 +55,6 @@ INTEGER_SNAP = 1e-9
 
 #: from this argument on, gamma ratios use Stirling's series, not lgamma
 _STIRLING_MIN = 16.0
-#: integer orders up to this many factors sum one log per factor
-_LOOP_FACTORS = 256
 #: smallest normal float: a gamma quotient below it has lost digits
 _TINY = sys.float_info.min
 #: B_2k / (2k (2k-1)), k = 1..6; the next term is below 2e-18 at x = 16
@@ -386,18 +384,10 @@ def falling_factorial_sign_logmag(t: float, r: float) -> tuple[float, float]:
     """
     _require_finite(t=t, r=r)
     ri = _snap_int(r)
-    if ri is not None and abs(ri) <= _LOOP_FACTORS:
-        sign, logmag, power = 1.0, 0.0, (1.0 if ri >= 0 else -1.0)
-        for factor in _falling_factors(t, r, ri):
-            if factor == 0.0:
-                return 0.0, -math.inf
-            sign *= math.copysign(1.0, factor)
-            logmag += power * math.log(abs(factor))
-        return sign, logmag
     if ri is not None:
         # the factors t - i, lo <= i < hi, are positive for i < c and
         # negative from c on; at c = floor(t) + 1 the two factors next to
-        # 0, t - c + 1 and c - t, are formed without rounding
+        # 0, t - (c - 1) and c - t, are formed without rounding (Sterbenz)
         lo, hi = (0, ri) if ri >= 0 else (ri, 0)
         pole = _snap_int(t)
         if ri < 0 and pole is not None and lo <= pole < hi:
@@ -407,7 +397,7 @@ def falling_factorial_sign_logmag(t: float, r: float) -> tuple[float, float]:
         c = min(max(math.floor(t) + 1, lo), hi)
         logmag = 0.0
         if c > lo:
-            logmag += _log_factors(t - lo + 1.0, t - c + 1.0, c - lo)
+            logmag += _log_factors(t - lo + 1.0, t - (c - 1), c - lo)
         if hi > c:
             logmag += _log_factors(hi - t, c - t, hi - c)
         return (-1.0 if (hi - c) % 2 else 1.0), (logmag if ri >= 0 else -logmag)

@@ -19,13 +19,13 @@ the nu=0 and nu=1 edges of the composition require.
 Whole-grid variants (``*_fn``) compute each stage once through
 :func:`causal_convolve`, the one causal convolution of the library: a
 direct sum below ``_FFT_MIN`` points (the measured crossover), and from
-there on a uniformly partitioned overlap-add FFT convolution of two
-blocks or more, about 24 on long grids (Hairer, Lubich and Schlichte
-1985, SIAM J. Sci. Stat. Comput. 6, partition the same sums).  An FFT's
-error is relative to the largest terms it multiplies, not to each
-point, so every segment-block product carries its own bound and an
-output is kept only where the bound of its block is below 1e-13 of
-conv(|k|, |f|) at that point; the points where it is not are summed
+there on a uniformly partitioned overlap-add FFT convolution in two
+blocks or more of at most ``_BLOCK`` points (Hairer, Lubich and
+Schlichte 1985, SIAM J. Sci. Stat. Comput. 6, partition the same
+sums).  An FFT's error is relative to the largest terms it multiplies,
+not to each point, so every segment-block product carries its own bound
+and an output is kept only where the bound of its block is below 1e-13
+of conv(|k|, |f|) at that point; the points where it is not are summed
 directly.  That sum is read off a floor and a ceiling built without a
 transform, so a call runs the value transform alone, and no transform
 when more than a quarter of the grid certainly fails.  A zero prefix
@@ -72,11 +72,9 @@ __all__ = [
 
 #: grid length from which causal_convolve transforms instead of summing
 _FFT_MIN = 1152
-#: a transformed grid is cut into as many blocks as blocks of
-#: max(_BLOCK_MIN, the power of two >= n / _BLOCKS) points take: at least
-#: two, since _FFT_MIN > _BLOCK_MIN
-_BLOCK_MIN = 1024
-_BLOCKS = 24
+#: a transformed grid is cut into as many blocks as blocks of this many
+#: points take: at least two, since _FFT_MIN > _BLOCK
+_BLOCK = 1024
 #: per-point accuracy the FFT outputs must meet, relative to conv(|k|, |f|)
 _FFT_REL = 1e-13
 #: points per cell of the magnitude bracket: lags below 2 _CELL are
@@ -288,9 +286,9 @@ def causal_convolve(kernel: np.ndarray, values: np.ndarray) -> np.ndarray:
     segment-block pair is a zero-padded real FFT product of length L = 2B.
     The products are summed per output block as spectra, transformed back
     in one batch and overlap-added.  Every grid is cut into as many blocks
-    as max(``_BLOCK_MIN``, the power of two >= n / ``_BLOCKS``) takes, at
-    least two, B the 5-smooth length that covers the grid in that many;
-    the lag-0 term is added exactly, apart from the products.
+    as blocks of ``_BLOCK`` points take, at least two, B the 5-smooth
+    length that covers the grid in that many, so the bounds below do not
+    grow with n; the lag-0 term is added exactly, apart from the products.
 
     Pair (p, i) errs by at most eps log2(L) ||kernel_p|| ||values_i||, on
     output blocks p+i and p+i+1; a point's bound err is the sum of all
@@ -323,7 +321,7 @@ def causal_convolve(kernel: np.ndarray, values: np.ndarray) -> np.ndarray:
         # copied out of the 2n - 1 terms, which a result taken over by a
         # GridFn would otherwise keep alive
         return np.convolve(kernel, values)[:n].copy()
-    count = -(-n // max(_BLOCK_MIN, 1 << (-(-n // _BLOCKS) - 1).bit_length()))
+    count = -(-n // _BLOCK)
     block = _smooth_length(-(-n // count))
     length = 2 * block
     # exact power-of-two scaling keeps every spectrum below n in size,

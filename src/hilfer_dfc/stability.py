@@ -331,15 +331,20 @@ class StabilityReport:
 
 def _estimate_lipschitz(rhs: Nonlinear, a: float, count: int, u_range: tuple[float, float]) -> float:
     """Steepest slope in u of the right-hand side between neighbouring
-    levels of 41 values spanning u_range, at ``count`` points from a."""
+    levels of 41 values spanning u_range, at ``count`` points from a.
+    A nan right-hand side raises NonFiniteError, an infinite one or an
+    infinite slope OverflowError."""
     lo, hi = u_range
     if hi - lo < 1e-6:
         lo, hi = lo - 0.5, hi + 0.5
     us = np.linspace(lo, hi, 41)
     gs = np.array([rhs.on_grid(np.full(count, u), a) for u in us])
-    k = float(np.max(np.abs(np.diff(gs, axis=0) / np.diff(us)[:, None])))
-    if math.isnan(k):
+    if np.isnan(gs).any():
         raise NonFiniteError("right-hand side is nan on the sampled range of u")
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = float(np.max(np.abs(np.diff(gs, axis=0) / np.diff(us)[:, None])))
+    if not math.isfinite(k):
+        raise OverflowError(f"right-hand side overflows on the sampled range of u, {lo!r} to {hi!r}")
     return k
 
 

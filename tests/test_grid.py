@@ -355,6 +355,19 @@ class TestGammaOracle:
             checked += 1
         assert checked > 800
 
+    @pytest.mark.parametrize("t", [1e-12, 3.1e-11, 1e-6])
+    @pytest.mark.parametrize("r", [257, 300, 1000])
+    def test_long_integer_order_keeps_a_small_first_factor(self, t, r):
+        # the factor t itself must not be formed as (t - 1) + 1, which
+        # rounds its low digits off; the monomial's exp of the log form
+        # loses eps |logmag| more, about 1e-12 at r = 1000
+        mp = self._mp()
+        ff = mp.ff(mp.mpf(t), r)
+        sign, logmag = falling_factorial_sign_logmag(t, float(r))
+        assert sign == mp.sign(ff) and abs(logmag - mp.log(abs(ff))) <= 1e-11
+        monomial = ff / mp.factorial(r)
+        assert abs(taylor_monomial(float(r), t, 0.0) - monomial) <= 1e-11 * abs(monomial)
+
     def test_small_arguments_are_a_gamma_quotient(self):
         # below Stirling's range exp of an lgamma difference was up to
         # 45 eps off the exact ratio at the same float arguments, the

@@ -264,7 +264,7 @@ class TestCausalConvolve:
 
     def test_long_random_sum_takes_the_transform(self, rng, caplog):
         # a guard that quietly sends everything to the direct sum shows
-        # here; at 50000 points the blocks have grown past 1024
+        # here; at 50000 points the blocks are still at most 1024 points
         for n in (20000, 50000):
             f = GridFn(Grid(0.0, n), rng.uniform(-1.0, 1.0, n))
             caplog.clear()
@@ -274,11 +274,25 @@ class TestCausalConvolve:
             assert len(records) == 1
             count, block, blocks, direct = records[0].args
             assert count == n and blocks > 1 and (blocks - 1) * block < n <= blocks * block
-            assert direct < n / 10 and (block > 1024) == (n > 24 * 1024)
+            assert direct < n / 10 and block <= 1024
             kernel = sum_kernel(0.5, n)
             for j in rng.integers(0, n, 20):
                 terms = kernel[j::-1] * f.values[: j + 1]
                 assert abs(out[j] - math.fsum(terms)) <= 1e-12 * math.fsum(np.abs(terms)), j
+
+    @pytest.mark.parametrize("n, blocks, block", [(24576, 24, 1024), (24577, 25, 1000)])
+    def test_blocks_do_not_grow_with_the_grid(self, rng, caplog, n, blocks, block):
+        # ceil(n / 1024) blocks, each the 5-smooth length that covers n in
+        # that many: one more point past 24 full blocks makes 25 shorter ones
+        kernel = sum_kernel(0.5, n)
+        f = rng.uniform(-1.0, 1.0, n)
+        with caplog.at_level(logging.DEBUG, logger="hilfer_dfc"):
+            out = causal_convolve(kernel, f)
+        (record,) = [r for r in caplog.records if r.name == "hilfer_dfc.operators"]
+        assert record.args[:3] == (n, block, blocks) and record.args[3] < n / 10
+        for j in rng.integers(0, n, 20):
+            terms = kernel[j::-1] * f[: j + 1]
+            assert abs(out[j] - math.fsum(terms)) <= 1e-12 * math.fsum(np.abs(terms)), j
 
     @pytest.mark.parametrize("n", [_FFT_MIN, 1700, 2048, 8000, 20000])
     def test_small_order_keeps_long_grids_on_the_transform(self, rng, caplog, n):

@@ -329,6 +329,23 @@ class TestWholePipeline:
         scale = residual_scale(sol, spec)
         assert np.max(np.abs(res.values) / scale.values) <= 1e-14
 
+    def test_longer_decaying_trajectory_sums_no_more_directly(self, caplog):
+        # blocks that grew with the grid made the bounds of a 50000-step
+        # residual fail at most points, and two of its sums ran whole
+        direct = {}
+        for steps in (20000, 50000):
+            spec = linear_spec(mu=0.9, nu=0.0, steps=steps, lam=-0.5)
+            sol = solve_linear_series(spec)
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="hilfer_dfc"):
+                res = defining_equation_residual(sol, spec)
+                scale = residual_scale(sol, spec)
+            records = [r.args for r in caplog.records if r.name == "hilfer_dfc.operators"]
+            assert records and all(points < count for count, _, _, points in records)
+            direct[steps] = sum(points for *_, points in records)
+            assert np.max(np.abs(res.values) / scale.values) <= 1e-11
+        assert direct[50000] <= 1.1 * direct[20000]
+
     @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0])
     def test_initial_condition_recovered(self, nu):
         spec = linear_spec(nu=nu, zeta=1.7, lam=0.2)

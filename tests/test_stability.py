@@ -443,6 +443,14 @@ class TestUlamExperiments:
         with pytest.raises(NonFiniteError, match="sampled range"):
             ulam_experiment(spec, None, zeta_n=0.91)
 
+    def test_lipschitz_estimate_names_an_overflow(self):
+        # the trajectory grows to about 1e104, so the padded u levels cube
+        # to inf; inf - inf was reported as a nan right-hand side
+        spec = IvpSpec(0.0, 60, HilferOrder(0.5, 0.5), -0.6, Nonlinear(lambda w, u: -u * u * u - 20.0))
+        residual = GridFn(Grid(0.5, 60), np.full(60, 1e-4))
+        with pytest.raises(OverflowError, match=r"sampled range of u, -4\.3\d*e\+103 to 2\.1\d*e\+104"):
+            ulam_experiment(spec, None, epsilon=1e-3, perturbation=residual)
+
     def test_asserted_k_recorded(self):
         rep = ulam_experiment(self._spec(), 0.15, zeta_n=1.01)
         assert rep.k_source == "asserted"
