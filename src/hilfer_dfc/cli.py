@@ -4,13 +4,14 @@ Subcommands: ``solve`` (trajectory CSV + JSON sidecar), ``figures``
 (interpolation-sweep CSVs), ``verify`` (identity suite), ``bound``
 (fixed-point thresholds), ``laplace`` and ``ml`` (point evaluators).
 
-Exit codes: 0 ok, 1 verification failure, 2 bad configuration, 3 numeric
-overflow (partial output is written and flagged).  All file output is
-deterministic: floats are formatted with 17 significant digits and lines
-end with LF, so identical configurations produce byte-identical files.
+Exit codes: 0 ok, 1 verification failure, 2 a ValueError (bad configuration)
+or a value the library cannot deliver (OverflowError, LibraryError), 3 numeric
+overflow of a trajectory (partial output is written and flagged).  All file
+output is deterministic: floats are formatted with 17 significant digits and
+lines end with LF, so identical configurations produce byte-identical files.
 
-Each subcommand imports the package modules it runs in its own body, so
-a call loads only its own dependency chain.
+Every subcommand runs ``grid``, imported here, and imports the other modules
+it runs in its own body, so a call loads only its own dependency chain.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .grid import Grid, GridFn, HilferOrder, LibraryError
+
 if TYPE_CHECKING:
-    from .grid import GridFn
     from .solvers import IvpSpec
 
 EXIT_OK = 0
@@ -70,7 +72,6 @@ _RHS_FLAGS = {
 
 
 def _build_spec(args: argparse.Namespace) -> IvpSpec:
-    from .grid import Grid, GridFn, HilferOrder
     from .solvers import IvpSpec, Linear, NonHomogeneous, Nonlinear
 
     order = HilferOrder(args.mu, args.nu)
@@ -173,7 +174,6 @@ _FIGURE_NUS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 def cmd_figures(args: argparse.Namespace) -> int:
-    from .grid import HilferOrder
     from .solvers import IvpSpec, Linear, solve_linear
 
     out = Path(args.out)
@@ -242,8 +242,6 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 
 def _laplace_test_fn(kind: str, ratio: float, count: int) -> GridFn:
-    from .grid import Grid, GridFn
-
     grid = Grid(0.0, count)
     if kind == "const":
         return GridFn.constant(grid, 1.0)
@@ -255,16 +253,13 @@ def _laplace_test_fn(kind: str, ratio: float, count: int) -> GridFn:
 
 
 def cmd_laplace(args: argparse.Namespace) -> int:
-    from .grid import HilferOrder
     from .transforms import (
         LaplaceCtl, delta_laplace, laplace_of_fractional_sum_check, laplace_of_hilfer_check,
     )
 
     f = _laplace_test_fn(args.f_kind, args.ratio, args.count)
     order_bound = max(1.0 + 1e-9, abs(args.ratio)) + 0.1
-    ctl = LaplaceCtl(r=order_bound, tol=args.tol or 1e-10)
-    if abs(1.0 + args.y) <= ctl.r:
-        raise ConfigError(f"need |1+y| > {ctl.r}; got y = {args.y}")
+    ctl = LaplaceCtl(r=order_bound) if args.tol is None else LaplaceCtl(r=order_bound, tol=args.tol)
     payload = {
         "y": args.y,
         "f_kind": args.f_kind,
@@ -284,7 +279,7 @@ def cmd_ml(args: argparse.Namespace) -> int:
     from .mittag_leffler import MlParams, SeriesCtl, ml_eval
 
     params = MlParams(mu=args.mu, eta=args.eta, gamma=args.gamma, lam=args.lam)
-    ctl = SeriesCtl(tol=args.tol or 1e-14)
+    ctl = SeriesCtl() if args.tol is None else SeriesCtl(tol=args.tol)
     ev = ml_eval(params, args.z, ctl, bold=args.bold)
     payload = {
         "family": "bold" if args.bold else "plain",
@@ -299,23 +294,6 @@ def cmd_ml(args: argparse.Namespace) -> int:
     }
     print(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK
-
-
-#: library errors meaning the arguments ask for a value the library cannot deliver
-_LIBRARY_ERRORS = (
-    "grid.SingularGammaError", "mittag_leffler.SeriesConvergenceError",
-    "mittag_leffler.ContourError", "transforms.TruncationError", "solvers.NonFiniteError",
-)
-
-
-def _library_errors() -> tuple[type[Exception], ...]:
-    """OverflowError and the library errors of the modules that loaded: an
-    error class whose module never loaded cannot have been raised."""
-    loaded = (
-        getattr(sys.modules.get(f"{__package__}.{module}"), name, None)
-        for module, name in (error.split(".") for error in _LIBRARY_ERRORS)
-    )
-    return (OverflowError, *filter(None, loaded))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -391,14 +369,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; a ValueError, OverflowError or LibraryError exits 2."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    except _library_errors() as exc:
+    except (OverflowError, LibraryError) as exc:
         # the arguments ask for a value the library cannot deliver
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG

@@ -43,6 +43,7 @@ __all__ = [
     "delta_sum",
     "jump_forward",
     "jump_backward",
+    "LibraryError",
     "OffGridError",
     "CoverageError",
     "SingularGammaError",
@@ -61,15 +62,19 @@ _TINY = sys.float_info.min
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
 
 
-class OffGridError(ValueError):
+class LibraryError(Exception):
+    """Base of the library's errors; each also keeps its builtin base."""
+
+
+class OffGridError(LibraryError, ValueError):
     """A point does not lie on the grid it was evaluated against."""
 
 
-class CoverageError(ValueError):
+class CoverageError(LibraryError, ValueError):
     """A function does not cover all indices an operator needs to reach."""
 
 
-class SingularGammaError(ArithmeticError):
+class SingularGammaError(LibraryError, ArithmeticError):
     """A gamma ratio is evaluated where its value is genuinely infinite."""
 
 
@@ -84,6 +89,14 @@ def _require_finite(**values: float) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite: got {value!r}")
+
+
+def _require_positive(**values: float) -> None:
+    """Raise ValueError naming the first argument that is not a finite positive real."""
+    _require_finite(**values)
+    for name, value in values.items():
+        if value <= 0.0:
+            raise ValueError(f"{name} must be positive: got {value!r}")
 
 
 def _snap_int(x: float) -> int | None:
@@ -329,7 +342,10 @@ def _ratio_ladder(x: float, r: float, d: float, name: str, args: tuple) -> float
     if sign == 0.0:
         return 0.0
     d_sign, d_log = _sign_lgamma(d)
-    return sign * d_sign * math.exp(logmag - d_log)
+    try:
+        return sign * d_sign * math.exp(logmag - d_log)
+    except OverflowError:
+        raise OverflowError(f"{name}{args!r} is past the float range") from None
 
 
 def falling_factorial(t: float, r: float) -> float:

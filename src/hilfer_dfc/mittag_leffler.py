@@ -56,7 +56,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import INTEGER_SNAP, _require_finite, _smooth_length, _snap_int, taylor_monomial
+from .grid import INTEGER_SNAP, LibraryError, _smooth_length, _snap_int, taylor_monomial
+from .grid import _require_finite, _require_positive
 
 __all__ = [
     "SeriesCtl",
@@ -86,15 +87,14 @@ class SeriesCtl:
     tol: float = 1e-14
 
     def __post_init__(self) -> None:
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        _require_positive(tol=self.tol)
 
 
-class SeriesConvergenceError(RuntimeError):
+class SeriesConvergenceError(LibraryError, RuntimeError):
     """Series did not meet the truncation tolerance within _MAX_TERMS terms."""
 
 
-class ContourError(ArithmeticError):
+class ContourError(LibraryError, ArithmeticError):
     """The transform contour of :func:`ml_lattice` may enclose a pole."""
 
 

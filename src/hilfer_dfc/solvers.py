@@ -50,7 +50,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import CoverageError, Grid, GridFn, HilferOrder
+from .grid import CoverageError, Grid, GridFn, HilferOrder, LibraryError
 from .mittag_leffler import MlParams, ml_lattice_solution
 from .operators import (
     causal_convolve,
@@ -85,7 +85,7 @@ OVERFLOW_LIMIT = 1e300
 _BLOCK = 16
 
 
-class NonFiniteError(ArithmeticError):
+class NonFiniteError(LibraryError, ArithmeticError):
     """A right-hand side returned nan at a finite trajectory value (not overflow)."""
 
 

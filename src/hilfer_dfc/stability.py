@@ -335,8 +335,6 @@ def _estimate_lipschitz(rhs: Nonlinear, a: float, count: int, u_range: tuple[flo
     A nan right-hand side raises NonFiniteError, an infinite one or an
     infinite slope OverflowError."""
     lo, hi = u_range
-    if hi - lo < 1e-6:
-        lo, hi = lo - 0.5, hi + 0.5
     us = np.linspace(lo, hi, 41)
     gs = np.array([rhs.on_grid(np.full(count, u), a) for u in us])
     if np.isnan(gs).any():

@@ -19,9 +19,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .grid import Grid, GridFn, HilferOrder, _require_finite
+from .grid import Grid, GridFn, HilferOrder, LibraryError, _require_finite, _require_positive
 from .operators import (
     forward_difference_fn,
+    fractional_sum,
     fractional_sum_fn,
     hilfer_difference_fn,
 )
@@ -44,15 +45,15 @@ __all__ = [
 _MAX_TERMS = 100_000
 
 
-class RegressivityError(ValueError):
+class RegressivityError(LibraryError, ValueError):
     """1 + p(t) vanished somewhere on the traversed range."""
 
 
-class TransformDomainError(ValueError):
+class TransformDomainError(LibraryError, ValueError):
     """y violates the |1+y| > r convergence precondition."""
 
 
-class TruncationError(RuntimeError):
+class TruncationError(LibraryError, RuntimeError):
     """The tail bound was not met before samples or _MAX_TERMS ran out."""
 
 
@@ -68,10 +69,10 @@ class LaplaceCtl:
     tol: float = 1e-10
 
     def __post_init__(self) -> None:
+        _require_finite(r=self.r)
         if self.r <= 1.0:
-            raise ValueError("exponential order bound r must exceed 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+            raise ValueError(f"exponential order bound r must exceed 1: got {self.r!r}")
+        _require_positive(tol=self.tol)
 
 
 @dataclass(frozen=True)
@@ -197,8 +198,7 @@ def laplace_of_hilfer_check(
     """
     lhs = delta_laplace(hilfer_difference_fn(f, order), y, ctl).value
     f_transform = delta_laplace(f, y, ctl).value
-    inner = fractional_sum_fn(f, order.inner_sum_order)
-    initial = float(inner.values[0])
+    initial = fractional_sum(f, order.inner_sum_order, f.base + order.inner_sum_order)
     rhs = (
         _real_power(y, order.mu) * _real_power(y + 1.0, 1.0 - order.mu) * f_transform
         - _real_power((y + 1.0) / y, order.outer_sum_order) * initial

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import Grid, GridFn, HilferOrder, falling_factorial, taylor_monomial
+from .grid import Grid, GridFn, HilferOrder, _require_positive, falling_factorial, taylor_monomial
 from .mittag_leffler import MlParams, ml_lattice
 from .operators import (
     forward_difference_fn,
@@ -319,6 +319,8 @@ def run_checks(
     y: float = 2.0,
 ) -> list[CheckResult]:
     """Run the suite (or the subset whose name contains ``only``)."""
+    if tol_override is not None:
+        _require_positive(tol=tol_override)
     results = []
     for name, (fn, tol) in _CHECKS.items():
         if only is not None and only not in name:

@@ -356,6 +356,17 @@ class TestLibraryErrorsExitTwo:
              "l_star must be finite and nonnegative"),
             (["bound", "--a", "0", "--T", "3", "--mu", "0.5", "--L-star", "-0.1"],
              "l_star must be finite and nonnegative"),
+            # an infinite tolerance was exit 0 with a wrong value, nan was
+            # blamed on the series or failed every verify check, and 0 ran
+            # with the default tolerance
+            (["ml", "--mu", "0.7", "--lambda", "0.2", "--z", "4.321", "--tol", "inf"], "tol must be finite"),
+            (["ml", "--mu", "0.7", "--lambda", "0.2", "--z", "4.321", "--tol", "nan"], "tol must be finite"),
+            (["ml", "--mu", "0.7", "--lambda", "0.2", "--z", "4.321", "--tol", "0"], "tol must be positive"),
+            (["laplace", "--y", "2", "--tol", "inf"], "tol must be finite"),
+            (["laplace", "--y", "2", "--tol", "nan"], "tol must be finite"),
+            (["laplace", "--y", "2", "--tol", "0"], "tol must be positive"),
+            (["verify", "--tol", "nan"], "tol must be finite"),
+            (["verify", "--tol", "inf"], "tol must be finite"),
         ],
         ids=["singular-gamma", "series-pole", "series-convergence", "series-divergence", "series-cancellation",
              "truncation", "ml-overflow",
@@ -364,7 +375,9 @@ class TestLibraryErrorsExitTwo:
              "nan-ml-z", "inf-ml-z", "nan-ml-eta", "nan-ml-gamma", "nan-ml-mu",
              "nan-laplace-y", "nan-laplace-mu",
              "nan-bound-horizon", "inf-bound-horizon", "nan-bound-base", "nan-bound-mu",
-             "nan-bound-k", "negative-bound-k", "inf-bound-l-star", "negative-bound-l-star"],
+             "nan-bound-k", "negative-bound-k", "inf-bound-l-star", "negative-bound-l-star",
+             "inf-ml-tol", "nan-ml-tol", "zero-ml-tol", "inf-laplace-tol", "nan-laplace-tol",
+             "zero-laplace-tol", "nan-verify-tol", "inf-verify-tol"],
     )
     def test_one_line_on_stderr_and_exit_two(self, argv, error, capsys, monkeypatch, tmp_path):
         monkeypatch.chdir(tmp_path)  # a solve that got through would write here

@@ -3,6 +3,7 @@
 import json
 import math
 import struct
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -275,6 +276,12 @@ class TestTaylorMonomial:
         assert taylor_monomial(-1.0, 5.0, 2.0) == 0.0
         assert taylor_monomial(-1.0, 2.0, 2.0) == 0.0
 
+    def test_log_form_past_the_float_range_names_the_call(self):
+        # Gamma(r+1) is past the float range, so the value is exp of the
+        # log form, 5.7e384; math.exp raised a bare "math range error"
+        with pytest.raises(OverflowError, match=r"^taylor_monomial\(2000\.5, 2300\.0, 0\.0\) is past the float range$"):
+            taylor_monomial(2000.5, 2300.0, 0.0)
+
     @given(
         r=st.floats(0.1, 2.5),
         t=st.floats(3.0, 15.0),
@@ -367,6 +374,19 @@ class TestGammaOracle:
         assert sign == mp.sign(ff) and abs(logmag - mp.log(abs(ff))) <= 1e-11
         monomial = ff / mp.factorial(r)
         assert abs(taylor_monomial(float(r), t, 0.0) - monomial) <= 1e-11 * abs(monomial)
+
+    @pytest.mark.parametrize("r, t", [(169.5, 3900.0), (168.25, 4200.0), (165.5, 5000.0)])
+    def test_power_cut_into_parts_near_the_top_of_the_float_range(self, r, t):
+        # r log(t+1) passes 1400, so the power is cut into power-of-two
+        # parts instead of halved; the last value, 1.38e314, raises
+        mp = self._mp()
+        with mp.workdps(60):
+            expect = mp.gamma(mp.mpf(t) + 1) / mp.gamma(mp.mpf(t) - r + 1) / mp.gamma(mp.mpf(r) + 1)
+        if expect > sys.float_info.max:
+            with pytest.raises(OverflowError, match=rf"^taylor_monomial\({r!r}, {t!r}, 0\.0\) is past"):
+                taylor_monomial(r, t, 0.0)
+        else:
+            assert abs(taylor_monomial(r, t, 0.0) - expect) <= 1e-13 * expect
 
     def test_small_arguments_are_a_gamma_quotient(self):
         # below Stirling's range exp of an lgamma difference was up to

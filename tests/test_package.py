@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import hilfer_dfc
-from hilfer_dfc import grid, mittag_leffler, operators, solvers, stability, transforms
+from hilfer_dfc import cli, grid, mittag_leffler, operators, solvers, stability, transforms, verification
 
 SURFACE_MODULES = (grid, operators, mittag_leffler, transforms, solvers, stability)
 
@@ -66,6 +66,30 @@ class TestPublicSurface:
         assert run_fresh(code + "\nimport json\nprint(json.dumps(missing))") == []
 
 
+class TestLibraryErrors:
+    def test_every_error_class_derives_from_the_one_base(self):
+        # cli.main exits 2 on LibraryError; the CLI's own ConfigError is a
+        # ValueError, which exits 2 as well.  Each class keeps its builtin
+        # base, so callers that catch ValueError or ArithmeticError still do
+        defined = {
+            obj for module in (*SURFACE_MODULES, verification, cli) for obj in vars(module).values()
+            if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__ == module.__name__
+        }
+        builtin = {
+            "OffGridError": ValueError, "CoverageError": ValueError,
+            "SingularGammaError": ArithmeticError, "SeriesConvergenceError": RuntimeError,
+            "ContourError": ArithmeticError, "RegressivityError": ValueError,
+            "TransformDomainError": ValueError, "TruncationError": RuntimeError,
+            "NonFiniteError": ArithmeticError,
+        }
+        errors = defined - {cli.ConfigError, grid.LibraryError}
+        assert sorted(error.__name__ for error in errors) == sorted(builtin)
+        for error in errors:
+            assert issubclass(error, grid.LibraryError) and issubclass(error, builtin[error.__name__])
+            assert getattr(hilfer_dfc, error.__name__) is error
+        assert hilfer_dfc.LibraryError is grid.LibraryError
+
+
 _LOADED = """
 import contextlib, io, json, sys
 argv = json.loads(sys.argv[1])
@@ -109,6 +133,6 @@ class TestLazyImports:
         assert run_fresh(_LOADED, json.dumps(argv)) == expect
 
     def test_a_library_error_of_a_loaded_module_exits_two(self):
-        # the except clause of main resolves error classes from sys.modules
+        # main catches the library's base class, which loads with grid
         argv = ["ml", "--mu", "0.7", "--lambda", "0.2", "--z", "3.5"]
         assert run_fresh(_LOADED, json.dumps(argv)) == {"code": 2, "loaded": _ML, "logging": False}
