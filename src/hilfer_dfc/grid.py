@@ -316,10 +316,13 @@ def _falling_factors(t: float, r: float, n: int) -> Iterator[float]:
 
 def _ratio_ladder(x: float, r: float, d: float, name: str, args: tuple) -> float:
     """Gamma(x+1) / Gamma(x-r+1) / Gamma(d), d off the poles, by the ladder
-    of the module docstring; integer r takes the log form alone.  Past
+    of the module docstring; integer r takes the log form, or where
+    x - r + 1 < 0 the reflection (-1)^r Gamma(r-x) / Gamma(-x), its ratio
+    Gamma(r-x) / Gamma(d) by Stirling's series where both are large.  Past
     the float range raises OverflowError naming the call name(*args).
     A math.gamma quotient holds a few ulps where exp of an lgamma
-    difference is 1e-15 off near the zeros of lgamma at 1 and 2.
+    difference is 1e-15 off near the zeros of lgamma at 1 and 2, and exp
+    of the log form loses eps |log| of the two gammas.
     """
     num, den = x + 1.0, x - r + 1.0
     if _snap_int(r) is None:
@@ -341,6 +344,18 @@ def _ratio_ladder(x: float, r: float, d: float, name: str, args: tuple) -> float
     sign, logmag = falling_factorial_sign_logmag(x, r)
     if sign == 0.0:
         return 0.0
+    ri = _snap_int(r)
+    # for x < r - 1 the reflection (-1)^r Gamma(r-x) / Gamma(-x) errs by
+    # eps |x| where the log form errs by eps r log r, so for x > -r.  It
+    # is read as the reciprocal Gamma(-x) Gamma(d) / Gamma(r-x) from d and
+    # d - r + x, since r - x rounds by an ulp of r.  Gamma(-x) is a normal
+    # float for -171 < x < 169 and |x| >= _TINY, off the poles (an
+    # integer x gave the exact zero above)
+    reflect = ri is not None and -min(ri, 171.0) < x < min(ri - 1.0, 169.0) and abs(x) >= _TINY
+    if reflect and min(ri - x, d) >= _STIRLING_MIN:
+        reciprocal = _large_ratio(d - 1.0, d - ri + x, math.gamma(-x))
+        if _TINY <= abs(reciprocal) < math.inf:
+            return (-1.0) ** ri / reciprocal
     d_sign, d_log = _sign_lgamma(d)
     try:
         return sign * d_sign * math.exp(logmag - d_log)

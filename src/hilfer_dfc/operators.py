@@ -32,9 +32,10 @@ when more than a quarter of the grid certainly fails.  A zero prefix
 stays exactly zero, a trajectory spanning many orders of magnitude
 keeps its early points, a decaying one its late points, and a
 non-finite input takes the direct path.  The pointwise fractional sum
-reads the whole-grid one, and a difference at one point is a read of
-its ``*_fn`` GridFn.  Whole-grid results take over the fresh arrays
-they are computed in.  Everything is pure and thread-safe:
+is one dot product of the kernel with the samples up to its point, and
+a difference at one point is a read of its ``*_fn`` GridFn.  Whole-grid
+results take over the fresh arrays they are computed in.  Everything is
+pure and thread-safe:
 each thread owns the scratch workspace the transforms reuse, kept up to
 ``_WORKSPACE_MAX`` bytes, and a result never aliases it.
 """
@@ -430,14 +431,19 @@ def fractional_sum_fn(f: GridFn, mu: float) -> GridFn:
 
 def fractional_sum(f: GridFn, mu: float, x: float) -> float:
     """Fractional sum of order mu of f, evaluated at one point of base+mu:
-    :func:`fractional_sum_fn` of the samples up to x, read at x."""
+    the one dot product of the kernel with the samples up to x, raising
+    OverflowError as :func:`fractional_sum_fn` does."""
     _require_finite(mu=mu)
     if abs(mu) <= INTEGER_SNAP:
         return f(x)
     if mu < 0:
         raise ValueError(f"sum order must be nonnegative, got {mu}")
     j = Grid(f.base + mu, f.count).index_of(x)
-    return float(fractional_sum_fn(GridFn(Grid(f.base, j + 1), f.values[: j + 1]), mu).values[j])
+    samples = f.values[: j + 1]
+    value = float(np.convolve(sum_kernel(mu, j + 1), samples, "valid")[0])
+    if not math.isfinite(value) and np.isfinite(samples).all():
+        raise OverflowError("fractional sum exceeds the float range")
+    return value
 
 
 def forward_difference_fn(f: GridFn) -> GridFn:

@@ -11,13 +11,19 @@ prefix; if f outgrows r^x the estimate keeps climbing and the evaluation
 reports failure instead of returning a silently wrong value.
 
 The identity-check helpers return (lhs, rhs) pairs and leave the
-tolerance judgement to the caller.
+tolerance judgement to the caller.  The sum and two-parameter checks
+apply their operator only to the prefix of f the tail bound needs: both
+operators are causal, so the first outputs of a prefix are those of the
+whole grid, and the whole grid is the last prefix tried.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+
+import numpy as np
 
 from .grid import Grid, GridFn, HilferOrder, LibraryError, _require_finite, _require_positive
 from .operators import (
@@ -122,14 +128,29 @@ def delta_laplace(f: GridFn, y: float, ctl: LaplaceCtl = LaplaceCtl()) -> Laplac
         raise TransformDomainError(
             f"|1+y| = {abs(q)!r} must exceed the order bound r = {ctl.r!r}"
         )
-    ratio = ctl.r / abs(q)
     limit = min(f.count, _MAX_TERMS)
+    result = _summed(f.values[:limit], q, ctl)
+    if result is not None:
+        return result
+    if limit == f.count and not f.values.any():
+        return LaplaceResult(0.0, 0.0, limit)  # zero everywhere
+    raise TruncationError(
+        f"tail bound {ctl.tol!r} not met within {limit} samples; "
+        "either supply more samples or raise ctl.r/.tol"
+    )
+
+
+def _summed(values: np.ndarray, q: float, ctl: LaplaceCtl) -> LaplaceResult | None:
+    """The transform's terms over values, 1+y = q, summed until the tail
+    bound drops below ctl.tol; None when it does not within them.  A
+    non-finite sample reached first raises ValueError."""
+    ratio = ctl.r / abs(q)
     total = 0.0
     growth = 0.0  # running estimate of sup |f| / r^offset
     qpow = 1.0 / q
     rpow = 1.0
-    for k in range(limit):
-        sample = float(f.values[k])
+    for k in range(len(values)):
+        sample = float(values[k])
         if not math.isfinite(sample):
             raise ValueError(f"the transform needs finite samples: f[{k}] is {sample!r}")
         total += sample * qpow
@@ -140,12 +161,36 @@ def delta_laplace(f: GridFn, y: float, ctl: LaplaceCtl = LaplaceCtl()) -> Laplac
             return LaplaceResult(total, tail, k + 1)
         qpow /= q
         rpow *= ctl.r
-    if growth == 0.0 and limit == f.count:
-        return LaplaceResult(0.0, 0.0, limit)  # zero everywhere
-    raise TruncationError(
-        f"tail bound {ctl.tol!r} not met within {limit} samples; "
-        "either supply more samples or raise ctl.r/.tol"
-    )
+    return None
+
+
+def _operator_transform(
+    operator: Callable[[GridFn], GridFn], f: GridFn, y: float, ctl: LaplaceCtl
+) -> float:
+    """delta_laplace(operator(f), y, ctl).value, with operator applied to
+    the prefix of f the tail bound needs.
+
+    operator is causal: on the first K samples of f it gives the first
+    outputs of operator(f), one fewer where it differences.  Prefixes
+    start at the power of two above the terms the bound needs at unit
+    growth and double until the bound holds; the last attempt is the
+    whole grid, so a zero output, a truncation and a non-finite sample
+    past every prefix are judged as delta_laplace judges them.
+    """
+    q = 1.0 + y
+    if math.isfinite(y) and abs(q) > ctl.r:
+        ratio = ctl.r / abs(q)
+        terms = (math.log(ctl.tol) + math.log1p(-ratio)) / math.log(ratio)
+        # np.convolve sums the last output of an input under 12 points in
+        # its own order, apart from the longer input's
+        size = 1 << max(math.ceil(terms), 16).bit_length()
+        while size < f.count:
+            prefix = operator(GridFn(Grid(f.base, size), f.values[:size]))
+            result = _summed(prefix.values[:_MAX_TERMS], q, ctl)
+            if result is not None:
+                return result.value
+            size *= 2
+    return delta_laplace(operator(f), y, ctl).value
 
 
 def _real_power(ratio: float, exponent: float) -> float:
@@ -160,10 +205,11 @@ def _real_power(ratio: float, exponent: float) -> float:
 def laplace_of_fractional_sum_check(
     f: GridFn, mu: float, y: float, ctl: LaplaceCtl = LaplaceCtl()
 ) -> tuple[float, float]:
-    """lhs: transform (based at base+mu) of the order-mu sum of f;
+    """lhs: transform (based at base+mu) of the order-mu sum of f, the
+    sum taken over the prefix of f the tail bound needs;
     rhs: ((y+1)/y)^mu times the transform of f."""
     _require_finite(mu=mu)
-    lhs = delta_laplace(fractional_sum_fn(f, mu), y, ctl).value
+    lhs = _operator_transform(lambda g: fractional_sum_fn(g, mu), f, y, ctl)
     rhs = _real_power((y + 1.0) / y, mu) * delta_laplace(f, y, ctl).value
     return lhs, rhs
 
@@ -188,7 +234,8 @@ def laplace_of_integer_difference_check(
 def laplace_of_hilfer_check(
     f: GridFn, order: HilferOrder, y: float, ctl: LaplaceCtl = LaplaceCtl()
 ) -> tuple[float, float]:
-    """lhs: transform (based at base+1-mu) of the two-parameter difference;
+    """lhs: transform (based at base+1-mu) of the two-parameter difference,
+    taken over the prefix of f the tail bound needs;
     rhs: y^mu (y+1)^(1-mu) F - ((y+1)/y)^(nu(1-mu)) times the inner sum's
     value at its own base point.
 
@@ -196,7 +243,7 @@ def laplace_of_hilfer_check(
     Riemann-Liouville transform formula; at nu=1 the inner sum is the
     identity and the rhs is the Caputo transform formula.
     """
-    lhs = delta_laplace(hilfer_difference_fn(f, order), y, ctl).value
+    lhs = _operator_transform(lambda g: hilfer_difference_fn(g, order), f, y, ctl)
     f_transform = delta_laplace(f, y, ctl).value
     initial = fractional_sum(f, order.inner_sum_order, f.base + order.inner_sum_order)
     rhs = (

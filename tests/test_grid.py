@@ -453,6 +453,18 @@ class TestGammaOracle:
             log_size = abs(r) * math.log(t + 1.0) + abs(math.lgamma(r + 1.0))
             assert error <= 8 * np.finfo(float).eps * log_size, (t, r)
 
+    def test_integer_order_monomial_keeps_its_digits(self):
+        # (t-s)^[r] / Gamma(r+1) for integer r > t + 1: exp of the log form
+        # lost eps |log| of two huge gammas (2.9e-10 at r = 2e5); the
+        # reflection through Gamma(r-t) / Gamma(-t) keeps a few ulps
+        mp = self._mp()
+        with mp.workdps(60):
+            for r, t in [(2e5, 5.5), (3e4, 7.25), (5000.0, 1e-12), (300.0, 2.5), (1000.0, 5.5), (2e5, 0.25)]:
+                x, order = mp.mpf(t), mp.mpf(r)
+                expect = mp.gamma(x + 1) / mp.gamma(x - order + 1) / mp.gamma(order + 1)
+                error = abs(taylor_monomial(r, t, 0.0) - expect) / abs(expect)
+                assert error <= 1e-13, (r, t)
+
     @pytest.mark.parametrize("base", [-4.0, -3.0, -5.0])
     def test_integer_snap_boundary(self, base):
         # math.lgamma raises at an exact pole where scipy returned inf, and a

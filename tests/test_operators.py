@@ -135,6 +135,18 @@ class TestFractionalSum:
             got = fractional_sum(f, mu, 0.2 + mu + j)
             assert abs(got - whole[j]) <= 1e-13 * size, j
 
+    def test_pointwise_is_the_prefix_sum_bits_below_the_transform(self, rng):
+        # one dot product gives the bits of the whole-grid sum of the
+        # samples up to x, read at x, wherever that sum is direct
+        for _ in range(40):
+            n = int(rng.integers(1, _FFT_MIN))
+            mu = float(rng.uniform(0.05, 2.5))
+            f = random_grid_fn(rng, base=float(rng.choice([0.0, 0.5, -3.25])), count=n)
+            for j in np.unique(np.concatenate(([0, n - 1], rng.integers(0, n, 8), rng.integers(0, 12, 2)))):
+                prefix = GridFn(Grid(f.base, j + 1), f.values[: j + 1])
+                expect = fractional_sum_fn(prefix, mu).values[j]
+                assert fractional_sum(f, mu, f.base + mu + j) == expect, (n, mu, j)
+
     def test_off_grid_point_raises(self, rng):
         f = random_grid_fn(rng)
         with pytest.raises(OffGridError):

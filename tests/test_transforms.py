@@ -6,6 +6,7 @@ independent code paths (truncated sums of derived grid functions versus
 algebraic expressions in the transform of f).
 """
 
+import logging
 import math
 
 import numpy as np
@@ -23,12 +24,14 @@ from hilfer_dfc import (
     delta_exp,
     delta_laplace,
     fractional_sum_fn,
+    hilfer_difference_fn,
     laplace_base_shift_check,
     laplace_of_fractional_sum_check,
     laplace_of_hilfer_check,
     laplace_of_integer_difference_check,
     rl_difference_fn,
 )
+from hilfer_dfc.operators import _FFT_MIN
 
 
 def bounded_oscillator(count=400, ratio=1.2):
@@ -218,3 +221,72 @@ class TestZeroPrefix:
         f = GridFn(Grid(0.0, 100_050), np.r_[np.zeros(100_000), np.ones(50)])
         with pytest.raises(TruncationError):
             delta_laplace(f, 2.0)
+
+
+def _whole_grid_lhs(check, f, param, y, ctl):
+    """The identity's lhs from the operator applied to the whole grid."""
+    if check is laplace_of_fractional_sum_check:
+        return delta_laplace(fractional_sum_fn(f, param), y, ctl).value
+    return delta_laplace(hilfer_difference_fn(f, param), y, ctl).value
+
+
+CHECKS = [
+    (laplace_of_fractional_sum_check, lambda mu, nu: mu),
+    (laplace_of_hilfer_check, HilferOrder),
+]
+
+
+class TestPrefixTransform:
+    """The checks apply their operator to the prefix of f the tail bound
+    needs; on a causal operator that reads the whole-grid samples."""
+
+    @pytest.mark.parametrize("y", [1.5, 2.0, 3.0, 50.0])
+    @pytest.mark.parametrize("check, order", CHECKS)
+    def test_direct_grids_give_the_whole_grid_bits(self, y, check, order):
+        # at y = 50 the bound needs 7 terms at unit growth: the shortest
+        # first prefix, 32 samples
+        rng = np.random.default_rng([11, int(10 * y)])
+        for ctl in (LaplaceCtl(), CTL, LaplaceCtl(r=2.2, tol=1e-12)):
+            if abs(1.0 + y) <= ctl.r:
+                continue
+            for nu in (0.0, float(rng.uniform(0.2, 0.8)), 1.0):
+                n = int(rng.integers(600, _FFT_MIN))
+                mu = float(rng.uniform(0.1, 0.9))
+                growth = float(rng.uniform(1.0, 1.3))
+                # a large scale pushes the bound past the first prefix
+                scale = float(rng.choice([1.0, 1e12]))
+                values = scale * growth ** np.arange(n) * rng.uniform(-1.0, 1.0, n)
+                f = GridFn(Grid(float(rng.choice([0.0, 0.5])), n), values)
+                param = order(mu, nu)
+                lhs, _ = check(f, param, y, ctl)
+                assert lhs == _whole_grid_lhs(check, f, param, y, ctl), (n, mu, nu)
+
+    @pytest.mark.parametrize("check, order", CHECKS)
+    def test_long_grid_stays_on_short_prefixes(self, check, order, caplog):
+        n = 20000
+        f = GridFn(Grid(0.0, n), np.random.default_rng(3).uniform(-1.0, 1.0, n))
+        param = order(0.6, 0.3)
+        with caplog.at_level(logging.DEBUG, logger="hilfer_dfc"):
+            lhs, _ = check(f, param, 2.0)
+        sizes = [r.args[0] for r in caplog.records if r.name == "hilfer_dfc.operators"]
+        assert all(size < _FFT_MIN for size in sizes), sizes
+        whole = _whole_grid_lhs(check, f, param, 2.0, LaplaceCtl())
+        assert abs(lhs - whole) <= 1e-13 * abs(whole)
+
+    @pytest.mark.parametrize("check, order", CHECKS)
+    def test_zero_prefix_of_the_output_is_not_zero_everywhere(self, check, order):
+        # the first 300 outputs are zero: prefixes of 64, 128 and 256
+        # samples say nothing, and the one of 512 reaches the ones
+        f = GridFn(Grid(0.0, 1000), np.r_[np.zeros(300), np.ones(700)])
+        param = order(0.4, 0.5)
+        lhs, _ = check(f, param, 2.0)
+        assert lhs != 0.0 and lhs == _whole_grid_lhs(check, f, param, 2.0, LaplaceCtl())
+
+    @pytest.mark.parametrize("check, order", CHECKS)
+    @pytest.mark.parametrize("ratio, y", [(1.2, 0.501), (1.8, 0.7)])
+    def test_bound_missed_on_the_whole_grid_raises(self, check, order, ratio, y):
+        # |1+y| just above r needs more terms than the grid holds; growth
+        # 1.8 past |1+y| = 1.7 misses the bound on every prefix too
+        f = GridFn.from_callable(Grid(0.0, 1000), lambda x: ratio**x)
+        with pytest.raises(TruncationError):
+            check(f, order(0.4, 0.5), y)
