@@ -104,6 +104,8 @@ def _build_spec(args: argparse.Namespace) -> IvpSpec:
     else:
         if args.lam is None:
             raise ConfigError("--nonhomogeneous requires --lambda")
+        if not np.isfinite(args.a):  # named as IvpSpec names it, before the forcing's Grid
+            raise ConfigError(f"a and zeta must be finite: got a={args.a!r}, zeta={args.zeta!r}")
         base = args.a + 1.0 - args.mu
         if args.forcing_csv is not None:
             vals = np.loadtxt(args.forcing_csv, ndmin=1)

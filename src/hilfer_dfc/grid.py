@@ -181,6 +181,10 @@ class Grid:
     count: int
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.base):
+            raise ValueError(f"base must be finite: got {self.base!r}")
+        if not isinstance(self.count, (int, np.integer)):
+            raise ValueError(f"count must be an integer: got {self.count!r}")
         if self.count < 0:
             raise ValueError(f"count must be nonnegative, got {self.count}")
 

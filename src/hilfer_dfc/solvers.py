@@ -17,17 +17,18 @@ sum_{j<n} k_mu[n-1-j] g_j; the result is the exact fixed point of the
 summation operator on the finite grid, no iteration needed.  The engine
 steps in blocks of ``_BLOCK`` points, the near/far split of Hairer,
 Lubich and Schlichte (1985, SIAM J. Sci. Stat. Comput. 6): at a block's
-start one ``np.convolve`` gives every output of the block its sum over
-the g values before the block (exact dot products), and each step adds
-the terms from inside the block in plain floats.  The n = 0 value is
-the monomial term's limit, u(a) = zeta, which anchors the recursion.
+start one ``np.correlate`` of the kernel with g reversed gives every
+output of the block its sum over the g values before the block (exact dot
+products), and each step adds the terms from inside the block in plain
+floats.  The n = 0 value is the monomial term's limit, u(a) = zeta.
 The engine takes a raw (mu, eta), so the Gronwall series (where mu = 1
 is allowed) runs on it.  Each right-hand side evaluates g two ways, bit
 for bit alike: on_grid(u, a) gives g at every point of u's base grid
 {a, a+1, ...} at once, for the residuals and the fixed-point map; and
 a per-step callable of (base-grid index j, u) is what the engine steps
 with, one Python call per step.  Index j stands for w = a+j and, for a
-forcing, its sample at the equation point a+j+1-mu.
+forcing, its sample at the equation point a+j+1-mu.  ``Linear`` and the
+Gronwall series hand the engine coefficients c_j, stepped as c_j * u.
 
 For the linear right-hand side two independent evaluations are provided:
 the forward recursion, and the closed-form discrete Mittag-Leffler
@@ -110,8 +111,8 @@ class Nonlinear:
     fn: Callable[[float, float], float]
 
     def on_grid(self, u: np.ndarray, a: float) -> np.ndarray:
-        step = self._stepper(a)
-        return np.array([step(j, v) for j, v in enumerate(u.tolist())], dtype=float)
+        fn = self.fn
+        return np.array([fn(a + j, v) for j, v in enumerate(u.tolist())], dtype=float)
 
     def _stepper(self, a: float) -> Callable[[int, float], float]:
         fn = self.fn
@@ -151,6 +152,8 @@ class IvpSpec:
     rhs: Linear | Nonlinear | NonHomogeneous
 
     def __post_init__(self) -> None:
+        if not isinstance(self.steps, (int, np.integer)):
+            raise ValueError(f"steps must be an integer: got {self.steps!r}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if not (math.isfinite(self.a) and math.isfinite(self.zeta)):
@@ -203,38 +206,46 @@ def _volterra(
     eta: float,
     zeta: float,
     steps: int,
-    g_at: Callable[[int, float], float],
+    g_at: Callable[[int, float], float] | list[float],
 ) -> np.ndarray:
     """Forward Volterra engine: y[n] = zeta c_eta[n] - sum_j k_mu[n-1-j] g_j.
 
     ``g_at(j, y[j])`` is the right-hand side at base-grid index j
-    (j = 0..steps-1); a nan from it raises NonFiniteError naming j.
-    Stepping stops at the first value that is non-finite or above
-    OVERFLOW_LIMIT; that value and all later ones read nan.  ``(mu, eta)``
-    are raw, so the integer edge mu = 1 works.
+    (j = 0..steps-1), or for g linear in u its list of coefficients c_j,
+    g_j = c_j * y[j]; a nan g_j raises NonFiniteError naming j.  Stepping
+    stops at the first value that is non-finite or above OVERFLOW_LIMIT;
+    that value and all later ones read nan.  ``(mu, eta)`` are raw, so the
+    integer edge mu = 1 works.
 
     Outputs s+1..s+B of a block take their sum over g_0..g_{s-1} from one
-    valid-mode convolution at the block's start; a step adds the terms
-    g_s..g_{n-1} of its own block.  Steps make no numpy call: an inf or
-    nan propagates silently through plain floats, without numpy warnings,
-    and is caught by the range test.
+    valid-mode correlation of the kernel with g reversed at the block's
+    start; a step adds the terms g_s..g_{n-1} of its own block.  Steps
+    make no numpy call: an inf or nan propagates silently through plain
+    floats, without numpy warnings, and is caught by the range test.
     """
     zeta = float(zeta)
+    coef = None if callable(g_at) else g_at
     # the monomial term zeta c_eta[n] of outputs n = 1..steps
     monomial = (zeta * sum_kernel(eta, steps + 1)[1:]).tolist()
     k = sum_kernel(mu, steps)
     # near[m] = k[m], ..., k[0]: the lags from block offsets 0..m to offset m
     near = [k[m::-1].tolist() for m in range(min(_BLOCK, steps))]
-    g = np.empty(steps)
+    # g_rev[steps-s:] = g_{s-1}..g_0, as np.convolve(g[:s], k[1:e]) orders them
+    g_rev = np.empty(steps)
     y = np.full(steps + 1, np.nan)
     done = [zeta]
     u = zeta
     for s in range(0, steps, _BLOCK):
         e = min(s + _BLOCK, steps)
-        far = np.convolve(g[:s], k[1:e], "valid").tolist() if s else [0.0] * (e - s)
+        if not s:
+            far = [0.0] * e
+        elif e - s > 1:
+            far = np.correlate(k[1:e], g_rev[steps - s :], "valid").tolist()
+        else:  # one output from two arrays of s points, where np.convolve keeps g first
+            far = np.convolve(g_rev[steps - s :][::-1], k[1:e], "valid").tolist()
         block = []
         for j, term, far_j, lags in zip(range(s, e), monomial[s:e], far, near):
-            gj = float(g_at(j, u))
+            gj = float(g_at(j, u)) if coef is None else coef[j] * u
             if gj != gj:
                 raise NonFiniteError(f"right-hand side is nan at index {j} (u = {u!r})")
             block.append(gj)
@@ -243,7 +254,7 @@ def _volterra(
                 y[: len(done)] = done
                 return y
             done.append(u)
-        g[s:e] = block
+        g_rev[steps - e : steps - s] = block[::-1]
     y[:] = done
     return y
 
@@ -257,8 +268,8 @@ def _truncated(spec: IvpSpec, y: np.ndarray, meta: SolverMeta) -> Solution:
     return Solution(GridFn._adopt(Grid(spec.a, len(y)), y), meta)
 
 
-def _stepped(spec: IvpSpec, stepper: Callable[[int, float], float], solver_name: str) -> Solution:
-    y = _volterra(spec.order.mu, spec.order.eta, spec.zeta, spec.steps, stepper)
+def _stepped(spec: IvpSpec, g_at: Callable[[int, float], float] | list[float], solver_name: str) -> Solution:
+    y = _volterra(spec.order.mu, spec.order.eta, spec.zeta, spec.steps, g_at)
     return _truncated(spec, y, SolverMeta(solver_name))
 
 
@@ -273,7 +284,7 @@ def solve_linear(spec: IvpSpec) -> Solution:
     """Exact forward recursion for the linear problem, O(steps^2) multiply-adds."""
     if not isinstance(spec.rhs, Linear):
         raise TypeError("solve_linear needs a Linear right-hand side")
-    return _stepped(spec, spec.rhs._stepper(spec.a), "linear-recursion")
+    return _stepped(spec, [-float(spec.rhs.lam)] * spec.steps, "linear-recursion")
 
 
 def solve_linear_series(spec: IvpSpec) -> Solution:
@@ -318,6 +329,19 @@ def solve(spec: IvpSpec) -> Solution:
     return solve_nonhomogeneous(spec)
 
 
+def _summation_map(spec: IvpSpec, n_pts: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The fixed-point map A on n_pts values from a; its kernel tables are built once."""
+    seed = spec.zeta * sum_kernel(spec.order.eta, n_pts)
+    k = sum_kernel(spec.order.mu, n_pts - 1)
+
+    def apply(u: np.ndarray) -> np.ndarray:
+        out = seed.copy()
+        out[1:] -= causal_convolve(k, spec.rhs.on_grid(u[: n_pts - 1], spec.a))
+        return out
+
+    return apply
+
+
 def apply_summation_operator(spec: IvpSpec, u: GridFn) -> GridFn:
     """One application of the fixed-point map A to a trajectory u on {a,...}.
 
@@ -326,11 +350,7 @@ def apply_summation_operator(spec: IvpSpec, u: GridFn) -> GridFn:
     """
     if abs(u.base - spec.a) > 1e-9:
         raise CoverageError(f"u must be based at {spec.a!r}")
-    n_pts = u.count
-    out = spec.zeta * sum_kernel(spec.order.eta, n_pts)
-    g = spec.rhs.on_grid(u.values[: n_pts - 1], spec.a)
-    out[1:] -= causal_convolve(sum_kernel(spec.order.mu, n_pts - 1), g)
-    return GridFn._adopt(u.grid, out)
+    return GridFn._adopt(u.grid, _summation_map(spec, u.count)(u.values))
 
 
 def defining_equation_residual(solution: Solution, spec: IvpSpec) -> GridFn:

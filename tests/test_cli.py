@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hilfer_dfc import ContourError, HilferOrder, IvpSpec, Linear, solve_linear
+from hilfer_dfc import ContourError, HilferOrder, IvpSpec, Linear, existence_bound, solve_linear
 from hilfer_dfc import cli, solvers
 from hilfer_dfc.cli import main
 
@@ -87,6 +87,17 @@ class TestSolve:
         assert code == 0
         meta = json.loads((tmp_path / "solution.json").read_text())
         assert meta["max_residual"] < 1e-10
+
+    def test_forcing_csv_writes_the_constant_forcing_bytes(self, tmp_path):
+        # the np.loadtxt branch: one sample per line, read as --forcing-const reads its value
+        (tmp_path / "forcing.csv").write_text("0.2\n" * 40)
+        args = ["solve", "--nonhomogeneous", "--lambda", "0.3", "--mu", "0.6", "--nu", "0.4",
+                "--steps", "40"]
+        assert main(args + ["--forcing-csv", str(tmp_path / "forcing.csv"),
+                            "--out", str(tmp_path / "csv")]) == 0
+        assert main(args + ["--forcing-const", "0.2", "--out", str(tmp_path / "const")]) == 0
+        for name in ("solution.csv", "solution.json"):
+            assert read(tmp_path / "csv" / name) == read(tmp_path / "const" / name)
 
     def test_byte_identical_reruns(self, tmp_path):
         args = [
@@ -227,6 +238,16 @@ class TestBound:
         value = float(capsys.readouterr().out.split()[2])
         assert value == pytest.approx(expect, rel=1e-13)
 
+    def test_existence_comparison(self, capsys):
+        assert main(["bound", "--a", "0.3", "--T", "9.3", "--mu", "0.7", "--L-star", "0.1"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"bound     = {existence_bound(0.3, 9.3, 0.7)!r}",
+            "kind      = existence",
+            "supplied  = 0.1",
+            "satisfied = True",
+            "strict    = False",
+        ]
+
     def test_bad_horizon_is_config_error(self, capsys):
         code = main(["bound", "--a", "0.0", "--T", "5.5", "--mu", "0.7"])
         assert code == 2
@@ -240,6 +261,11 @@ class TestEvaluators:
         assert payload["transform"] == pytest.approx(0.5, rel=1e-8)
         assert payload["fractional_sum_identity"]["error"] < 1e-8
         assert payload["hilfer_identity"]["error"] < 1e-8
+
+    def test_laplace_unknown_test_function(self, capsys):
+        assert main(["laplace", "--y", "2", "--f-kind", "bogus"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: unknown --f-kind 'bogus'\n" and captured.out == ""
 
     def test_laplace_domain_error(self, capsys):
         code = main(["laplace", "--y", "0.1"])

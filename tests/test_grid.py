@@ -568,6 +568,24 @@ class TestGridTypes:
         with pytest.raises(ValueError):
             Grid(0.0, -1)
 
+    @pytest.mark.parametrize("base", [math.nan, math.inf, -math.inf])
+    def test_non_finite_base_is_named(self, base):
+        # Grid(nan, 3) built, and reading a point of a sum on it raised
+        # "cannot convert float NaN to integer"
+        with pytest.raises(ValueError, match=rf"^base must be finite: got {base!r}$"):
+            Grid(base, 3)
+
+    @pytest.mark.parametrize("count", [3.5, 3.0, "3"])
+    def test_non_integral_count_is_named(self, count):
+        # Grid(0.0, 3.5) built, then refused every array as "expected 3.5 values"
+        with pytest.raises(ValueError, match=rf"^count must be an integer: got {count!r}$"):
+            Grid(0.0, count)
+
+    def test_numpy_integers_are_counts(self):
+        g = Grid(np.float64(0.5), np.int64(4))
+        assert g.points.tolist() == [0.5, 1.5, 2.5, 3.5]
+        assert GridFn(g, np.arange(4.0))(2.5) == 2.0
+
     def test_values_are_immutable(self):
         f = GridFn.constant(Grid(0.0, 4), 1.0)
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import logging
 import math
 import re
 from operator import mul
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -28,6 +29,7 @@ from hilfer_dfc import (
     falling_factorial,
     forward_difference_fn,
     fractional_sum_fn,
+    gronwall_check,
     gronwall_series,
     hilfer_difference_fn,
     initial_condition_value,
@@ -89,6 +91,17 @@ class TestSpecValidation:
         # samples past the horizon are never read
         spec = IvpSpec(0.0, 4, order, 1.0, NonHomogeneous(0.1, forcing))
         assert np.isfinite(solve(spec).values.values).all()
+
+
+    @pytest.mark.parametrize("steps", [2.5, 3.0])
+    def test_non_integral_steps_are_named(self, steps):
+        # steps=2.5 died inside numpy with a bare TypeError
+        with pytest.raises(ValueError, match=rf"^steps must be an integer: got {steps!r}$"):
+            IvpSpec(0.0, steps, HilferOrder(0.5, 0.5), 1.0, Linear(0.1))
+
+    def test_numpy_integer_steps(self):
+        spec = IvpSpec(0.0, np.int64(5), HilferOrder(0.5, 0.5), 1.0, Linear(0.1))
+        assert solve(spec).values.values.tobytes() == solve(replace(spec, steps=5)).values.values.tobytes()
 
 
 class TestLinearRecursion:
@@ -536,6 +549,28 @@ class TestEngineAgainstScalarLoop:
         for g_at in (lambda j, w: -vals[j] * w, lambda j, w: 1e30 * vals[j] * w):
             ref = first_engine(1.0, 0.45, 1.7, steps, g_at)
             assert np.array_equal(_volterra(1.0, 0.45, 1.7, steps, g_at), ref, equal_nan=True)
+
+    @pytest.mark.parametrize("steps", STEPS)
+    def test_bit_for_bit_the_first_engine_in_the_gronwall_series(self, steps):
+        # the series hands the engine coefficients -v_j; the first engine
+        # stepped the callable -v_j w
+        base, order = 2.5, HilferOrder(0.35, 0.6)
+        grid = Grid(base, steps + 1)
+        zero = GridFn(grid, np.zeros(steps + 1))
+        for o, v in (
+            (order, 0.9 * np.cos(0.7 * np.arange(steps + 1))),
+            # w doubles each step at mu = 1, past the float range from step 1024
+            ((1.0, 0.45), np.full(steps + 1, 0.999)),
+        ):
+            mu, eta = (o.mu, o.eta) if isinstance(o, HilferOrder) else o
+            vals = v.tolist()
+            ref = first_engine(mu, eta, 1.7, steps, lambda j, w: -vals[j] * w)
+            ref[np.isnan(ref)] = math.inf
+            vfn = GridFn(grid, v)
+            assert gronwall_check(zero, 1.7, vfn, o).series.tobytes() == ref.tobytes()
+            for n in {0, 1, steps // 2, steps}:
+                assert gronwall_series(1.7, vfn, o, base + n) == ref[n]
+            assert np.isinf(ref[-1]) == (o == (1.0, 0.45) and steps >= 2000)
 
     def test_bit_for_bit_the_first_engine_at_overflow_and_nan(self):
         a, order = 0.0, HilferOrder(0.3, 0.5)

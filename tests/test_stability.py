@@ -15,6 +15,7 @@ from hilfer_dfc import (
     MlParams,
     NonHomogeneous,
     Nonlinear,
+    apply_summation_operator,
     ev_operator,
     existence_bound,
     existence_report,
@@ -123,6 +124,29 @@ class TestVerifyContraction:
         bound = existence_bound(0.3, 9.3, 0.7)
         rep = verify_contraction(self._spec(bound + 0.01), bound + 0.01)
         assert not rep.report.satisfied
+
+
+    @pytest.mark.parametrize("trials", [0, -2])
+    def test_no_trial_is_refused(self, trials):
+        # no pair was drawn, and the report read ratio 0.0, empirical_ok True
+        with pytest.raises(ValueError, match=rf"^trials must be at least 1: got {trials}$"):
+            verify_contraction(self._spec(0.15), 0.15, trials=trials)
+
+    @pytest.mark.parametrize("steps", [120, 1500])
+    @pytest.mark.parametrize("kind", ["linear", "nonlinear", "nonhomogeneous"])
+    def test_ratio_is_the_summation_operator_loop_bit_for_bit(self, kind, steps):
+        # 1500 steps take causal_convolve's transform path
+        spec = stability_spec(kind, 0.01, 2.5, steps, desk_order())
+        rep = verify_contraction(spec, 0.01, trials=4, rng=np.random.default_rng(7))
+        rng = np.random.default_rng(7)
+        grid = Grid(spec.a, steps + 1)
+        worst = 0.0
+        for _ in range(4):
+            u = GridFn(grid, rng.uniform(-1.0, 1.0, grid.count))
+            v = GridFn(grid, rng.uniform(-1.0, 1.0, grid.count))
+            image = apply_summation_operator(spec, u).values - apply_summation_operator(spec, v).values
+            worst = max(worst, float(np.max(np.abs(image))) / float(np.max(np.abs(u.values - v.values))))
+        assert rep.empirical_ratio == worst > 0.0
 
 
 class TestEvOperator:
