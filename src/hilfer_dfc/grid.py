@@ -20,7 +20,9 @@ two log-gammas (Stirling's series where both are large), so it is O(1)
 in r.
 
 All operations are pure functions of immutable inputs and are safe to
-share across threads.
+share across threads.  The per-thread scratch class of the library's
+transforms lives here too, so that each transform module keeps its own
+instance without loading another.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -60,6 +63,8 @@ _STIRLING_MIN = 16.0
 _TINY = sys.float_info.min
 #: B_2k / (2k (2k-1)), k = 1..6; the next term is below 2e-18 at x = 16
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
+#: bytes of transform scratch one workspace keeps between calls per thread
+_WORKSPACE_MAX = 16 << 20
 
 
 class LibraryError(Exception):
@@ -118,6 +123,31 @@ def _smooth_length(target: int) -> int:
             p35 *= 3
         p5 *= 5
     return best
+
+
+class _Workspace(threading.local):
+    """One thread's scratch arrays for a transform, one per role.
+
+    An array only grows, and a grown one is kept only while all kept
+    arrays stay within ``_WORKSPACE_MAX`` bytes; otherwise it serves one
+    call.  Results are always fresh arrays, never views of these.
+    """
+
+    def __init__(self) -> None:
+        self.kept: dict[str, np.ndarray] = {}
+
+    def nbytes(self) -> int:
+        return sum(array.nbytes for array in self.kept.values())
+
+    def take(self, role: str, shape: tuple[int, int], dtype: type = float) -> np.ndarray:
+        size = shape[0] * shape[1]
+        array = self.kept.get(role)
+        if array is None or array.size < size:
+            held = self.nbytes() - (0 if array is None else array.nbytes)
+            array = np.empty(size, dtype)
+            if held + array.nbytes <= _WORKSPACE_MAX:
+                self.kept[role] = array
+        return array[:size].reshape(shape)
 
 
 def _sign_lgamma(x: float) -> tuple[float, float]:

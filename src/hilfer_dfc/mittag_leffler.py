@@ -22,15 +22,23 @@ half circle is sampled, in real arithmetic from one table
 s = sin(pi j / M) and its reverse c = cos(pi j / M): 1 - z is
 (1 - r) + 2 r s^2 + i 2 r s c, with no cancellation near z = 1,
 log|1 - z| is one real log, arg(1 - z) one arctan2, and a power
-(1 - z)^-e is exp(-e log|1 - z|) (cos(e arg) - i sin(e arg)).  r sits
-a relative 2/N inside the nearest singularity (more past order 1),
-which bounds both the aliasing and the r^-n growth of roundoff: the
-branch point z = 1, or for lam > 0 the real zero z* in (0, 1) of D,
-unless a nonpositive integer gamma makes D^-gamma a polynomial in D.
-The samples of D certify a contour inside z*: its winding number around
-0 must be 0, or ContourError is raised, and each step of arg D stays
+(1 - z)^-e is exp(-e log|1 - z|) (cos(e arg) - i sin(e arg)).  Each
+sin and cos comes from one tan of the half angle, tau, which costs a
+third of numpy's cos and sin: the sin is 2 tau / (1 + tau^2) and the
+cos (1 - tau^2) / (1 + tau^2), taken as 1 - tau sin to keep its digits
+near 1.  The table's first quarter is such a sin and the rest its cos
+read backwards, one tan for two samples.  r sits a relative
+2/N inside the nearest singularity (more past order 1), which bounds
+both the aliasing and the r^-n growth of roundoff: the branch point
+z = 1, or for lam > 0 the real zero z* in (0, 1) of D, unless a
+nonpositive integer gamma makes D^-gamma a polynomial in D.  The
+samples of D certify a contour inside z*: its winding number around 0
+must be 0, or ContourError is raised, and each step of arg D, the
+arctan2 of the cross and dot products of consecutive samples, stays
 below pi/2, so their running sum is the continuous log D that D^-gamma
-needs.
+needs.  Every half-circle array is a row of one thread's scratch, this
+module's own :class:`hilfer_dfc.grid._Workspace`, reused from call to
+call; the values returned are fresh arrays.
 
 Off the lattice the series is summed: term k is a running coefficient
 lam^k (gamma)_k / k! times the Taylor monomial h_{mu k + eta - 1} of
@@ -57,7 +65,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grid import INTEGER_SNAP, LibraryError, _smooth_length, _snap_int, taylor_monomial
-from .grid import _require_finite, _require_positive
+from .grid import _require_finite, _require_positive, _Workspace
 
 __all__ = [
     "SeriesCtl",
@@ -78,6 +86,8 @@ _MAX_TERMS = 512
 #: largest lattice index ml_eval reads, and largest transform a high
 #: order of U asks for: the transform holds about 16 complex samples per point
 _LATTICE_MAX = 2**17
+#: the transform's scratch rows (_scratch), one set per thread, kept between calls
+_workspace = _Workspace()
 
 
 @dataclass(frozen=True)
@@ -269,21 +279,24 @@ def _pole(mu: float, lam: float) -> float:
     return lo
 
 
-def _turns(denom: np.ndarray) -> np.ndarray:
-    """Change of arg D between consecutive samples, each in (-pi, pi]."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.angle(denom[1:] / denom[:-1])
+def _turns(denom: np.ndarray, product: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
+    """Change of arg D between consecutive samples, each in [-pi, pi]: the
+    arctan2 of the cross and dot products of consecutive samples, the parts
+    of conj(D_j) D_(j+1); formed in ``product`` and ``out`` when given."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = np.multiply(np.conjugate(denom[:-1], out=product), denom[1:], out=product)
+        return np.arctan2(product.imag, product.real, out=out)
 
 
-def _certify(denom: np.ndarray) -> np.ndarray:
+def _certify(denom: np.ndarray, product: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """Raise ContourError unless D, sampled from z = r to z = -r, has no
-    zero inside the circle; return its turns.
+    zero inside the circle; return its turns (:func:`_turns`).
 
     D(conj z) = conj D(z), so the whole circle's winding number is the
     half circle's turn over pi.  A step turning by pi/2 or more between
     samples would make the count ambiguous.
     """
-    turns = _turns(denom)
+    turns = _turns(denom, product, out)
     if not (np.all(np.isfinite(denom) & (denom != 0)) and np.all(np.abs(turns) < np.pi / 2)):
         raise ContourError("the contour samples do not resolve the winding of D")
     if abs(float(np.sum(turns))) > np.pi / 2:
@@ -291,30 +304,58 @@ def _certify(denom: np.ndarray) -> np.ndarray:
     return turns
 
 
+def _scratch(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """This thread's nine real rows of m/2 + 1 samples, and the first eight
+    as four complex rows: complex row i is real rows 2i and 2i + 1."""
+    rows = _workspace.take("contour", (9, m // 2 + 1))
+    return rows, rows[:8].reshape(4, -1).view(complex)
+
+
 def _contour(r: float, m: int, mu: float, eta: float) -> tuple[np.ndarray, ...]:
     """The half circle z = r exp(-2 pi i j / m), j = 0..m/2, and there
     log|1 - z|, arg(1 - z), (1 - z)^-mu and (1 - z)^-eta, in real
     arithmetic (module docstring): z = r - 2 r s^2 - i 2 r s c, and
-    |1 - z|^2 = (1 - r)^2 + 4 r s^2 has no cancelling term either."""
-    s = np.sin(np.pi / m * np.arange(m // 2 + 1))
-    rs = 2.0 * r * s
-    rss = rs * s
-    im = rs * s[::-1]  # Im(1 - z) = -Im z
-    z = np.empty(len(s), complex)
+    |1 - z|^2 = (1 - r)^2 + 4 r s^2 has no cancelling term either.
+
+    All five are views of :func:`_scratch`: z complex row 0, the log and
+    the arg real rows 6 and 7, the powers complex rows 1 and 2.
+    """
+    rows, cplx = _scratch(m)
+    # s = sin(pi j / m) = 2t / (1 + t^2), t = tan(pi j / 2m), up to j = m/4,
+    # and from there on the first quarter's cos 1 - t s, read backwards
+    q = m // 4 + 1
+    t, s = rows[8, :q], rows[5]
+    np.tan(np.multiply(np.arange(q, dtype=float), np.pi / (2 * m), out=t), out=t)
+    d = np.add(np.square(t, out=rows[4, :q]), 1.0, out=rows[4, :q])
+    np.divide(np.multiply(t, 2.0, out=s[:q]), d, out=s[:q])
+    np.subtract(1.0, np.multiply(t, s[:q], out=d), out=s[::-1][:q])
+    rs = np.multiply(s, 2.0 * r, out=rows[8])
+    im = np.multiply(rs, s[::-1], out=rows[4])  # Im(1 - z) = -Im z
+    rss = np.multiply(rs, s, out=rs)
+    z = cplx[0]
     np.subtract(r, rss, out=z.real)
     np.negative(im, out=z.imag)
-    log_mod = 0.5 * np.log((1.0 - r) ** 2 + 2.0 * rss)
-    arg = np.arctan2(im, (1.0 - r) + rss)
+    log_mod = np.multiply(rss, 2.0, out=rows[6])
+    log_mod += (1.0 - r) ** 2
+    np.log(log_mod, out=log_mod)
+    log_mod *= 0.5
+    arg = np.arctan2(im, np.add(rss, 1.0 - r, out=rss), out=rows[7])
 
-    def power(e: float) -> np.ndarray:
-        mod, angle = np.exp(-e * log_mod), e * arg
-        out = np.empty(len(s), complex)
-        np.multiply(mod, np.cos(angle), out=out.real)
-        np.multiply(mod, -np.sin(angle), out=out.imag)
+    def power(e: float, out: np.ndarray) -> np.ndarray:
+        # mod (cos - i sin) of e arg from tau = tan(e arg / 2): sin is
+        # 2 tau / (1 + tau^2), and cos = (1 - tau^2) / (1 + tau^2) is taken
+        # as 1 - tau sin, which keeps its digits where it is near 1
+        tau = np.tan(np.multiply(arg, 0.5 * e, out=rows[8]), out=rows[8])
+        d = np.add(np.square(tau, out=out.real), 1.0, out=out.real)
+        sin = np.divide(np.multiply(tau, 2.0, out=out.imag), d, out=out.imag)
+        cos = np.subtract(1.0, np.multiply(tau, sin, out=tau), out=tau)
+        mod = np.exp(np.multiply(log_mod, -e, out=out.real), out=out.real)
+        np.negative(np.multiply(sin, mod, out=sin), out=sin)
+        np.multiply(mod, cos, out=mod)
         return out
 
-    k_mu = power(mu)
-    return z, log_mod, arg, k_mu, k_mu if eta == mu else power(eta)
+    k_mu = power(mu, cplx[1])
+    return z, log_mod, arg, k_mu, k_mu if eta == mu else power(eta, cplx[2])
 
 
 def ml_lattice_solution(
@@ -327,10 +368,21 @@ def ml_lattice_solution(
     These are the coefficients of zeta U(z) + z K(z) F(z), with K the
     eta = mu, gamma = 1 symbol and F(z) = sum_j forcing[j] z^j, all from
     one transform (module docstring); a forcing needs gamma = 1.  Raises
-    ContourError when the contour is not certified.
+    ContourError when the contour is not certified, ValueError for a
+    count that is not a nonnegative integer or a non-finite zeta or
+    forcing sample.
     """
-    if forcing is not None and p.gamma != 1.0:
-        raise ValueError(f"a forced solution needs gamma = 1, got {p.gamma}")
+    if not isinstance(count, (int, np.integer)) or count < 0:
+        raise ValueError(f"count must be a nonnegative integer: got {count}")
+    count = int(count)
+    _require_finite(zeta=zeta)
+    if forcing is not None:
+        if p.gamma != 1.0:
+            raise ValueError(f"a forced solution needs gamma = 1, got {p.gamma}")
+        f = np.asarray(forcing, dtype=float)[:count]
+        bad = np.flatnonzero(~np.isfinite(f))
+        if bad.size:
+            raise ValueError(f"forcing must be finite: sample {bad[0]} is {float(f[bad[0]])!r}")
     polynomial = p.gamma <= 0.0 and float(p.gamma).is_integer()
     pole = p.lam > 0 and not polynomial
     # U's coefficients grow like n^(order-1) from its nearest singularity,
@@ -344,20 +396,24 @@ def ml_lattice_solution(
     shift = 2.0 + max(order - 1.0, 0.0) * math.log(m) / 16.0
     r = (1.0 - shift / n) * (_pole(p.mu, p.lam) if pole else 1.0)
     z, _, _, k_mu, u_eta = _contour(r, m, p.mu, p.eta)
-    denom = 1.0 - p.lam * z * k_mu
-    turns = _turns(denom) if polynomial else _certify(denom)
-    samples = zeta * u_eta
+    # every half-circle array below is a row of the scratch (_contour)
+    rows, cplx = _scratch(m)
+    denom = np.multiply(z, p.lam, out=cplx[3])  # 1 - lam z k_mu
+    denom *= k_mu
+    np.subtract(1.0, denom, out=denom)
+    samples = np.multiply(u_eta, zeta, out=cplx[2])
     if forcing is not None:
-        f = np.asarray(forcing, dtype=float)[:count]
-        samples += z * k_mu * np.fft.rfft(f * r ** np.arange(len(f)), m)
+        zk = np.multiply(z, k_mu, out=cplx[1])
+        samples += np.multiply(zk, np.fft.rfft(f * r ** np.arange(len(f)), m, out=cplx[0]), out=zk)
+    turns = (_turns if polynomial else _certify)(denom, cplx[0, :-1], rows[2, :-1])
     with np.errstate(over="ignore", invalid="ignore"):
-        symbol = samples / denom
+        symbol = np.divide(samples, denom, out=samples)
         if p.gamma != 1.0:
             # D^(1-gamma) on the branch that follows arg D from z = r
             arg = np.angle(denom[0]) + np.concatenate(([0.0], np.cumsum(turns)))
             symbol *= np.exp((1.0 - p.gamma) * (np.log(np.abs(denom)) + 1j * arg))
         # r^-n as two factors: the product overflows only where the value does
         half = np.power(r, -0.5 * np.arange(count))
-        out = np.fft.irfft(symbol, m)[:count] * half * half
+        out = np.fft.irfft(symbol, m, out=rows[:2].reshape(-1)[:m])[:count] * half * half
     out[:1] = zeta  # zeta U(0), exactly
     return out, len(z)

@@ -35,9 +35,10 @@ non-finite input takes the direct path.  The pointwise fractional sum
 is one dot product of the kernel with the samples up to its point, and
 a difference at one point is a read of its ``*_fn`` GridFn.  Whole-grid
 results take over the fresh arrays they are computed in.  Everything is
-pure and thread-safe:
-each thread owns the scratch workspace the transforms reuse, kept up to
-``_WORKSPACE_MAX`` bytes, and a result never aliases it.
+pure and thread-safe: each thread owns the scratch the transforms reuse,
+this module's own instance of :class:`hilfer_dfc.grid._Workspace` (each
+transform of the library has one), kept up to ``_WORKSPACE_MAX`` bytes,
+and a result never aliases it.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-import threading
 
 import numpy as np
 
@@ -57,6 +57,8 @@ from .grid import (
     HilferOrder,
     _require_finite,
     _smooth_length,
+    _Workspace,
+    _WORKSPACE_MAX,
 )
 
 __all__ = [
@@ -89,42 +91,14 @@ _UNDECIDED_MAX = 32
 #: past the few dozen roundings a bracket value takes
 _BRACKET_SLACK = np.array([[1.0 - 256 * np.finfo(float).eps], [1.0 + 256 * np.finfo(float).eps]])
 _BRACKET_SLACK.flags.writeable = False
-#: bytes of transform scratch one thread keeps between causal_convolve
-#: calls: about 17 x 8n bytes for n points, so up to about 120000 points
-_WORKSPACE_MAX = 16 << 20
+#: causal_convolve's scratch: about 17 x 8n bytes for n points, so kept
+#: between calls up to about 120000 points
+_workspace = _Workspace()
 
 
 def _binade(x: np.ndarray) -> int:
     """Exponent e with max|x| in [2^(e-1), 2^e); 0 for a zero array."""
     return math.frexp(max(float(x.max()), -float(x.min())))[1]
-
-
-class _Workspace(threading.local):
-    """One thread's scratch arrays for the transform path, one per role.
-
-    An array only grows, and a grown one is kept only while all kept
-    arrays stay within ``_WORKSPACE_MAX`` bytes; otherwise it serves one
-    call.  Results are always fresh arrays, never views of these.
-    """
-
-    def __init__(self) -> None:
-        self.kept: dict[str, np.ndarray] = {}
-
-    def nbytes(self) -> int:
-        return sum(array.nbytes for array in self.kept.values())
-
-    def take(self, role: str, shape: tuple[int, int], dtype: type = float) -> np.ndarray:
-        size = shape[0] * shape[1]
-        array = self.kept.get(role)
-        if array is None or array.size < size:
-            held = self.nbytes() - (0 if array is None else array.nbytes)
-            array = np.empty(size, dtype)
-            if held + array.nbytes <= _WORKSPACE_MAX:
-                self.kept[role] = array
-        return array[:size].reshape(shape)
-
-
-_workspace = _Workspace()
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:

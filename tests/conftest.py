@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,41 @@ def random_grid_fn(rng, base=0.0, count=24, scale=1.0):
 
 def rel_err(got, expect):
     return abs(got - expect) / max(1.0, abs(expect))
+
+
+def in_fresh_thread(fn):
+    """fn() run in a new thread, whose transform workspaces start empty."""
+    result = []
+    thread = threading.Thread(target=lambda: result.append(fn()))
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive() and len(result) == 1
+    return result[0]
+
+
+def in_threads(call, cases, orders):
+    """(i, call(*cases[i])) for each i of each order, one thread per order,
+    all released at once and switching often."""
+    start = threading.Barrier(len(orders))
+    results = []
+
+    def loop(order):
+        start.wait()
+        done = [(i, call(*cases[i])) for i in order]
+        results.extend(done)
+
+    threads = [threading.Thread(target=loop, args=(order,)) for order in orders]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    return results
 
 
 def run_python(code, timeout=120):

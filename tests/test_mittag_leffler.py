@@ -1,12 +1,13 @@
 """Discrete Mittag-Leffler series: reductions, termination, identities."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import ld_recursion, stratified_cases
+from conftest import in_fresh_thread, in_threads, ld_recursion, stratified_cases
 from hilfer_dfc import (
     ContourError,
     MlParams,
@@ -20,8 +21,8 @@ from hilfer_dfc import (
     sum_kernel,
     taylor_monomial,
 )
-from hilfer_dfc.grid import SingularGammaError, _smooth_length
-from hilfer_dfc.mittag_leffler import _LATTICE_MAX, _certify, _contour, _pole
+from hilfer_dfc.grid import _WORKSPACE_MAX, SingularGammaError, _smooth_length
+from hilfer_dfc.mittag_leffler import _LATTICE_MAX, _certify, _contour, _pole, _workspace
 
 
 def _term(mu, eta, gamma, lam, z, k):
@@ -391,6 +392,27 @@ class TestLatticeRoute:
             got = mp.mpc(float(log_mod[j]), float(arg[j]))
             assert abs(got - exact) <= 4 * np.finfo(float).eps * abs(exact), j
 
+    @pytest.mark.parametrize("count, lam", [(300, 0.0), (2000, 0.5), (48000, -0.3)])
+    @pytest.mark.parametrize("mu, eta", [(0.05, 0.6), (1.0, 2.5), (3.0, 0.6)])
+    def test_contour_powers_against_mpmath(self, count, lam, mu, eta):
+        # each power's cos and sin come from tan(e arg / 2); past e = 2 that
+        # angle passes pi/2 where arg(1 - z) peaks, at cos(2 pi j / m) = r,
+        # and tan wraps.  exp(-e log|1 - z|) of a rounded exponent is off
+        # by eps/2 of that exponent, whatever the cos and sin: 10 eps at
+        # 48000 points (e = 2.5, e log|1 - z| = -24), from cos and sin too
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        r = (1.0 - 2.0 / count) * (_pole(0.6, lam) if lam > 0 else 1.0)
+        m = 2 * _smooth_length(8 * count)
+        _, _, _, k_mu, u_eta = _contour(r, m, mu, eta)
+        peak = round(m * math.acos(r) / (2.0 * math.pi))
+        for j in (1, 2, 5, peak, m // 4, m // 2 - 1, m // 2):
+            one_minus_z = 1 - mp.mpf(r) * mp.expjpi(mp.mpf(-2 * j) / m)
+            for e, got in ((mu, k_mu[j]), (eta, u_eta[j])):
+                exact = one_minus_z ** -mp.mpf(e)
+                tol = (8.0 + abs(e * float(mp.log(abs(one_minus_z))))) * np.finfo(float).eps
+                assert abs(mp.mpc(complex(got)) - exact) <= tol * abs(exact), (e, j)
+
     def test_negative_index_is_zero(self):
         p = MlParams(mu=0.7, eta=0.4, gamma=1.3, lam=-0.6)
         for ev in (ml_eval(p, -3.0 + 0.4 - 1.0), ml_eval(p, -1.0, bold=True)):
@@ -470,6 +492,108 @@ class TestLatticeTable:
     def test_forcing_needs_gamma_one(self):
         with pytest.raises(ValueError, match="gamma = 1"):
             ml_lattice_solution(MlParams(mu=0.7, gamma=1.3, lam=0.2), 5, forcing=np.ones(5))
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda p: ml_lattice(p, -2), "count must be a nonnegative integer: got -2"),
+        (lambda p: ml_lattice(replace(p, eta=1.6), -2), "count must be a nonnegative integer: got -2"),
+        (lambda p: ml_lattice_solution(p, -3), "count must be a nonnegative integer: got -3"),
+        (lambda p: ml_lattice_solution(p, 2.5), "count must be a nonnegative integer: got 2.5"),
+        (lambda p: ml_lattice_solution(p, 5, math.inf), "zeta must be finite: got inf"),
+        (lambda p: ml_lattice_solution(p, 5, math.nan), "zeta must be finite: got nan"),
+        (lambda p: ml_lattice_solution(p, 5, forcing=[0.1, math.nan, 0.2, 0.3, 0.4]),
+         "forcing must be finite: sample 1 is nan"),
+        (lambda p: ml_lattice_solution(p, 5, forcing=np.r_[np.ones(4), -math.inf]),
+         "forcing must be finite: sample 4 is -inf"),
+    ], ids=["negative-count", "negative-count-eta-above-one", "negative-solution-count",
+            "fractional-count", "inf-zeta", "nan-zeta", "nan-forcing", "inf-forcing"])
+    def test_bad_arguments_are_named(self, call, message):
+        # these failed inside numpy (a broadcast or slice error) or gave a
+        # row of inf and nan with a RuntimeWarning, or none at all
+        with pytest.raises(ValueError) as info:
+            call(MlParams(mu=0.7, eta=0.4, lam=0.5))
+        assert str(info.value) == message
+
+    def test_numpy_integer_counts_and_unread_forcing(self):
+        p = MlParams(mu=0.7, eta=0.4, lam=0.5)
+        assert np.array_equal(ml_lattice(p, np.int64(40)), ml_lattice(p, 40))
+        forcing = np.r_[np.linspace(0.1, 0.5, 5), math.nan]  # the last sample is never read
+        got, _ = ml_lattice_solution(p, np.int32(5), 1.5, forcing)
+        assert np.array_equal(got, ml_lattice_solution(p, 5, 1.5, forcing[:5])[0])
+
+
+def transform_cases(rng):
+    """(params, count, zeta, forcing) at 50, 2000, 400, 3000 and again 2000
+    points: unforced at gamma 1 and 2.5, and forced with eta = mu and not."""
+    cases = []
+    for count in (50, 2000, 400, 3000, 2000):
+        forcing = rng.uniform(-1.0, 1.0, count)
+        cases += [
+            (MlParams(0.6, 0.8, 1.0, 0.3), count, 1.3, None),
+            (MlParams(0.6, 0.8, 2.5, 0.3), count, 1.0, None),
+            (MlParams(0.4, 1.7, 2.5, -0.5), count, 0.6, None),
+            (MlParams(0.45, 0.45, 1.0, 0.5), count, 0.7, forcing),
+            (MlParams(0.7, 0.9, 1.0, -0.6), count, 1.1, forcing),
+        ]
+    return cases
+
+
+class TestTransformWorkspace:
+    def test_results_do_not_alias_the_workspace(self, rng):
+        for p, count, zeta, forcing in transform_cases(rng)[5:10]:
+            out, _ = ml_lattice_solution(p, count, zeta, forcing)
+            kept = out.copy()
+            ml_lattice_solution(p, count, -zeta, forcing)
+            assert np.array_equal(out, kept)
+            assert not any(np.shares_memory(out, array) for array in _workspace.kept.values())
+
+    def test_interleaved_sizes_repeat_the_first_results(self, rng):
+        # the workspace grows to 3000 points and serves the later calls
+        # from the front of larger rows
+        cases = transform_cases(rng)
+        first = in_fresh_thread(lambda: [ml_lattice_solution(*case)[0] for case in cases])
+        for _ in range(2):
+            for case, expect in zip(cases, first):
+                assert np.array_equal(ml_lattice_solution(*case)[0], expect)
+
+    def test_threads_get_the_serial_results(self, rng):
+        # more threads than cores, each looping over the cases in its own
+        # order, switching often: shared rows would mix their samples
+        cases = transform_cases(rng)
+        serial = [ml_lattice_solution(*case)[0] for case in cases]
+        orders = [np.roll(np.arange(len(cases)), shift) for shift in range(0, len(cases), 5)]
+        results = in_threads(lambda *case: ml_lattice_solution(*case)[0], cases, orders)
+        assert len(results) == len(orders) * len(cases)
+        for i, out in results:
+            assert np.array_equal(out, serial[i]), i
+
+    def test_a_repeated_call_allocates_little_beyond_its_result(self, rng):
+        # a forced 1943-point call allocated 2.0-2.2 MB of half-circle
+        # arrays before it reused the workspace's rows
+        p, forcing = MlParams(0.45, 0.45, 1.0, 0.5), rng.uniform(-1.0, 1.0, 1943)
+        ml_lattice_solution(p, 1943, 0.7, forcing)
+        tracemalloc.start()
+        try:
+            ml_lattice_solution(p, 1943, 0.7, forcing)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.2e6
+
+    def test_a_long_call_keeps_the_workspace_within_its_cap(self):
+        # the 48000-point rows are past the cap: they serve one call, and
+        # the 2000-point rows stay
+        p = MlParams(0.6, 0.8, 1.0, -0.3)
+
+        def calls():
+            short = ml_lattice_solution(p, 2000)[0]
+            kept = _workspace.nbytes()
+            return short, kept, ml_lattice_solution(p, 48000)[0], _workspace.nbytes()
+
+        short, kept, long, after = in_fresh_thread(calls)
+        assert 0 < kept == after <= _WORKSPACE_MAX
+        assert np.array_equal(ml_lattice_solution(p, 48000)[0], long)
+        assert np.array_equal(ml_lattice_solution(p, 2000)[0], short)
+        assert _workspace.nbytes() <= _WORKSPACE_MAX
 
 
 class TestTransformEngine:

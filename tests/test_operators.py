@@ -11,8 +11,6 @@ double sum.
 import itertools
 import logging
 import math
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -36,7 +34,7 @@ from hilfer_dfc import (
 )
 from hilfer_dfc.operators import _CELL, _FFT_MIN, _WORKSPACE_MAX, _magnitude_bracket, _workspace
 
-from conftest import random_grid_fn, run_python
+from conftest import in_fresh_thread, in_threads, random_grid_fn, run_python
 
 
 def oracle_fractional_sum(f: GridFn, mu: float, x: float) -> float:
@@ -454,16 +452,6 @@ class TestMagnitudeBracket:
             assert np.min(floor / exact) >= 0.5, mu
 
 
-def in_fresh_thread(fn):
-    """fn() run in a new thread, whose convolution workspace starts empty."""
-    result = []
-    thread = threading.Thread(target=lambda: result.append(fn()))
-    thread.start()
-    thread.join(timeout=120)
-    assert not thread.is_alive() and len(result) == 1
-    return result[0]
-
-
 def workspace_cases(rng):
     """(kernel, values) at 20000, 3000, 50000 and again 20000 points: a sum
     kernel, a signed one and one of n/3 lags, each with random, all-zero
@@ -509,25 +497,7 @@ class TestConvolveWorkspace:
         cases = workspace_cases(rng)[::2]
         serial = [causal_convolve(k, f) for k, f in cases]
         orders = [np.roll(np.arange(len(cases)), shift) for shift in range(0, len(cases), 6)]
-        start = threading.Barrier(len(orders))
-        results = []
-
-        def loop(order):
-            start.wait()
-            done = [(i, causal_convolve(*cases[i])) for i in order]
-            results.extend(done)
-
-        threads = [threading.Thread(target=loop, args=(order,)) for order in orders]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
+        results = in_threads(causal_convolve, cases, orders)
         assert len(results) == len(orders) * len(cases)
         for i, out in results:
             assert np.array_equal(out, serial[i], equal_nan=True), i
