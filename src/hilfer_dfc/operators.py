@@ -4,19 +4,26 @@ The order-mu fractional sum based at ``a`` convolves samples against the
 Taylor-monomial kernel and lives on the shifted grid starting at ``a+mu``;
 the Riemann-Liouville difference is an integer difference after a
 (1-mu)-sum, the Caputo difference a (1-mu)-sum after an integer
-difference, and the two-parameter (Hilfer-type) difference interpolates
-between them through the composition
+difference, and the two-parameter (Hilfer-type) difference is defined
+as the composition
 
-    sum of order nu(1-mu), based where the inner stage lands
+    sum of order beta = nu(1-mu), based where the inner stage lands
     o  forward difference
-    o  sum of order (1-nu)(1-mu), based at a.
+    o  sum of order alpha = (1-nu)(1-mu), based at a.
 
-Intermediate stages are materialized on their true shifted grids, so a
-starting-point mistake is an OffGridError rather than a silently wrong
-number.  The order-0 sum is the identity operator, which is exactly what
-the nu=0 and nu=1 edges of the composition require.
+Two exact identities, S^beta Delta g = Delta S^beta g - c_beta[j+1] g(a)
+and S^beta S^alpha = S^(alpha+beta), collapse it to
 
-Whole-grid variants (``*_fn``) compute each stage once through
+    D^{mu,nu} f [j] = (Delta S^(1-mu) f)[j] - c_beta[j+1] f(a),
+
+the Riemann-Liouville difference less a closed-form initial term: one
+convolution where the composition takes two.  Where alpha or beta is 0
+(the nu=0 and nu=1 edges) the order-0 sum is the identity operator and
+the composition runs stage by stage, each stage on its true shifted
+grid.  The composition itself is what the ``composition-*`` checks of
+:mod:`hilfer_dfc.verification` certify.
+
+Whole-grid variants (``*_fn``) compute each sum once through
 :func:`causal_convolve`, the one causal convolution of the library: a
 direct sum below ``_FFT_MIN`` points (the measured crossover), and from
 there on a uniformly partitioned overlap-add FFT convolution in two
@@ -444,12 +451,20 @@ def caputo_difference_fn(f: GridFn, mu: float) -> GridFn:
 def hilfer_difference_fn(f: GridFn, order: HilferOrder) -> GridFn:
     """Two-parameter fractional difference of f, on base+1-mu.
 
-    The three stages run on their true grids: the inner sum lands on
-    base + (1-nu)(1-mu), is differenced there, and the outer sum carries
-    the result to base + 1 - mu.  nu=0 reduces exactly to the
-    Riemann-Liouville path and nu=1 to the Caputo path (the degenerate
-    order-0 sums are identities).
+    With beta = nu(1-mu) the outer order, this is the Riemann-Liouville
+    difference less c_beta[j+1] f(a) at point j: one order-(1-mu) sum.
+    Where the inner or the outer order is within ``INTEGER_SNAP`` of 0
+    the composition itself is one sum, so it runs stage by stage on its
+    true grids: nu=0 is exactly the Riemann-Liouville path and nu=1 the
+    Caputo path (the degenerate order-0 sums are identities).
     """
-    inner = fractional_sum_fn(f, order.inner_sum_order)
-    differenced = forward_difference_fn(inner)
-    return fractional_sum_fn(differenced, order.outer_sum_order)
+    inner, outer = order.inner_sum_order, order.outer_sum_order
+    if min(inner, outer) <= INTEGER_SNAP:
+        return fractional_sum_fn(forward_difference_fn(fractional_sum_fn(f, inner)), outer)
+    rl = rl_difference_fn(f, order.mu)
+    f_a = float(f.values[0])
+    if f_a == 0.0:
+        return rl
+    initial = sum_kernel(outer, f.count)[1:]
+    initial *= f_a
+    return GridFn._adopt(rl.grid, np.subtract(rl.values, initial, out=initial))

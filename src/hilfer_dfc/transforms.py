@@ -28,7 +28,6 @@ import numpy as np
 from .grid import Grid, GridFn, HilferOrder, LibraryError, _require_finite, _require_positive
 from .operators import (
     forward_difference_fn,
-    fractional_sum,
     fractional_sum_fn,
     hilfer_difference_fn,
 )
@@ -236,8 +235,8 @@ def laplace_of_hilfer_check(
 ) -> tuple[float, float]:
     """lhs: transform (based at base+1-mu) of the two-parameter difference,
     taken over the prefix of f the tail bound needs;
-    rhs: y^mu (y+1)^(1-mu) F - ((y+1)/y)^(nu(1-mu)) times the inner sum's
-    value at its own base point.
+    rhs: y^mu (y+1)^(1-mu) F - ((y+1)/y)^(nu(1-mu)) f(a), f(a) the inner
+    sum's value at its own base point.
 
     At nu=0 the prefactor is 1 and the rhs collapses to the
     Riemann-Liouville transform formula; at nu=1 the inner sum is the
@@ -245,10 +244,9 @@ def laplace_of_hilfer_check(
     """
     lhs = _operator_transform(lambda g: hilfer_difference_fn(g, order), f, y, ctl)
     f_transform = delta_laplace(f, y, ctl).value
-    initial = fractional_sum(f, order.inner_sum_order, f.base + order.inner_sum_order)
     rhs = (
         _real_power(y, order.mu) * _real_power(y + 1.0, 1.0 - order.mu) * f_transform
-        - _real_power((y + 1.0) / y, order.outer_sum_order) * initial
+        - _real_power((y + 1.0) / y, order.outer_sum_order) * float(f.values[0])
     )
     return lhs, rhs
 

@@ -5,7 +5,7 @@ gamma-function products, independently of the convolution implementation:
 the fractional sum as a term-by-term monomial sum, the order-mu
 difference additionally via its unified single-sum form with a negative
 order kernel, and the two-parameter difference as a fully expanded
-double sum.
+double sum and as its composition summed in long double.
 """
 
 import itertools
@@ -32,7 +32,14 @@ from hilfer_dfc import (
     sum_kernel,
     taylor_monomial,
 )
-from hilfer_dfc.operators import _CELL, _FFT_MIN, _WORKSPACE_MAX, _magnitude_bracket, _workspace
+from hilfer_dfc.operators import (
+    _CELL,
+    _FFT_MIN,
+    _WORKSPACE_MAX,
+    _magnitude_bracket,
+    _workspace,
+    forward_difference_fn,
+)
 
 from conftest import in_fresh_thread, in_threads, random_grid_fn, run_python
 
@@ -79,6 +86,15 @@ def oracle_hilfer_double_sum(f: GridFn, order: HilferOrder, x: float) -> float:
         stepped = inner_sum(tau2 + 1.0) - inner_sum(tau2)
         total += taylor_monomial(c - 1.0, x, tau2 + 1.0) * stepped
     return total
+
+
+def longdouble_sum(mu: float, values: np.ndarray) -> np.ndarray:
+    """Order-mu fractional sum of values, kernel and convolution in long double."""
+    n = len(values)
+    lag = np.arange(1, n, dtype=np.longdouble)
+    kernel = np.ones(n, dtype=np.longdouble)
+    kernel[1:] = np.cumprod((lag - 1 + np.longdouble(mu)) / lag)
+    return np.convolve(kernel, values)[:n]
 
 
 class TestFractionalSum:
@@ -675,6 +691,40 @@ class TestHilferDifference:
             assert float(h.values[j]) == pytest.approx(
                 oracle_hilfer_double_sum(f, order, x), rel=1e-10, abs=1e-11
             )
+
+    @pytest.mark.parametrize("kind", ["rough", "growing", "decaying"])
+    def test_interior_types_against_the_extended_precision_composition(self, rng, kind):
+        # the one-sum form against the composition summed in long double,
+        # relative to the size S^beta(spread(S^alpha |f|)) of its terms
+        for _ in range(8):
+            n = int(rng.integers(40, 1501))
+            j = np.arange(n)
+            if kind == "rough":
+                v = rng.uniform(-1, 1, n)
+            elif kind == "growing":
+                v = (1 + j / n) ** rng.uniform(1, 4) * np.exp(rng.uniform(0, 3) * j / n)
+            else:
+                v = np.exp(-rng.uniform(1, 20) * j / n) * (1 + j) ** -rng.uniform(0, 1)
+            order = HilferOrder(rng.uniform(0.02, 0.98), rng.uniform(0.02, 0.98))
+            inner, outer = order.inner_sum_order, order.outer_sum_order
+            got = hilfer_difference_fn(GridFn(Grid(0.5, n), v), order)
+            assert got.grid == Grid(0.5 + (1.0 - order.mu), n - 1)
+            exact = longdouble_sum(outer, np.diff(longdouble_sum(inner, v.astype(np.longdouble))))
+            spread = causal_convolve(sum_kernel(inner, n), np.abs(v))
+            size = causal_convolve(sum_kernel(outer, n - 1), spread[1:] + spread[:-1])
+            assert np.max(np.abs(got.values - exact) / size) <= 1e-14, (n, order)
+
+    @pytest.mark.parametrize("nu", [0.0, 1e-12, 1.0 - 1e-12, 1.0])
+    def test_edge_types_are_the_composition_bits(self, rng, nu):
+        for mu, count in itertools.product((0.1, 0.5, 0.9), (31, 3000)):
+            f = random_grid_fn(rng, count=count)
+            f = GridFn(f.grid, f.values + 1.0)  # f(a) != 0
+            order = HilferOrder(mu, nu)
+            inner = fractional_sum_fn(f, order.inner_sum_order)
+            composed = fractional_sum_fn(forward_difference_fn(inner), order.outer_sum_order)
+            h = hilfer_difference_fn(f, order)
+            assert h.grid == composed.grid
+            assert np.array_equal(h.values, composed.values)
 
     def test_linearity(self, rng):
         order = HilferOrder(0.6, 0.3)

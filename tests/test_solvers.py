@@ -337,7 +337,7 @@ class TestWholePipeline:
         with caplog.at_level(logging.DEBUG, logger="hilfer_dfc"):
             res = defining_equation_residual(sol, spec)
         records = [r.args for r in caplog.records if r.name == "hilfer_dfc.operators"]
-        assert len(records) == 2
+        assert len(records) == 1
         assert all(direct < count / 10 for count, _, _, direct in records)
         scale = residual_scale(sol, spec)
         assert np.max(np.abs(res.values) / scale.values) <= 1e-14
@@ -358,6 +358,19 @@ class TestWholePipeline:
             direct[steps] = sum(points for *_, points in records)
             assert np.max(np.abs(res.values) / scale.values) <= 1e-11
         assert direct[50000] <= 1.1 * direct[20000]
+
+    @pytest.mark.parametrize("mu, nu, lam", [(0.7, 0.5, -0.9), (0.3, 0.5, -0.5), (0.9, 0.5, -0.5)])
+    def test_decaying_interior_residual_sums_no_whole_grid(self, caplog, mu, nu, lam):
+        # the composition's outer stage summed all 20000 points of the
+        # first case directly; the one-sum form keeps the transform
+        spec = linear_spec(mu=mu, nu=nu, steps=20000, lam=lam)
+        sol = solve_linear_series(spec)
+        with caplog.at_level(logging.DEBUG, logger="hilfer_dfc"):
+            res = defining_equation_residual(sol, spec)
+        records = [r.args for r in caplog.records if r.name == "hilfer_dfc.operators"]
+        assert records and all(direct <= count / 4 for count, _, _, direct in records)
+        scale = residual_scale(sol, spec)
+        assert np.max(np.abs(res.values) / scale.values) <= 1e-11
 
     @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0])
     def test_initial_condition_recovered(self, nu):
