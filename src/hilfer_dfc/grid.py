@@ -217,6 +217,12 @@ class Grid:
             raise ValueError(f"count must be an integer: got {self.count!r}")
         if self.count < 0:
             raise ValueError(f"count must be nonnegative, got {self.count}")
+        # up to 2^53 floats are at most a unit apart, and the point farthest
+        # from 0 rounds the most: if it is on the lattice, every point is
+        last = self.base + (self.count - 1)
+        on_lattice = abs(last - (self.count - 1) - self.base) <= INTEGER_SNAP
+        if self.count > 1 and not (on_lattice and -(2.0**53) <= self.base and last <= 2.0**53):
+            raise ValueError(f"base {self.base!r}: its {self.count} points are not distinct unit steps")
 
     @property
     def points(self) -> np.ndarray:

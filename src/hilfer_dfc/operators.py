@@ -35,15 +35,19 @@ and an output is kept only where the bound of its block is below 1e-13
 of conv(|k|, |f|) at that point; the points where it is not are summed
 directly.  That sum is read off a floor and a ceiling built without a
 transform, so a call runs the value transform alone, and no transform
-when more than a quarter of the grid certainly fails.  A zero prefix
-stays exactly zero, a trajectory spanning many orders of magnitude
-keeps its early points, a decaying one its late points, and a
-non-finite input takes the direct path.  The pointwise fractional sum
-is one dot product of the kernel with the samples up to its point, and
-a difference at one point is a read of its ``*_fn`` GridFn.  Whole-grid
-results take over the fresh arrays they are computed in.  Everything is
-pure and thread-safe: each thread owns the scratch the transforms reuse,
-this module's own instance of :class:`hilfer_dfc.grid._Workspace` (each
+when more than a quarter of the grid certainly fails.  Where the rule
+would fall back, it first removes the cause and judges once more: a
+steady rise is rescaled away by the r^-n weights of Bornemann (2011,
+Found. Comput. Math. 11), and a first cell that dwarfs the rest is
+summed directly against every output.  A zero prefix stays exactly
+zero, a trajectory spanning many orders of magnitude keeps its early
+points, a decaying one its late points, and a non-finite input takes
+the direct path.  The pointwise fractional sum is one dot product of
+the kernel with the samples up to its point, and a difference at one
+point is a read of its ``*_fn`` GridFn.  Whole-grid results take over
+the fresh arrays they are computed in.  Everything is pure and
+thread-safe: each thread owns the scratch the transforms reuse, this
+module's own instance of :class:`hilfer_dfc.grid._Workspace` (each
 transform of the library has one), kept up to ``_WORKSPACE_MAX`` bytes,
 and a result never aliases it.
 """
@@ -94,6 +98,10 @@ _CELL = 16
 #: directly; past this many a transform of |k| against |f| decides them,
 #: since more dot products cost more than that transform
 _UNDECIDED_MAX = 32
+#: binades a rise, or the first cell over the rest, needs to be removed
+_REMEDY_MIN = 4
+#: largest rise in binades that is rescaled: the weights stay normal floats
+_RISE_MAX = 960
 #: factors that deflate the floor's weights and inflate the ceiling's
 #: past the few dozen roundings a bracket value takes
 _BRACKET_SLACK = np.array([[1.0 - 256 * np.finfo(float).eps], [1.0 + 256 * np.finfo(float).eps]])
@@ -283,16 +291,31 @@ def causal_convolve(kernel: np.ndarray, values: np.ndarray) -> np.ndarray:
     more than ``_UNDECIDED_MAX`` points between the two after the leading
     run of points not kept, or more than n/4 points not kept, the rule
     falls back to the size a transform of |kernel| against |values|
-    gives, less err.  The points not kept are summed directly: the
-    leading run by one direct sum, later ones by one dot product each;
-    with more than n/4 of them, or with err not finite, the whole
-    convolution is.  Otherwise one value transform runs: two batched
-    forward FFTs and one batched inverse.  The transform's rows, spectra
-    and sums live in this thread's workspace, so a repeated call
-    allocates little more than its result.  The ``hilfer_dfc.operators``
-    DEBUG record gives n, B, the block count and how many points were
-    summed directly; it is emitted once the application has imported
-    ``logging``.
+    gives, less err.
+
+    Before either fallback the rule removes a cause and judges the call
+    once more; a call it keeps takes neither remedy and keeps its bits.
+    A rise of 2^4 to 2^960 from the first cell of ``_CELL`` values to the
+    last is rescaled: with rho = 2^step, step a multiple of 2^-40 so that
+    j step is exact, kernel rho^-l is transformed against values rho^-j
+    and the sums are divided by the same weights rho^-j.  The term size
+    conv(|kernel|, |values|) at j scales by rho^-j as well, so the
+    bracket times the weights bounds the rescaled sizes; the weights add
+    a few roundings per term, far inside the 1e-13.  A first cell 2^4
+    above all the rest is summed against every output directly, n
+    ``_CELL`` multiply-adds, and the rest is transformed: its smaller
+    block bounds are judged against the bracket of the whole input,
+    which is the size of the terms each output adds.
+
+    The points not kept are summed directly: the leading run by one
+    direct sum, later ones by one dot product each; with more than n/4 of
+    them, or with err not finite, the whole convolution is.  Otherwise
+    one value transform runs: two batched forward FFTs and one batched
+    inverse.  The transform's rows, spectra and sums live in this
+    thread's workspace, so a repeated call allocates little more than its
+    result.  The ``hilfer_dfc.operators`` DEBUG record gives n, B, the
+    block count and how many points were summed directly; it is emitted
+    once the application has imported ``logging``.
     """
     values = np.asarray(values, dtype=float)
     n = len(values)
@@ -319,33 +342,62 @@ def causal_convolve(kernel: np.ndarray, values: np.ndarray) -> np.ndarray:
     # lag 0 holds most of the norm of a small-order sum kernel (c[0] = 1,
     # the rest of order mu): added apart, it does not inflate the bounds
     lead, k_flat[0] = k_flat[0], 0.0
-    unit_err = np.finfo(float).eps * math.log2(length)
-    block_err = np.convolve(unit_err * _row_norms(k_rows), _row_norms(f_rows))[:count]
-    block_err[1:] += block_err[:-1]
-    err = block_err[:, None]  # each block's bound, over its row
     head, late = n, np.empty(0, dtype=int)
     spec_shape = (count, length // 2 + 1)
     k_spec = _workspace.take("k_spec", spec_shape, complex)
     f_spec = _workspace.take("f_spec", spec_shape, complex)
     k_ready = False
-    if math.isfinite(block_err.sum()):
+    weights = head_cell = loose = None
+    unit_err = np.finfo(float).eps * math.log2(length)
+    for remedied in (False, True):
+        block_err = np.convolve(unit_err * _row_norms(k_rows), _row_norms(f_rows))[:count]
+        block_err[1:] += block_err[:-1]
+        err = block_err[:, None]  # each block's bound, over its row
+        if not math.isfinite(block_err.sum()):
+            break
+        if not remedied:
+            padded = -(-count * block // _CELL) * _CELL
+            bracket = _magnitude_bracket(k_flat[:n], lead, f_unit, padded)
+            floor, ceiling = bracket[:, : count * block].reshape(2, count, block)
         limit = err / _FFT_REL
-        padded = -(-count * block // _CELL) * _CELL
-        bracket = _magnitude_bracket(k_flat[:n], lead, f_unit, padded)
-        floor, ceiling = bracket[:, : count * block].reshape(2, count, block)
         sure = np.less(ceiling, limit, out=_workspace.take("sure", (count, block), bool)).reshape(-1)[:n]
+        loose = None
         if np.count_nonzero(sure) <= n / 4:
             loose = np.less(floor, limit, out=_workspace.take("loose", (count, block), bool))
             loose = np.flatnonzero(loose.reshape(-1)[:n])
             run = _leading_run(loose)
-            if len(loose) > n / 4 or (run < len(loose) and np.count_nonzero(~sure[loose[run:]]) > _UNDECIDED_MAX):
-                # sum kernels are nonnegative: their spectrum serves both transforms
-                signed = not kernel.min() >= 0
-                loose = _exactly_loose(k_rows, f_rows, k_spec, f_spec, signed, lead, err, n)
-                run = _leading_run(loose)
-                k_ready = not signed
-            if len(loose) <= n / 4:
-                head, late = run, loose[run:]
+            size_transform = len(loose) > n / 4 or (
+                run < len(loose) and np.count_nonzero(~sure[loose[run:]]) > _UNDECIDED_MAX
+            )
+            if not size_transform:
+                break
+        if remedied:
+            break
+        rise = _binade(values[-_CELL:]) - _binade(values[:_CELL]) if values[:_CELL].any() else 0
+        # a multiple of 2^-40, so that j * step is exact for every j < n
+        step = math.ldexp(round(math.ldexp(rise / (n - _CELL), 40)), -40)
+        if rise >= _REMEDY_MIN and (n - 1) * step <= _RISE_MAX:
+            # conv(k, f)[j] = rho^j conv(k rho^-l, f rho^-j)[j], rho = 2^step
+            weights = np.exp2(np.arange(n) * -step)
+            k_flat[: len(kernel)] *= weights[: len(kernel)]
+            shift, f_exp = f_exp, _binade(np.multiply(values, weights, out=f_unit))
+            np.ldexp(f_unit, -f_exp, out=f_unit)
+            bracket[:, :n] *= np.ldexp(weights, shift - f_exp)
+        elif _binade(values[_CELL:]) + _REMEDY_MIN <= f_exp:
+            # the first cell against every output directly; the rest is
+            # judged against the bracket of the whole input
+            head_cell = np.convolve(kernel, values[:_CELL])[:n]
+            f_unit[:_CELL] = 0.0
+        else:
+            break
+    if loose is not None and size_transform:
+        # sum kernels are nonnegative: their spectrum serves both transforms
+        signed = not kernel.min() >= 0
+        loose = _exactly_loose(k_rows, f_rows, k_spec, f_spec, signed, lead, err, n)
+        run = _leading_run(loose)
+        k_ready = not signed
+    if loose is not None and len(loose) <= n / 4:
+        head, late = run, loose[run:]
     if head == n:
         out = np.convolve(kernel, values)[:n].copy()
     else:
@@ -355,8 +407,12 @@ def causal_convolve(kernel: np.ndarray, values: np.ndarray) -> np.ndarray:
         sums = _overlap_add(k_spec, f_spec, length, block).reshape(-1)[:n]
         if lead:
             sums += np.multiply(f_unit, lead, out=_workspace.take("full", (count, block)).reshape(-1)[:n])
+        if weights is not None:
+            sums /= weights
         with np.errstate(over="ignore"):  # past the float range reads inf, as np.convolve's
             out = np.ldexp(sums, k_exp + f_exp)
+            if head_cell is not None:
+                out[: len(head_cell)] += head_cell
         if head:
             out[:head] = np.convolve(kernel[:head], values[:head])[:head]
         if len(late):
@@ -428,10 +484,17 @@ def fractional_sum(f: GridFn, mu: float, x: float) -> float:
 
 
 def forward_difference_fn(f: GridFn) -> GridFn:
-    """Forward difference f(x+1) - f(x), on the same base, one point shorter."""
+    """Forward difference f(x+1) - f(x), on the same base, one point
+    shorter; OverflowError where finite samples differ past the float range
+    (only finite operands raise the overflow flag)."""
     if f.count < 2:
         raise CoverageError("forward difference needs at least two samples")
-    return GridFn._adopt(Grid(f.base, f.count - 1), np.diff(f.values))
+    try:
+        with np.errstate(over="raise"):
+            diff = f.values[1:] - f.values[:-1]
+    except FloatingPointError:
+        raise OverflowError("forward difference exceeds the float range") from None
+    return GridFn._adopt(Grid(f.base, f.count - 1), diff)
 
 
 def rl_difference_fn(f: GridFn, mu: float) -> GridFn:
@@ -467,4 +530,9 @@ def hilfer_difference_fn(f: GridFn, order: HilferOrder) -> GridFn:
         return rl
     initial = sum_kernel(outer, f.count)[1:]
     initial *= f_a
-    return GridFn._adopt(rl.grid, np.subtract(rl.values, initial, out=initial))
+    try:
+        with np.errstate(over="raise"):
+            np.subtract(rl.values, initial, out=initial)
+    except FloatingPointError:
+        raise OverflowError("two-parameter difference exceeds the float range") from None
+    return GridFn._adopt(rl.grid, initial)

@@ -109,3 +109,18 @@ def stratified_cases(seed, count, mu_hi):
         steps = int(round(20 * 100 ** (((7 * i + 3) % count + rng.uniform()) / count)))
         cases.append((round(lam, 4), round(mu, 4), round(nu, 4), steps))
     return cases
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """Names of the numpy.fft transforms called while the test runs."""
+    calls = []
+    for name in ("rfft", "irfft"):
+        transform = getattr(np.fft, name)
+
+        def counted(*args, _name=name, _transform=transform, **kwargs):
+            calls.append(_name)
+            return _transform(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls

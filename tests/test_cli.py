@@ -357,6 +357,10 @@ class TestLibraryErrorsExitTwo:
                 ["solve", "--linear", "--lambda", "inf", "--mu", "0.5", "--steps", "3"],
                 "lam must be finite",
             ),
+            (  # was exit 0 with one repeated x on every row
+                ["solve", "--linear", "--lambda", "0.2", "--mu", "0.5", "--a", "1e17", "--steps", "10"],
+                "base 1e+17",
+            ),
             (  # was exit 0 with "transform": NaN
                 ["laplace", "--f-kind", "geometric", "--ratio", "nan", "--y", "2"],
                 "the transform needs finite samples",
@@ -397,7 +401,7 @@ class TestLibraryErrorsExitTwo:
         ids=["singular-gamma", "series-pole", "series-convergence", "series-divergence", "series-cancellation",
              "truncation", "ml-overflow",
              "bound-overflow", "linear-foreign-flags", "nonlinear-foreign-flags",
-             "nan-forcing", "inf-zeta", "nan-base", "inf-base", "inf-lambda", "nan-laplace-ratio",
+             "nan-forcing", "inf-zeta", "nan-base", "inf-base", "inf-lambda", "huge-base", "nan-laplace-ratio",
              "nan-ml-z", "inf-ml-z", "nan-ml-eta", "nan-ml-gamma", "nan-ml-mu",
              "nan-laplace-y", "nan-laplace-mu",
              "nan-bound-horizon", "inf-bound-horizon", "nan-bound-base", "nan-bound-mu",

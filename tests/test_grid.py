@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import struct
 import sys
 from dataclasses import replace
@@ -580,6 +581,27 @@ class TestGridTypes:
         # Grid(0.0, 3.5) built, then refused every array as "expected 3.5 values"
         with pytest.raises(ValueError, match=rf"^count must be an integer: got {count!r}$"):
             Grid(0.0, count)
+
+    @pytest.mark.parametrize("base", [0.0, 2.5, 1e10 + 0.3, 2.0**52, -(2.0**52), 2.0**53 - 5.0])
+    def test_bases_with_unit_steps_build(self, base):
+        g = Grid(base, 5)
+        assert np.array_equal(g.points - base, np.arange(5.0))
+        assert [g.index_of(x) for x in g.points] == list(range(5))
+
+    @pytest.mark.parametrize(
+        "base, count",
+        [(1e17, 5), (-1e17, 5), (2.0**53, 3), (2.0**53 - 2.0, 5), (2.0**52 - 0.5, 4), (0.3, 2**53)],
+    )
+    def test_base_without_distinct_unit_steps_is_named(self, base, count):
+        # Grid(1e17, 5).points were five copies of 1e17; past 2^53, and
+        # where a fractional base rounds on the way there, base + k is not
+        # the k-th point
+        with pytest.raises(ValueError, match=rf"^base {re.escape(repr(base))}: its {count} points are not distinct unit steps$"):
+            Grid(base, count)
+
+    def test_a_huge_base_holds_one_point(self):
+        assert Grid(1e17, 1).points.tolist() == [1e17]
+        assert Grid(1e17, 0).count == 0
 
     def test_numpy_integers_are_counts(self):
         g = Grid(np.float64(0.5), np.int64(4))

@@ -215,21 +215,6 @@ class TestFractionalSum:
                 )
 
 
-@pytest.fixture
-def fft_calls(monkeypatch):
-    """Names of the numpy.fft transforms called while the test runs."""
-    calls = []
-    for name in ("rfft", "irfft"):
-        transform = getattr(np.fft, name)
-
-        def counted(*args, _name=name, _transform=transform, **kwargs):
-            calls.append(_name)
-            return _transform(*args, **kwargs)
-
-        monkeypatch.setattr(np.fft, name, counted)
-    return calls
-
-
 def shaped_input(rng, kind, n):
     """Random signs times a flat, an e^60-growing or an e^-30-decaying profile."""
     exponent = {"random": 0.0, "growing": 60.0, "decaying": -30.0}[kind]
@@ -404,21 +389,92 @@ class TestCausalConvolve:
             assert fft_calls == ["rfft", "rfft", "irfft"], mu
 
     def test_many_undecided_points_take_the_magnitude_transform(self, rng, caplog, fft_calls):
-        # on a steady e^60 rise hundreds of points fall between the floor
-        # and the ceiling: the transform of |k| against |f| decides them
-        # (its kernel spectrum serves the value transform too), and the
-        # result meets the oracle wherever it is read
+        # a kernel that changes sign inside a band gets floor weight 0
+        # there, so hundreds of points fall between the floor and the
+        # ceiling of flat input, which has no rise or head to remove: the
+        # transform of |k| against |f| decides them (|k| and |f| first,
+        # then k and f), and the result meets the oracle wherever it is read
         n = 20000
-        kernel = sum_kernel(0.1, n)
-        f = shaped_input(rng, "growing", n)
+        kernel = rng.uniform(-1.0, 1.0, n) * np.exp(-np.arange(n) / 300.0)
+        f = shaped_input(rng, "random", n)
         with caplog.at_level(logging.DEBUG, logger="hilfer_dfc"):
             out = causal_convolve(kernel, f)
-        assert fft_calls == ["rfft", "rfft", "irfft", "rfft", "irfft"]
+        assert fft_calls == ["rfft", "rfft", "irfft", "rfft", "rfft", "irfft"]
         (record,) = [r for r in caplog.records if r.name == "hilfer_dfc.operators"]
         assert record.args[3] < n / 4
         for j in np.unique(np.concatenate((rng.integers(0, n, 30), [n - 1]))):
             terms = kernel[j::-1] * f[: j + 1]
             assert abs(out[j] - math.fsum(terms)) <= 1e-12 * math.fsum(np.abs(terms)), j
+
+    def test_steady_rise_is_rescaled_onto_one_value_transform(self, rng, caplog, fft_calls):
+        # on a steady e^60 rise the early points of every block fail its
+        # bound; k rho^-l against f rho^-j has no rise, and the bracket
+        # times the same weights keeps every point of it
+        n = 20000
+        kernel = sum_kernel(0.1, n)
+        f = shaped_input(rng, "growing", n)
+        with caplog.at_level(logging.DEBUG, logger="hilfer_dfc"):
+            out = causal_convolve(kernel, f)
+        assert fft_calls == ["rfft", "rfft", "irfft"]
+        (record,) = [r for r in caplog.records if r.name == "hilfer_dfc.operators"]
+        assert record.args[3] == 0
+        for j in np.unique(np.concatenate((rng.integers(0, n, 30), [0, n - 1]))):
+            terms = kernel[j::-1] * f[: j + 1]
+            assert abs(out[j] - math.fsum(terms)) <= 1e-12 * math.fsum(np.abs(terms)), j
+
+    @pytest.mark.parametrize("signs", ["positive", "random"])
+    def test_rise_past_the_exponent_cap_keeps_the_whole_direct_sum(self, rng, caplog, fft_calls, signs):
+        # a rise of 2^950 over the grid is rescaled; one of 2^1000 would
+        # take weights and kernel lags out of the normal range, so it
+        # keeps the direct sum every point fails into
+        n = 3000
+        kernel = sum_kernel(0.5, n)
+        sign = np.ones(n) if signs == "positive" else rng.choice([-1.0, 1.0], n)
+        for rise, transformed in ((950.0, True), (1000.0, False)):
+            f = sign * np.exp2(np.linspace(0.0, rise, n))
+            fft_calls.clear()
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="hilfer_dfc"):
+                out = causal_convolve(kernel, f)
+            (record,) = [r for r in caplog.records if r.name == "hilfer_dfc.operators"]
+            if transformed:
+                assert record.args[3] < n / 4 and fft_calls[:3] == ["rfft", "rfft", "irfft"]
+            else:
+                assert fft_calls == [] and record.args[3] == n
+                assert np.array_equal(out, np.convolve(kernel, f)[:n])
+            for j in np.unique(np.concatenate((rng.integers(0, n, 30), [0, n - 1]))):
+                terms = kernel[j::-1] * f[: j + 1]
+                assert abs(out[j] - math.fsum(terms)) <= 1e-12 * math.fsum(np.abs(terms)), (rise, j)
+
+    @pytest.mark.parametrize("lags", [3000, 500])
+    def test_dominant_first_cell_is_summed_apart(self, rng, caplog, fft_calls, lags):
+        # the first 16 samples stand 2^10 above the rest: the bound of
+        # block 0 fails its later points.  The cell is summed against
+        # every output directly and the rest, judged against the bracket
+        # of the whole input, takes one value transform
+        n = 3000
+        kernel = sum_kernel(0.5, lags)
+        f = rng.uniform(-1.0, 1.0, n) * np.exp(-np.linspace(0.0, 3.0, n))
+        f[:_CELL] *= 2.0**10
+        with caplog.at_level(logging.DEBUG, logger="hilfer_dfc"):
+            out = causal_convolve(kernel, f)
+        assert fft_calls == ["rfft", "rfft", "irfft"]
+        (record,) = [r for r in caplog.records if r.name == "hilfer_dfc.operators"]
+        assert record.args[3] < n / 100
+        padded = np.zeros(n)
+        padded[:lags] = kernel
+        for j in np.unique(np.concatenate((np.arange(40), rng.integers(0, n, 30), [n - 1]))):
+            terms = padded[j::-1] * f[: j + 1]
+            assert abs(out[j] - math.fsum(terms)) <= 1e-12 * math.fsum(np.abs(terms)), j
+
+    @pytest.mark.parametrize("n", [_FFT_MIN, 3000, 20000])
+    def test_decaying_input_takes_one_value_transform(self, rng, fft_calls, n):
+        # the bracket keeps an e^-30 decay on its own, so neither
+        # remedy runs and no transform is added
+        for mu in (0.3, 0.5, 0.9):
+            fft_calls.clear()
+            causal_convolve(sum_kernel(mu, n), shaped_input(rng, "decaying", n))
+            assert fft_calls == ["rfft", "rfft", "irfft"], mu
 
     def test_logger_is_silent_by_default(self):
         # a long convolution reaches the DEBUG record; in a fresh
@@ -573,6 +629,44 @@ class TestConvolveWorkspace:
             logger.removeHandler(handler)
             logger.setLevel(level)
         assert np.array_equal(out, expect)
+
+
+class TestDifferencesNameTheirOverflow:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n", [4, 40, 3000])
+    def test_alternating_extremes_raise_or_stay_finite(self, n):
+        # np.diff of samples alternating +-1e308 returned [-inf, nan, nan]
+        # with only a numpy RuntimeWarning; the differences that take it
+        # name the overflow as the sums do, and the others stay finite
+        f = GridFn(Grid(0.0, n), np.tile([1e308, -1e308], n // 2))
+        differencing_first = (
+            forward_difference_fn,
+            lambda g: caputo_difference_fn(g, 0.5),
+            lambda g: hilfer_difference_fn(g, HilferOrder(0.5, 1.0)),
+        )
+        for difference in differencing_first:
+            with pytest.raises(OverflowError, match="^forward difference exceeds the float range$"):
+                difference(f)
+        summing_first = [lambda g: rl_difference_fn(g, 0.5)]
+        summing_first += [lambda g, nu=nu: hilfer_difference_fn(g, HilferOrder(0.5, nu)) for nu in (0.0, 0.5)]
+        for difference in summing_first:
+            try:
+                out = difference(f)
+            except OverflowError:
+                continue
+            assert np.isfinite(out.values).all()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n", [4, 40, 3000])
+    def test_initial_term_past_the_range_is_named(self, n):
+        # the Riemann-Liouville difference at point 0 is f(1) + mu |f(a)|
+        # = 1.7e308; less beta f(a) it is past the float range
+        values = np.zeros(n)
+        values[:2] = [-1e308, 1.2e308]
+        f = GridFn(Grid(0.0, n), values)
+        assert np.isfinite(rl_difference_fn(f, 0.5).values).all()
+        with pytest.raises(OverflowError, match="^two-parameter difference exceeds the float range$"):
+            hilfer_difference_fn(f, HilferOrder(0.5, 0.5))
 
 
 class TestSumKernel:

@@ -24,6 +24,7 @@ from hilfer_dfc import (
     Nonlinear,
     apply_summation_operator,
     caputo_difference_fn,
+    causal_convolve,
     defining_equation_residual,
     ev_operator,
     falling_factorial,
@@ -371,6 +372,44 @@ class TestWholePipeline:
         assert records and all(direct <= count / 4 for count, _, _, direct in records)
         scale = residual_scale(sol, spec)
         assert np.max(np.abs(res.values) / scale.values) <= 1e-11
+
+    def test_rising_residual_sums_no_point_directly(self, caplog):
+        # u rises to 6.5e51 over 20000 steps: every block's early points
+        # failed its bound, and all 20001 points were summed directly.
+        # Rescaled by rho^-j the rise is gone and the transform keeps them
+        spec = linear_spec(mu=0.9, nu=0.5, steps=20000, lam=0.01)
+        sol = solve_linear_series(spec)
+        with caplog.at_level(logging.DEBUG, logger="hilfer_dfc"):
+            res = defining_equation_residual(sol, spec)
+        records = [r.args for r in caplog.records if r.name == "hilfer_dfc.operators"]
+        assert len(records) == 1 and records[0][3] == 0
+        assert np.max(np.abs(res.values) / residual_scale(sol, spec).values) <= 1e-12
+        # the convolution it runs, against the direct sum, both judged by
+        # a long-double sum relative to the term size
+        u = sol.values.values
+        kernel = sum_kernel(1.0 - spec.order.mu, len(u))
+        ld = np.longdouble
+        exact = np.convolve(kernel.astype(ld), u.astype(ld))[: len(u)]
+        size = np.convolve(kernel, np.abs(u))[: len(u)]
+        outs = (causal_convolve(kernel, u), np.convolve(kernel, u)[: len(u)])
+        errors = [np.max(np.abs(out - exact) / size) for out in outs]
+        assert errors[0] <= 2.0 * errors[1], errors
+
+    @pytest.mark.parametrize("steps", [2000, 20000])
+    def test_falling_residual_splits_off_its_head(self, caplog, fft_calls, steps):
+        # u falls from 1 by more than 2^4 within its first 16 steps: the
+        # bound of block 0 failed its later points, and the residual paid
+        # the transform of |k| against |u| (20000 steps) or summed every
+        # point directly (2000).  The first cell is summed apart instead
+        spec = linear_spec(mu=0.342, nu=0.0, steps=steps, lam=-0.66)
+        sol = solve_linear_series(spec)
+        fft_calls.clear()
+        with caplog.at_level(logging.DEBUG, logger="hilfer_dfc"):
+            res = defining_equation_residual(sol, spec)
+        assert fft_calls == ["rfft", "rfft", "irfft"]
+        records = [r.args for r in caplog.records if r.name == "hilfer_dfc.operators"]
+        assert len(records) == 1 and records[0][3] < records[0][0] / 100
+        assert np.max(np.abs(res.values) / residual_scale(sol, spec).values) <= 1e-12
 
     @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0])
     def test_initial_condition_recovered(self, nu):
