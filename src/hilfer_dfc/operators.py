@@ -57,6 +57,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
+from typing import Callable
 
 import numpy as np
 
@@ -447,6 +448,22 @@ def sum_kernel(mu: float, length: int) -> np.ndarray:
     return c
 
 
+def _within_range(
+    total: Callable[[np.ndarray, np.ndarray], np.ndarray], kernel: np.ndarray, samples: np.ndarray
+) -> np.ndarray:
+    """total(kernel, samples); where finite samples overflow while summing,
+    redone on them scaled by 2^-shift, so that no partial sum reaches 2^1022,
+    and scaled back.  Past the float range after that raises OverflowError."""
+    sums = total(kernel, samples)
+    if not np.isfinite(sums).all() and np.isfinite(samples).all():
+        shift = _binade(kernel) + len(kernel).bit_length() + _binade(samples) - 1022
+        with np.errstate(over="ignore"):
+            sums = np.ldexp(total(kernel, np.ldexp(samples, -shift)), shift)
+        if not np.isfinite(sums).all():
+            raise OverflowError("fractional sum exceeds the float range")
+    return sums
+
+
 def fractional_sum_fn(f: GridFn, mu: float) -> GridFn:
     """Fractional sum of order mu >= 0 of f, on its natural grid base+mu.
 
@@ -460,9 +477,7 @@ def fractional_sum_fn(f: GridFn, mu: float) -> GridFn:
         return f
     if mu < 0:
         raise ValueError(f"sum order must be nonnegative, got {mu}")
-    sums = causal_convolve(sum_kernel(mu, f.count), f.values)
-    if not np.isfinite(sums).all() and np.isfinite(f.values).all():
-        raise OverflowError("fractional sum exceeds the float range")
+    sums = _within_range(causal_convolve, sum_kernel(mu, f.count), f.values)
     return GridFn._adopt(Grid(f.base + mu, f.count), sums)
 
 
@@ -476,11 +491,8 @@ def fractional_sum(f: GridFn, mu: float, x: float) -> float:
     if mu < 0:
         raise ValueError(f"sum order must be nonnegative, got {mu}")
     j = Grid(f.base + mu, f.count).index_of(x)
-    samples = f.values[: j + 1]
-    value = float(np.convolve(sum_kernel(mu, j + 1), samples, "valid")[0])
-    if not math.isfinite(value) and np.isfinite(samples).all():
-        raise OverflowError("fractional sum exceeds the float range")
-    return value
+    dot = functools.partial(np.convolve, mode="valid")
+    return float(_within_range(dot, sum_kernel(mu, j + 1), f.values[: j + 1])[0])
 
 
 def forward_difference_fn(f: GridFn) -> GridFn:

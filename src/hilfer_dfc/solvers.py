@@ -15,20 +15,20 @@ At x = a+n the sum only references u at a..a+n-1, so the stepping
 solvers run one forward Volterra engine, y[n] = zeta c_eta[n] -
 sum_{j<n} k_mu[n-1-j] g_j; the result is the exact fixed point of the
 summation operator on the finite grid, no iteration needed.  The engine
-steps in blocks of ``_BLOCK`` points, the near/far split of Hairer,
-Lubich and Schlichte (1985, SIAM J. Sci. Stat. Comput. 6): at a block's
-start one ``np.correlate`` of the kernel with g reversed gives every
-output of the block its sum over the g values before the block (exact dot
-products), and each step adds the terms from inside the block in plain
-floats.  The n = 0 value is the monomial term's limit, u(a) = zeta.
-The engine takes a raw (mu, eta), so the Gronwall series (where mu = 1
-is allowed) runs on it.  Each right-hand side evaluates g two ways, bit
-for bit alike: on_grid(u, a) gives g at every point of u's base grid
-{a, a+1, ...} at once, for the residuals and the fixed-point map; and
-a per-step callable of (base-grid index j, u) is what the engine steps
-with, one Python call per step.  Index j stands for w = a+j and, for a
-forcing, its sample at the equation point a+j+1-mu.  ``Linear`` and the
-Gronwall series hand the engine coefficients c_j, stepped as c_j * u.
+works in the blocks of Hairer, Lubich and Schlichte (1985, SIAM J. Sci.
+Stat. Comput. 6): one ``np.correlate`` per block gives its outputs their
+sum over the g values before it (exact dot products).  For g = c u with
+one constant c (``Linear``, the Gronwall series of a constant v) the
+rest of a block is one triangular Toeplitz product; any other g steps
+through the block in plain floats.  The n = 0 value is the monomial
+term's limit, u(a) = zeta.  The engine takes a raw (mu, eta), so the
+Gronwall series (where mu = 1 is allowed) runs on it.  Each right-hand
+side evaluates g two ways, bit for bit alike: on_grid(u, a) gives g at
+every point of u's base grid {a, a+1, ...} at once, for the residuals
+and the fixed-point map; and a per-step callable of (base-grid index j,
+u) is what the engine steps with.  Index j stands for w = a+j and, for
+a forcing, its sample at the equation point a+j+1-mu.  ``Linear`` and
+the Gronwall series hand the engine coefficients c_j, g_j = c_j * u.
 
 For the linear right-hand side two independent evaluations are provided:
 the forward recursion, and the closed-form discrete Mittag-Leffler
@@ -37,9 +37,9 @@ generating function by one FFT (:func:`ml_lattice_solution`).  The
 non-homogeneous closed form adds the forcing's Mittag-Leffler kernel sum
 to the same generating function, so it is the same single transform.
 
-The engine is sequential in n and O(steps^2) in multiply-adds, nearly
-all of them in the block convolutions; the series solvers are
-whole-array computations, O(steps log steps).
+The engine is sequential in blocks and O(steps^2) in multiply-adds,
+nearly all of them in the far-field correlations; the series solvers
+are whole-array computations, O(steps log steps).
 """
 
 from __future__ import annotations
@@ -84,6 +84,12 @@ OVERFLOW_LIMIT = 1e300
 #: points the Volterra engine steps per far-field convolution; of 8 to 48,
 #: 16 was the fastest or tied at 200, 2000 and 20000 steps
 _BLOCK = 16
+#: outputs per product for one constant coefficient (of 16 to 256, 128 was
+#: fastest at 500 and 2000 steps), and the fewest steps worth products
+_SOLVE_BLOCK, _SOLVE_MIN = 128, 56
+#: every block reuses the impulse response's rounding, so it is built in
+#: x87 extended precision where numpy has it (not software quad: too slow)
+_WIDE = np.longdouble if np.finfo(np.longdouble).nmant == 63 else np.float64
 
 
 class NonFiniteError(LibraryError, ArithmeticError):
@@ -201,6 +207,40 @@ class Solution:
         return self.values(x)
 
 
+def _solve_blocks(k: np.ndarray, monomial: np.ndarray, c: float, y: np.ndarray, g_rev: np.ndarray) -> bool:
+    """Fill y as :func:`_volterra` does for the one coefficient c: a block's
+    outputs x solve (I + c N) x = b, N[i, j] = k[i-1-j], b the monomial term
+    less the far field and k[m] c y[s], so x = R b with R the triangular
+    Toeplitz inverse.  Its first column r[0] = 1, r[n] = -c sum_{j<n}
+    k[n-1-j] r[j] is built by doubling in ``_WIDE``.  False, y untouched,
+    where r grows while changing sign or leaves the float range: the
+    product would cancel."""
+    steps, block = len(g_rev), min(_SOLVE_BLOCK, len(g_rev))
+    r, lags = np.ones(block, dtype=_WIDE), k[:block].astype(_WIDE)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in (1 << i for i in range((block - 1).bit_length())):
+            n = min(2 * m, block)
+            far = np.convolve(lags[: n - 1], r[:m])[m - 1 : n - 1]
+            np.multiply(np.convolve(r[: n - m], far)[: n - m], -c, out=r[m:n])
+        r = r.astype(float)
+        if not (0.0 <= r.min() and r.max() < math.inf or np.abs(r).max() <= 1.0):
+            return False
+        r[0] = 0.0  # the lag-0 unit: b is added apart, as a step adds its terms
+        for s in range(0, steps, block):
+            e = min(s + block, steps)
+            b = monomial[s:e] - k[: e - s] * (c * y[s])
+            if s:
+                b -= np.correlate(k[1:e], g_rev[steps - s :], "valid")
+            x = b + np.convolve(r[: e - s], b)[: e - s]
+            if not np.abs(x).max() <= OVERFLOW_LIMIT:
+                bad = int(np.argmin(np.abs(x) <= OVERFLOW_LIMIT))
+                y[s + 1 : s + 1 + bad] = x[:bad]
+                break
+            y[s + 1 : e + 1] = x
+            np.multiply(y[e - 1 :: -1][: e - s], c, out=g_rev[steps - e : steps - s])
+    return True
+
+
 def _volterra(
     mu: float,
     eta: float,
@@ -212,27 +252,34 @@ def _volterra(
 
     ``g_at(j, y[j])`` is the right-hand side at base-grid index j
     (j = 0..steps-1), or for g linear in u its list of coefficients c_j,
-    g_j = c_j * y[j]; a nan g_j raises NonFiniteError naming j.  Stepping
-    stops at the first value that is non-finite or above OVERFLOW_LIMIT;
-    that value and all later ones read nan.  ``(mu, eta)`` are raw, so the
-    integer edge mu = 1 works.
+    g_j = c_j * y[j]; a nan g_j raises NonFiniteError naming j.  The
+    trajectory stops at the first value that is non-finite or above
+    OVERFLOW_LIMIT; that value and all later ones read nan.  ``(mu, eta)``
+    are raw, so the integer edge mu = 1 works.
 
     Outputs s+1..s+B of a block take their sum over g_0..g_{s-1} from one
     valid-mode correlation of the kernel with g reversed at the block's
-    start; a step adds the terms g_s..g_{n-1} of its own block.  Steps
-    make no numpy call: an inf or nan propagates silently through plain
-    floats, without numpy warnings, and is caught by the range test.
+    start.  One coefficient for all of ``_SOLVE_MIN`` steps or more takes
+    the block's other terms by one product (:func:`_solve_blocks`).
+    Otherwise a step adds the terms g_s..g_{n-1} of its own block in plain
+    floats, with no numpy call: an inf or nan propagates silently, without
+    numpy warnings, and is caught by the range test.
     """
     zeta = float(zeta)
     coef = None if callable(g_at) else g_at
-    # the monomial term zeta c_eta[n] of outputs n = 1..steps
-    monomial = (zeta * sum_kernel(eta, steps + 1)[1:]).tolist()
     k = sum_kernel(mu, steps)
-    # near[m] = k[m], ..., k[0]: the lags from block offsets 0..m to offset m
-    near = [k[m::-1].tolist() for m in range(min(_BLOCK, steps))]
+    # the monomial term zeta c_eta[n] of outputs n = 1..steps
+    monomial = zeta * sum_kernel(eta, steps + 1)[1:]
     # g_rev[steps-s:] = g_{s-1}..g_0, as np.convolve(g[:s], k[1:e]) orders them
     g_rev = np.empty(steps)
     y = np.full(steps + 1, np.nan)
+    y[0] = zeta
+    if coef is not None and steps >= _SOLVE_MIN and coef.count(coef[0]) == steps:
+        if _solve_blocks(k, monomial, coef[0], y, g_rev):
+            return y
+    # near[m] = k[m], ..., k[0]: the lags from block offsets 0..m to offset m
+    near = [k[m::-1].tolist() for m in range(min(_BLOCK, steps))]
+    monomial = monomial.tolist()
     done = [zeta]
     u = zeta
     for s in range(0, steps, _BLOCK):
@@ -375,14 +422,15 @@ def residual_scale(solution: Solution, spec: IvpSpec) -> GridFn:
     inner sum of |u|, neighbouring values added instead of differenced,
     then the outer sum.  It bounds |D u|, so residual / scale is a
     relative residual that keeps its meaning at long horizons and where u
-    is close to the operator's kernel (|D u| itself vanishes there).
-    Lives on the residual's grid, based at a+1-mu.
+    is close to the operator's kernel (|D u| itself vanishes there).  As one
+    sum: T[j+1] + T[j] - c_beta[j+1] |u(a)|, T = S^(1-mu) |u|, beta the outer
+    order.  Lives on the residual's grid, based at a+1-mu.
     """
     u, order = solution.values, spec.order
     n = u.count
-    inner = causal_convolve(sum_kernel(order.inner_sum_order, n), np.abs(u.values))
-    spread = inner[1:] + inner[:-1]
-    size = causal_convolve(sum_kernel(order.outer_sum_order, n - 1), spread)
+    total = causal_convolve(sum_kernel(1.0 - order.mu, n), np.abs(u.values))
+    size = total[1:] + total[:-1]
+    size -= abs(float(u.values[0])) * sum_kernel(order.outer_sum_order, n)[1:]
     g = spec.rhs.on_grid(u.values[: n - 1], spec.a)
     return GridFn._adopt(Grid(spec.a + 1.0 - order.mu, n - 1), size + np.abs(g))
 

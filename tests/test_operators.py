@@ -657,6 +657,33 @@ class TestDifferencesNameTheirOverflow:
             assert np.isfinite(out.values).all()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n", [4, 40])
+    def test_direct_sums_overflowing_while_accumulating_are_finite(self, n):
+        # below the transform's crossover np.convolve's running sums of
+        # +-1e308 passed the float range, and the sums raised, while every
+        # true sum is finite (1e308, -5e307, 8.75e307, ...)
+        values = np.tile([1e308, -1e308], n // 2)
+        f = GridFn(Grid(0.0, n), values)
+        exact = longdouble_sum(0.5, values.astype(np.longdouble))
+        sums = fractional_sum_fn(f, 0.5).values
+        assert np.all(np.abs(sums - exact) <= 1e-15 * np.abs(exact))
+        pointwise = np.array([fractional_sum(f, 0.5, 0.5 + j) for j in range(n)])
+        assert np.all(np.abs(pointwise - exact) <= 1e-15 * np.abs(exact))
+        assert np.isfinite(rl_difference_fn(f, 0.5).values).all()
+        # samples whose true sums pass the range still raise
+        with pytest.raises(OverflowError, match="^fractional sum exceeds the float range$"):
+            fractional_sum_fn(GridFn(Grid(0.0, n), np.full(n, 1e308)), 0.5)
+        with pytest.raises(OverflowError, match="^fractional sum exceeds the float range$"):
+            fractional_sum(GridFn(Grid(0.0, n), np.full(n, 1e308)), 0.5, 0.5 + n - 1)
+
+    def test_finite_direct_sums_keep_their_bits(self, rng):
+        values = rng.standard_normal(40) * 1e300
+        f = GridFn(Grid(0.0, 40), values)
+        direct = np.convolve(sum_kernel(0.3, 40), values)[:40]
+        assert fractional_sum_fn(f, 0.3).values.tobytes() == direct.tobytes()
+        assert fractional_sum(f, 0.3, 39.3) == direct[-1]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("n", [4, 40, 3000])
     def test_initial_term_past_the_range_is_named(self, n):
         # the Riemann-Liouville difference at point 0 is f(1) + mu |f(a)|

@@ -46,7 +46,7 @@ from hilfer_dfc import (
     sum_kernel,
     taylor_monomial,
 )
-from hilfer_dfc.solvers import _BLOCK, OVERFLOW_LIMIT, _volterra
+from hilfer_dfc.solvers import _BLOCK, _SOLVE_BLOCK, _SOLVE_MIN, OVERFLOW_LIMIT, _solve_blocks, _volterra
 
 
 def linear_spec(a=0.0, steps=12, mu=0.8, nu=0.5, zeta=1.0, lam=0.1):
@@ -320,6 +320,22 @@ class TestWholePipeline:
         res = defining_equation_residual(sol, spec)
         assert np.max(np.abs(res.values) / scale.values) < 1e-13
 
+    @pytest.mark.parametrize("nu", [0.0, 1e-12, 0.5, 1.0 - 1e-12, 1.0])
+    @pytest.mark.parametrize("steps, lam", [(300, -0.4), (3000, -0.3), (2000, 0.2)])
+    def test_residual_scale_is_the_composed_two_sums(self, nu, steps, lam):
+        # the one-sum form T[j+1] + T[j] - c_beta[j+1] |u(a)| against the
+        # composition it collapses: the inner sum, neighbours added, the outer sum
+        spec = linear_spec(mu=0.6, nu=nu, steps=steps, lam=lam)
+        sol = solve_linear_series(spec)
+        u, order = np.abs(sol.values.values), spec.order
+        n = len(u)
+        inner = causal_convolve(sum_kernel(order.inner_sum_order, n), u)
+        composed = causal_convolve(sum_kernel(order.outer_sum_order, n - 1), inner[1:] + inner[:-1])
+        composed += np.abs(spec.rhs.lam * sol.values.values[: n - 1])
+        scale = residual_scale(sol, spec)
+        assert scale.grid == Grid(spec.a + 1.0 - order.mu, n - 1)
+        assert np.max(np.abs(scale.values - composed) / composed) < 1e-13
+
     @pytest.mark.parametrize("lam", [0.2, 0.5, 0.9])
     def test_relative_residual_of_growing_long_trajectory(self, lam):
         # values span many orders of magnitude: the transform path must
@@ -540,6 +556,19 @@ def _cubic(w, u):
     return -u * u * u - 10.0
 
 
+def assert_matches_the_long_double_recursion(spec, sol, tol=1e-13):
+    """The linear trajectory against ``ld_recursion``: the same overflow
+    index, and every value within tol of the term scale."""
+    order = spec.order
+    ref, scale = ld_recursion(order.mu, order.eta, spec.rhs.lam, spec.zeta, spec.steps + 1)
+    bad = np.isnan(ref)
+    assert sol.meta.overflow_at == (int(np.argmax(bad)) if bad.any() else None)
+    got = sol.values.values
+    error = np.abs(got - ref[: len(got)]) / scale[: len(got)]
+    assert error.max() < tol
+    return error.max()
+
+
 class TestEngineAgainstScalarLoop:
     TOL = 1e-13  # relative to |zeta| c + conv(k, |g|), fixed from float64 eps
 
@@ -585,11 +614,12 @@ class TestEngineAgainstScalarLoop:
 
     @pytest.mark.parametrize("steps", STEPS)
     def test_bit_for_bit_the_first_engine(self, steps):
+        # a constant coefficient takes block products (TestBlockProducts),
+        # except where its impulse response grows and changes sign: lam = -1.5
         a, order = 2.5, HilferOrder(0.35, 0.6)
         mu, eta = order.mu, order.eta
         for rhs, g in (
-            (Linear(0.7), lambda w, u: -0.7 * u),
-            (Linear(-0.9), lambda w, u: 0.9 * u),
+            (Linear(-1.5), lambda w, u: 1.5 * u),
             (Nonlinear(_forced_g), _forced_g),
         ):
             spec = IvpSpec(a, steps, order, 1.3, rhs)
@@ -609,29 +639,40 @@ class TestEngineAgainstScalarLoop:
         base, order = 2.5, HilferOrder(0.35, 0.6)
         grid = Grid(base, steps + 1)
         zero = GridFn(grid, np.zeros(steps + 1))
-        for o, v in (
-            (order, 0.9 * np.cos(0.7 * np.arange(steps + 1))),
-            # w doubles each step at mu = 1, past the float range from step 1024
-            ((1.0, 0.45), np.full(steps + 1, 0.999)),
-        ):
-            mu, eta = (o.mu, o.eta) if isinstance(o, HilferOrder) else o
-            vals = v.tolist()
-            ref = first_engine(mu, eta, 1.7, steps, lambda j, w: -vals[j] * w)
-            ref[np.isnan(ref)] = math.inf
-            vfn = GridFn(grid, v)
-            assert gronwall_check(zero, 1.7, vfn, o).series.tobytes() == ref.tobytes()
-            for n in {0, 1, steps // 2, steps}:
-                assert gronwall_series(1.7, vfn, o, base + n) == ref[n]
-            assert np.isinf(ref[-1]) == (o == (1.0, 0.45) and steps >= 2000)
+        v = 0.9 * np.cos(0.7 * np.arange(steps + 1))
+        vals = v.tolist()
+        ref = first_engine(order.mu, order.eta, 1.7, steps, lambda j, w: -vals[j] * w)
+        vfn = GridFn(grid, v)
+        assert gronwall_check(zero, 1.7, vfn, order).series.tobytes() == ref.tobytes()
+        for n in {0, 1, steps // 2, steps}:
+            assert gronwall_series(1.7, vfn, order, base + n) == ref[n]
+
+    @pytest.mark.parametrize("steps", STEPS)
+    def test_constant_gronwall_series_matches_the_long_double_recursion(self, steps):
+        # w doubles each step at mu = 1, past the float range from step 1024
+        grid = Grid(2.5, steps + 1)
+        vfn = GridFn(grid, np.full(steps + 1, 0.999))
+        series = gronwall_check(GridFn(grid, np.zeros(steps + 1)), 1.7, vfn, (1.0, 0.45)).series
+        ref, scale = ld_recursion(1.0, 0.45, 0.999, 1.7, steps + 1)
+        assert np.array_equal(np.isinf(series), np.isnan(ref))
+        assert np.isinf(series[-1]) == (steps >= 2000)
+        kept = ~np.isnan(ref)
+        assert np.max(np.abs(series - ref)[kept] / scale[kept]) < self.TOL
+        # the series at one point runs the engine up to that point alone
+        for n in {0, 1, steps // 2, steps}:
+            got = gronwall_series(1.7, vfn, (1.0, 0.45), 2.5 + n)
+            assert got == series[n] if np.isnan(ref[n]) else abs(got - ref[n]) < self.TOL * scale[n]
 
     def test_bit_for_bit_the_first_engine_at_overflow_and_nan(self):
         a, order = 0.0, HilferOrder(0.3, 0.5)
         mu, eta = order.mu, order.eta
-        for rhs, g in ((Linear(0.99), lambda w, u: -0.99 * u), (Nonlinear(_cubic), _cubic)):
-            ref = first_engine(mu, eta, 1.0, 2000, lambda j, u: g(a + j, u))
-            got = solve(IvpSpec(a, 2000, order, 1.0, rhs))
-            assert got.meta.overflow_at == int(np.argmax(np.isnan(ref))) > 0
-            assert np.array_equal(got.values.values, ref[: got.meta.overflow_at])
+        ref = first_engine(mu, eta, 1.0, 2000, lambda j, u: _cubic(a + j, u))
+        got = solve(IvpSpec(a, 2000, order, 1.0, Nonlinear(_cubic)))
+        assert got.meta.overflow_at == int(np.argmax(np.isnan(ref))) > 0
+        assert np.array_equal(got.values.values, ref[: got.meta.overflow_at])
+        # the growing linear problem, a block product at a time
+        spec = IvpSpec(a, 2000, order, 1.0, Linear(0.99))
+        assert_matches_the_long_double_recursion(spec, solve(spec))
         rhs = Nonlinear(lambda w, u: math.nan if w >= 2 * _BLOCK + 3 else math.sin(u))
         with pytest.raises(NonFiniteError) as caught:
             first_engine(mu, eta, 1.0, 3 * _BLOCK, lambda j, u: rhs.fn(a + j, u))
@@ -687,6 +728,66 @@ class TestEngineAgainstScalarLoop:
             solve_nonlinear(spec)
         u = float(re.search(r"\(u = (.*)\)$", str(caught.value)).group(1))
         assert abs(u - ref[first_nan]) / scale[first_nan] < self.TOL
+
+
+class TestBlockProducts:
+    """A constant coefficient solves a block of outputs by one product with
+    the engine's impulse response, checked against the long-double
+    recursion at 1e-13 of the term scale and the same overflow index."""
+
+    @pytest.mark.parametrize(
+        "steps",
+        [1, _SOLVE_MIN - 1, _SOLVE_MIN, _SOLVE_BLOCK - 1, _SOLVE_BLOCK, _SOLVE_BLOCK + 1, 2 * _SOLVE_BLOCK],
+    )
+    @pytest.mark.parametrize("lam", [0.7, -0.9, 0.99, 1.8, -1.5])
+    def test_block_edges(self, steps, lam):
+        spec = IvpSpec(0.3, steps, HilferOrder(0.35, 0.6), 1.3, Linear(lam))
+        assert_matches_the_long_double_recursion(spec, solve_linear(spec))
+
+    @pytest.mark.parametrize("target", [_SOLVE_BLOCK + 1, 2 * _SOLVE_BLOCK])
+    def test_overflow_at_the_first_and_last_point_of_a_block(self, target):
+        # zeta places the crossing of OVERFLOW_LIMIT between outputs
+        # target - 1 and target, a block's first and its last output
+        steps, order = 3 * _SOLVE_BLOCK, HilferOrder(0.5, 0.5)
+        unit, _ = ld_recursion(order.mu, order.eta, 0.9, 1.0, steps + 1)
+        zeta = OVERFLOW_LIMIT / math.sqrt(unit[target] * unit[target - 1])
+        spec = IvpSpec(0.0, steps, order, zeta, Linear(0.9))
+        sol = solve_linear(spec)
+        assert sol.meta.overflow_at == target == sol.values.count
+        assert_matches_the_long_double_recursion(spec, sol)
+
+    def test_zero_lam_is_the_monomial_term(self):
+        spec = IvpSpec(0.0, 300, HilferOrder(0.4, 0.3), 1.7, Linear(0.0))
+        expect = 1.7 * sum_kernel(spec.order.eta, 301)
+        assert solve_linear(spec).values.values.tobytes() == expect.tobytes()
+
+    def test_one_step_of_the_block_product(self):
+        mu, eta, zeta, c = 0.35, 0.6, 1.3, -0.7
+        y = np.array([zeta, math.nan])
+        assert _solve_blocks(sum_kernel(mu, 1), zeta * sum_kernel(eta, 2)[1:], c, y, np.empty(1))
+        assert y.tolist() == [zeta, zeta * eta - c * zeta]
+
+    def test_solve_linear_and_the_constant_gronwall_series_agree_bit_for_bit(self):
+        # the equality case of the comparison bound stays exact
+        for steps in (_SOLVE_MIN - 1, 2000):
+            spec = IvpSpec(2.5, steps, HilferOrder(0.45, 0.3), 1.2, Linear(0.6))
+            u = solve_linear(spec).values
+            v = GridFn.constant(u.grid, 0.6)
+            check = gronwall_check(u, 1.2, v, spec.order)
+            assert check.series.tobytes() == u.values.tobytes()
+            assert check.all_ok
+
+    def test_seeded_sweep_against_the_long_double_recursion(self):
+        # 120 cases, lam in (-1, 1), 40 to 3000 steps log-uniform
+        rng = np.random.default_rng(27)
+        errors = []
+        for i in range(120):
+            lam = -1.0 + 2.0 * (i + rng.uniform()) / 120
+            mu, nu = rng.uniform(0.05, 0.99), rng.uniform()
+            steps = int(np.exp(rng.uniform(math.log(40), math.log(3000))))
+            spec = IvpSpec(0.0, steps, HilferOrder(mu, nu), rng.uniform(0.5, 2.0), Linear(lam))
+            errors.append(assert_matches_the_long_double_recursion(spec, solve_linear(spec)))
+        assert np.median(errors) < 4e-15
 
 
 class TestRightHandSideMethod:
