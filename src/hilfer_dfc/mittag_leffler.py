@@ -32,13 +32,16 @@ read backwards, one tan for two samples.  r sits a relative
 both the aliasing and the r^-n growth of roundoff: the branch point
 z = 1, or for lam > 0 the real zero z* in (0, 1) of D, unless a
 nonpositive integer gamma makes D^-gamma a polynomial in D.  The
-samples of D certify a contour inside z*: its winding number around 0
-must be 0, or ContourError is raised, and each step of arg D, the
-arctan2 of the cross and dot products of consecutive samples, stays
-below pi/2, so their running sum is the continuous log D that D^-gamma
-needs.  Every half-circle array is a row of one thread's scratch, this
-module's own :class:`hilfer_dfc.grid._Workspace`, reused from call to
-call; the values returned are fresh arrays.
+samples of D certify a contour inside z* by signs, or ContourError is
+raised: consecutive samples have a positive dot product (turn by less
+than pi/2), D(r) and D(-r) are positive and the path crosses the
+negative real axis as often each way, so D winds 0 times around 0.  For
+gamma != 1 the running sum of the steps' turns, the arctan2 of the
+cross and dot products, is the continuous arg D that D^(1-gamma) needs.
+Every half-circle array is a row of one thread's scratch, this module's
+own :class:`hilfer_dfc.grid._Workspace`, reused from call to call; exp,
+tan, cos and sin run on its contiguous real rows, and the values
+returned are fresh arrays.
 
 Off the lattice the series is summed: term k is a running coefficient
 lam^k (gamma)_k / k! times the Taylor monomial h_{mu k + eta - 1} of
@@ -279,35 +282,45 @@ def _pole(mu: float, lam: float) -> float:
     return lo
 
 
-def _turns(denom: np.ndarray, product: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
+def _turns(denom: np.ndarray, product: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Change of arg D between consecutive samples, each in [-pi, pi]: the
     arctan2 of the cross and dot products of consecutive samples, the parts
-    of conj(D_j) D_(j+1); formed in ``product`` and ``out`` when given."""
+    of conj(D_j) D_(j+1); formed in ``product`` and ``out``."""
     with np.errstate(over="ignore", invalid="ignore"):
         product = np.multiply(np.conjugate(denom[:-1], out=product), denom[1:], out=product)
         return np.arctan2(product.imag, product.real, out=out)
 
 
-def _certify(denom: np.ndarray, product: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
+def _certify(denom: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
     """Raise ContourError unless D, sampled from z = r to z = -r, has no
-    zero inside the circle; return its turns (:func:`_turns`).
+    zero inside the circle; return ``rows`` (4 x len(denom), fresh if not
+    given): Re D, Im D, the steps' Re(conj(D_j) D_(j+1)) and scratch.
 
     D(conj z) = conj D(z), so the whole circle's winding number is the
-    half circle's turn over pi.  A step turning by pi/2 or more between
-    samples would make the count ambiguous.
-    """
-    turns = _turns(denom, product, out)
-    if not (np.all(np.isfinite(denom) & (denom != 0)) and np.all(np.abs(turns) < np.pi / 2)):
+    half circle's turn over pi.  A step must turn by less than pi/2 for
+    the count to be unambiguous, and then crosses the negative real axis
+    only if both its samples have Re D < 0.  From D(r) > 0 to D(-r) > 0
+    the turn is 2 pi times the signed count of such crossings."""
+    rows = np.empty((4, len(denom))) if rows is None else rows
+    re, im, dot = rows[0], rows[1], rows[2, :-1]
+    re[:], im[:] = denom.real, denom.imag
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(re[:-1], re[1:], out=dot)
+        dot += np.multiply(im[:-1], im[1:], out=rows[3, :-1])
+    if not (np.all(np.isfinite(rows[:2])) and dot.min() > 0.0):
         raise ContourError("the contour samples do not resolve the winding of D")
-    if abs(float(np.sum(turns))) > np.pi / 2:
-        raise ContourError("a zero of D lies inside the contour")
-    return turns
+    if re.min() <= 0.0:
+        # a counterclockwise crossing takes Im D from >= 0 to < 0
+        left, up = re[:-1] < 0.0, im >= 0.0
+        if not (re[0] > 0.0 and re[-1] > 0.0) or np.count_nonzero(up[:-1][left]) != np.count_nonzero(up[1:][left]):
+            raise ContourError("a zero of D lies inside the contour")
+    return rows
 
 
 def _scratch(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """This thread's nine real rows of m/2 + 1 samples, and the first eight
-    as four complex rows: complex row i is real rows 2i and 2i + 1."""
-    rows = _workspace.take("contour", (9, m // 2 + 1))
+    """This thread's eleven real rows of m/2 + 1 samples, and the first
+    eight as four complex rows: complex row i is real rows 2i and 2i + 1."""
+    rows = _workspace.take("contour", (11, m // 2 + 1))
     return rows, rows[:8].reshape(4, -1).view(complex)
 
 
@@ -344,14 +357,15 @@ def _contour(r: float, m: int, mu: float, eta: float) -> tuple[np.ndarray, ...]:
     def power(e: float, out: np.ndarray) -> np.ndarray:
         # mod (cos - i sin) of e arg from tau = tan(e arg / 2): sin is
         # 2 tau / (1 + tau^2), and cos = (1 - tau^2) / (1 + tau^2) is taken
-        # as 1 - tau sin, which keeps its digits where it is near 1
+        # as 1 - tau sin, which keeps its digits where it is near 1; only the
+        # products reach out's strided halves, where numpy runs several times slower
         tau = np.tan(np.multiply(arg, 0.5 * e, out=rows[8]), out=rows[8])
-        d = np.add(np.square(tau, out=out.real), 1.0, out=out.real)
-        sin = np.divide(np.multiply(tau, 2.0, out=out.imag), d, out=out.imag)
+        d = np.add(np.square(tau, out=rows[9]), 1.0, out=rows[9])
+        sin = np.divide(np.multiply(tau, 2.0, out=rows[10]), d, out=rows[10])
         cos = np.subtract(1.0, np.multiply(tau, sin, out=tau), out=tau)
-        mod = np.exp(np.multiply(log_mod, -e, out=out.real), out=out.real)
-        np.negative(np.multiply(sin, mod, out=sin), out=sin)
-        np.multiply(mod, cos, out=mod)
+        mod = np.exp(np.multiply(log_mod, -e, out=rows[9]), out=rows[9])
+        np.negative(np.multiply(sin, mod, out=sin), out=out.imag)
+        np.multiply(mod, cos, out=out.real)
         return out
 
     k_mu = power(mu, cplx[1])
@@ -405,13 +419,28 @@ def ml_lattice_solution(
     if forcing is not None:
         zk = np.multiply(z, k_mu, out=cplx[1])
         samples += np.multiply(zk, np.fft.rfft(f * r ** np.arange(len(f)), m, out=cplx[0]), out=zk)
-    turns = (_turns if polynomial else _certify)(denom, cplx[0, :-1], rows[2, :-1])
+    if not polynomial:  # leaves Re D, Im D and the steps' dot products in the real rows 0-2
+        _certify(denom, rows[:4])
     with np.errstate(over="ignore", invalid="ignore"):
         symbol = np.divide(samples, denom, out=samples)
         if p.gamma != 1.0:
-            # D^(1-gamma) on the branch that follows arg D from z = r
-            arg = np.angle(denom[0]) + np.concatenate(([0.0], np.cumsum(turns)))
-            symbol *= np.exp((1.0 - p.gamma) * (np.log(np.abs(denom)) + 1j * arg))
+            # D^(1-gamma) on the branch that follows arg D from z = r, on
+            # real rows: exp((1-gamma) log|D|) (cos + i sin)((1-gamma) arg D)
+            g, turns, arg, mod = 1.0 - p.gamma, rows[3, :-1], rows[8], rows[9]
+            if polynomial:
+                _turns(denom, cplx[0, :-1], turns)
+            else:  # the arctan2 of the cross products and the certificate's dot products
+                cross = np.multiply(rows[0, :-1], rows[1, 1:], out=turns)
+                cross -= np.multiply(rows[1, :-1], rows[0, 1:], out=arg[1:])
+                np.arctan2(cross, rows[2, :-1], out=turns)
+            arg[0] = np.angle(denom[0])
+            np.add(np.cumsum(turns, out=arg[1:]), arg[0], out=arg[1:])
+            np.exp(np.multiply(np.log(np.abs(denom, out=mod), out=mod), g, out=mod), out=mod)
+            np.multiply(arg, g, out=arg)
+            factor = cplx[3]  # D's row, read for the last time above
+            np.multiply(mod, np.cos(arg, out=rows[10]), out=factor.real)
+            np.multiply(mod, np.sin(arg, out=arg), out=factor.imag)
+            symbol *= factor
         # r^-n as two factors: the product overflows only where the value does
         half = np.power(r, -0.5 * np.arange(count))
         out = np.fft.irfft(symbol, m, out=rows[:2].reshape(-1)[:m])[:count] * half * half

@@ -348,6 +348,17 @@ class TestLatticeRoute:
             got = ml_plain(MlParams(mu, eta, gamma, lam), n + eta - 1.0)
             assert abs(mp.mpf(got) - expect) <= self.TOL * abs(expect), (mu, eta, lam, n)
 
+    def test_orders_past_one_are_certified_by_their_crossings(self):
+        # for mu > 1 and lam < 0, D's path reaches Re D < 0: at mu = 2 it
+        # crosses the negative real axis as often each way, and at mu = 3 a
+        # zero of D lies inside the unit circle
+        mp = pytest.importorskip("mpmath")
+        expect, _ = _mp_lattice_point(mp, 2.0, 0.8, -0.5, 100, 2.5)
+        got = ml_plain(MlParams(2.0, 0.8, 2.5, -0.5), 99.8)
+        assert abs(mp.mpf(got) - expect) <= self.TOL * abs(expect)
+        with pytest.raises(ContourError, match="inside the contour"):
+            ml_plain(MlParams(3.0, 0.8, 2.5, -0.5), 99.8)
+
     def test_transform_size_is_bounded_before_allocation(self):
         with pytest.raises(OverflowError, match="points"):
             ml_eval(MlParams(mu=0.5, gamma=1e9, lam=0.5), 3.0)
@@ -413,6 +424,24 @@ class TestLatticeRoute:
                 tol = (8.0 + abs(e * float(mp.log(abs(one_minus_z))))) * np.finfo(float).eps
                 assert abs(mp.mpc(complex(got)) - exact) <= tol * abs(exact), (e, j)
 
+    @pytest.mark.parametrize("m", [480, 2 * _smooth_length(8 * 300), 2 * _smooth_length(8 * 1942), 48000])
+    @pytest.mark.parametrize("lam", [0.0, 0.4])
+    @pytest.mark.parametrize("mu, eta", [(0.6, 0.6), (0.6, 0.8), (0.05, 2.5)])
+    def test_contour_powers_keep_their_recipe_bit_for_bit(self, m, lam, mu, eta):
+        # the powers run on contiguous rows, but each sample keeps its bits
+        r = (1.0 - 2.0 / (m // 16)) * (_pole(mu, lam) if lam > 0 else 1.0)
+        _, log_mod, arg, k_mu, u_eta = _contour(r, m, mu, eta)
+        assert np.array_equal(k_mu, _power_recipe(log_mod, arg, mu))
+        assert np.array_equal(u_eta, _power_recipe(log_mod, arg, eta))
+
+    @pytest.mark.parametrize("lam, mu, eta, count", [
+        (lam, mu, round(mu + nu - mu * nu, 4), steps + 1) for lam, mu, nu, steps in stratified_cases(13, 8, 1.0)
+    ])
+    def test_gamma_one_forced_solution_is_the_plain_symbol_bit_for_bit(self, lam, mu, eta, count):
+        forcing = np.random.default_rng(count).uniform(-1.0, 1.0, count)
+        got, _ = ml_lattice_solution(MlParams(mu, eta, 1.0, lam), count, 0.7, forcing)
+        assert np.array_equal(got, _inverse_d_transform(mu, eta, lam, count, 0.7, forcing))
+
     def test_negative_index_is_zero(self):
         p = MlParams(mu=0.7, eta=0.4, gamma=1.3, lam=-0.6)
         for ev in (ml_eval(p, -3.0 + 0.4 - 1.0), ml_eval(p, -1.0, bold=True)):
@@ -425,9 +454,23 @@ class TestLatticeRoute:
             ml_eval(MlParams(mu=0.1, lam=0.99), 5000.0)
 
 
-def _inverse_d_transform(mu, eta, lam, count):
+def _power_recipe(log_mod, arg, e):
+    """(1 - z)^-e from log|1 - z| and arg(1 - z) on fresh arrays, each
+    operation as the transform first took it: mod (cos - i sin) of e arg
+    from tau = tan(e arg / 2), sin = 2 tau / (1 + tau^2), cos = 1 - tau sin."""
+    tau = np.tan(arg * (0.5 * e))
+    sin = tau * 2.0 / (np.square(tau) + 1.0)
+    cos = 1.0 - tau * sin
+    mod = np.exp(log_mod * -e)
+    out = np.empty(len(arg), complex)
+    out.real, out.imag = mod * cos, -(sin * mod)
+    return out
+
+
+def _inverse_d_transform(mu, eta, lam, count, zeta=1.0, forcing=None):
     """The gamma = 1 lattice as transformed before gamma was supported:
-    the coefficients of (1-z)^-eta / D(z) on the same contour samples."""
+    the coefficients of zeta (1-z)^-eta / D(z), plus z (1-z)^-mu F(z) / D(z)
+    for a forcing F(z) = sum_j forcing[j] z^j, on the same contour samples."""
     if eta > 1.0:
         with np.errstate(over="ignore"):
             return np.cumsum(_inverse_d_transform(mu, eta - 1.0, lam, count))
@@ -436,10 +479,13 @@ def _inverse_d_transform(mu, eta, lam, count):
     m = 2 * _smooth_length(8 * n)
     z, _, _, k_mu, u_eta = _contour(r, m, mu, eta)
     denom = 1.0 - lam * z * k_mu
+    symbol = u_eta * zeta
+    if forcing is not None:
+        symbol += z * k_mu * np.fft.rfft(forcing * r ** np.arange(count), m)
     with np.errstate(over="ignore", invalid="ignore"):
         half = np.power(r, -0.5 * np.arange(count))
-        out = np.fft.irfft(u_eta / denom, m)[:count] * half * half
-    out[:1] = 1.0
+        out = np.fft.irfft(symbol / denom, m)[:count] * half * half
+    out[:1] = zeta
     return out
 
 
@@ -566,10 +612,13 @@ class TestTransformWorkspace:
         for i, out in results:
             assert np.array_equal(out, serial[i]), i
 
-    def test_a_repeated_call_allocates_little_beyond_its_result(self, rng):
+    @pytest.mark.parametrize("gamma, lam", [(1.0, 0.5), (2.5, 0.5), (2.5, -0.5)])
+    def test_a_repeated_call_allocates_little_beyond_its_result(self, rng, gamma, lam):
         # a forced 1943-point call allocated 2.0-2.2 MB of half-circle
-        # arrays before it reused the workspace's rows
-        p, forcing = MlParams(0.45, 0.45, 1.0, 0.5), rng.uniform(-1.0, 1.0, 1943)
+        # arrays before it reused the workspace's rows, and D^(1-gamma)
+        # took about six more of 250 kB each
+        p = MlParams(0.45, 0.45, gamma, lam)
+        forcing = rng.uniform(-1.0, 1.0, 1943) if gamma == 1.0 else None
         ml_lattice_solution(p, 1943, 0.7, forcing)
         tracemalloc.start()
         try:
@@ -647,6 +696,51 @@ class TestTransformEngine:
         z = _pole(mu, lam)
         assert 0.5 < z < 1.0 and f(z) >= 0.0 > f(z + 1e-12)
 
+    def test_certificate_signs_agree_with_the_turns(self):
+        # the sign tests raise what the summed arctan2 turns raised, on the
+        # same inputs: lam > 0 radii 0.5-1.5 z*, past z* too, where D(r) < 0
+        # (below 1: past it the branch point z = 1 is inside as well and
+        # D(r) is not real; the transform never samples there), 4-4096
+        # samples, and a non-finite or zero sample in every eighth case
+        rng = np.random.default_rng(20261020)
+        seen = {}
+        for i in range(600):
+            mu, lam = 1.0 - rng.uniform(0.0, 1.0), rng.uniform(-1.0, 1.0)
+            samples = 2 * int(2 ** rng.uniform(1.0, 11.0))
+            if lam > 0:
+                z_star = _pole(mu, lam)
+                r = rng.uniform(0.5, 1.5) * z_star
+                r = r if r < 1.0 else rng.uniform(z_star, 1.0)
+            else:
+                r = rng.uniform(0.5, 1.0)
+            z = r * np.exp(-2j * np.pi / samples * np.arange(samples // 2 + 1))
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                denom = 1.0 - lam * z * (1.0 - z) ** -mu
+            if i % 8 == 7:
+                denom[rng.integers(len(denom))] = (math.nan, math.inf, complex(0.0, -math.inf), 0.0)[i // 8 % 4]
+            raised = _raised(_certify, denom)
+            assert raised == _raised(_arctan2_certify, denom), (i, mu, lam, r, samples)
+            seen[raised] = seen.get(raised, 0) + 1
+        assert len(seen) == 3 and min(seen.values()) >= 50, seen
+
+    @pytest.mark.parametrize("turn, winds", [
+        (lambda t: 2.0 * np.pi * t, True), (lambda t: -2.0 * np.pi * t, True), (lambda t: 4.0 * np.pi * t, True),
+        (lambda t: 1.2 * np.pi * np.sin(np.pi * t), False), (lambda t: 1.2 * np.pi * np.sin(2.0 * np.pi * t), False),
+        (lambda t: -1.2 * np.pi * np.sin(np.pi * t), False), (lambda t: 0.9 * np.pi * np.sin(np.pi * t), False),
+    ], ids=["once", "once-clockwise", "twice", "out-and-back", "both-ways", "out-and-back-clockwise", "short"])
+    @pytest.mark.parametrize("on_axis", [None, 0.0, -0.0])
+    def test_certificate_counts_crossings_of_the_negative_axis(self, turn, winds, on_axis):
+        # unit-circle paths D = exp(i turn(t)) from D = 1 back to D = 1: the
+        # sweep above never reaches Re D <= 0 with D(r) > 0, these do, with
+        # the samples nearest -1 optionally exactly on the axis
+        denom = np.exp(1j * turn(np.linspace(0.0, 1.0, 4097)))
+        denom[[0, -1]] = 1.0
+        if on_axis is not None:
+            near = np.flatnonzero(np.abs(np.abs(np.angle(denom)) - np.pi) < 2e-3)
+            denom[near] = complex(-1.0, on_axis)
+        expect = "a zero of D lies inside the contour" if winds else None
+        assert _raised(_certify, denom) == _raised(_arctan2_certify, denom) == expect
+
     @pytest.mark.parametrize("mu, lam", [(0.5, 0.6), (0.15, 0.995), (1.0, 0.2)])
     def test_certificate_rejects_a_contour_around_the_pole(self, mu, lam):
         z_star = _pole(mu, lam)
@@ -660,3 +754,24 @@ class TestTransformEngine:
             _certify(denom(0.5 * (z_star + 1.0)))
         with pytest.raises(ContourError, match="do not resolve"):
             _certify(denom(0.5 * (z_star + 1.0), samples=4))
+
+
+def _arctan2_certify(denom):
+    """The certificate as first written: each step's turn, the arctan2 of
+    conj(D_j) D_(j+1), must stay below pi/2 and their sum within pi/2."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = np.conjugate(denom[:-1]) * denom[1:]
+    turns = np.arctan2(product.imag, product.real)
+    if not (np.all(np.isfinite(denom) & (denom != 0)) and np.all(np.abs(turns) < np.pi / 2)):
+        raise ContourError("the contour samples do not resolve the winding of D")
+    if abs(float(np.sum(turns))) > np.pi / 2:
+        raise ContourError("a zero of D lies inside the contour")
+
+
+def _raised(certify, denom):
+    """The ContourError message that certify raises on a copy of denom, or None."""
+    try:
+        certify(denom.copy())
+    except ContourError as error:
+        return str(error)
+    return None
