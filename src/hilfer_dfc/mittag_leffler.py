@@ -31,13 +31,15 @@ read backwards, one tan for two samples.  r sits a relative
 2/N inside the nearest singularity (more past order 1), which bounds
 both the aliasing and the r^-n growth of roundoff: the branch point
 z = 1, or for lam > 0 the real zero z* in (0, 1) of D, unless a
-nonpositive integer gamma makes D^-gamma a polynomial in D.  The
+nonpositive integer gamma makes D^-gamma a polynomial in D, taken as
+D to the integer power -gamma with no branch of arg D to follow.  The
 samples of D certify a contour inside z* by signs, or ContourError is
 raised: consecutive samples have a positive dot product (turn by less
 than pi/2), D(r) and D(-r) are positive and the path crosses the
 negative real axis as often each way, so D winds 0 times around 0.  For
-gamma != 1 the running sum of the steps' turns, the arctan2 of the
-cross and dot products, is the continuous arg D that D^(1-gamma) needs.
+any other gamma != 1 the running sum of the steps' turns, the arctan2 of
+the cross and dot products, is the continuous arg D that D^(1-gamma)
+needs.
 Every half-circle array is a row of one thread's scratch, this module's
 own :class:`hilfer_dfc.grid._Workspace`, reused from call to call; exp,
 tan, cos and sin run on its contiguous real rows, and the values
@@ -282,15 +284,6 @@ def _pole(mu: float, lam: float) -> float:
     return lo
 
 
-def _turns(denom: np.ndarray, product: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Change of arg D between consecutive samples, each in [-pi, pi]: the
-    arctan2 of the cross and dot products of consecutive samples, the parts
-    of conj(D_j) D_(j+1); formed in ``product`` and ``out``."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        product = np.multiply(np.conjugate(denom[:-1], out=product), denom[1:], out=product)
-        return np.arctan2(product.imag, product.real, out=out)
-
-
 def _certify(denom: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
     """Raise ContourError unless D, sampled from z = r to z = -r, has no
     zero inside the circle; return ``rows`` (4 x len(denom), fresh if not
@@ -422,17 +415,18 @@ def ml_lattice_solution(
     if not polynomial:  # leaves Re D, Im D and the steps' dot products in the real rows 0-2
         _certify(denom, rows[:4])
     with np.errstate(over="ignore", invalid="ignore"):
-        symbol = np.divide(samples, denom, out=samples)
-        if p.gamma != 1.0:
+        if polynomial:  # D^-gamma is D to the integer power -gamma: no branch to follow
+            symbol = np.multiply(samples, np.power(denom, -p.gamma, out=denom), out=samples)
+        else:
+            symbol = np.divide(samples, denom, out=samples)
+        if p.gamma != 1.0 and not polynomial:
             # D^(1-gamma) on the branch that follows arg D from z = r, on
-            # real rows: exp((1-gamma) log|D|) (cos + i sin)((1-gamma) arg D)
+            # real rows: exp((1-gamma) log|D|) (cos + i sin)((1-gamma) arg D);
+            # the turns from the cross products and the certificate's dot products
             g, turns, arg, mod = 1.0 - p.gamma, rows[3, :-1], rows[8], rows[9]
-            if polynomial:
-                _turns(denom, cplx[0, :-1], turns)
-            else:  # the arctan2 of the cross products and the certificate's dot products
-                cross = np.multiply(rows[0, :-1], rows[1, 1:], out=turns)
-                cross -= np.multiply(rows[1, :-1], rows[0, 1:], out=arg[1:])
-                np.arctan2(cross, rows[2, :-1], out=turns)
+            cross = np.multiply(rows[0, :-1], rows[1, 1:], out=turns)
+            cross -= np.multiply(rows[1, :-1], rows[0, 1:], out=arg[1:])
+            np.arctan2(cross, rows[2, :-1], out=turns)
             arg[0] = np.angle(denom[0])
             np.add(np.cumsum(turns, out=arg[1:]), arg[0], out=arg[1:])
             np.exp(np.multiply(np.log(np.abs(denom, out=mod), out=mod), g, out=mod), out=mod)

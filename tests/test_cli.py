@@ -416,6 +416,25 @@ class TestLibraryErrorsExitTwo:
         assert err.startswith(f"error: {error}: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--nonlinear", "--g", "nope"], "unknown --g registry entry 'nope'"),
+            (["--linear"], "--linear requires --lambda"),
+            (["--nonlinear"], "--nonlinear requires --g or --g-affine"),
+            (["--nonhomogeneous", "--forcing-const", "1"], "--nonhomogeneous requires --lambda"),
+            (["--nonhomogeneous", "--lambda", "0.1"],
+             "--nonhomogeneous requires --forcing-csv or --forcing-const"),
+        ],
+        ids=["unknown-g", "linear-without-lambda", "nonlinear-without-g", "nonhomogeneous-without-lambda",
+             "nonhomogeneous-without-forcing"],
+    )
+    def test_incomplete_solve_flags(self, flags, message, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        assert main(["solve", "--mu", "0.5", *flags]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(tmp_path.iterdir())
+
     def test_uncertified_contour(self, monkeypatch, tmp_path, capsys):
         def refuse(spec):
             raise ContourError("a zero of D lies inside the contour")

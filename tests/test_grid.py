@@ -655,3 +655,17 @@ class TestGridTypes:
     def test_eta_stays_in_unit_interval(self, mu, nu):
         order = HilferOrder(mu, nu)
         assert 0.0 < order.eta <= 1.0
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: Grid(0.0, 5).point(5), OffGridError, "index 5 outside grid of 5 points"),
+        (lambda: Grid(0.0, 5).point(-1), OffGridError, "index -1 outside grid of 5 points"),
+    ],
+    ids=["point-past-the-end", "negative-point"],
+)
+def test_documented_errors(call, error, message):
+    with pytest.raises(error, match=message) as caught:
+        call()
+    assert type(caught.value) is error

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from hilfer_dfc import (
+    CoverageError,
     Grid,
     GridFn,
     HilferOrder,
@@ -923,3 +924,24 @@ class TestCompositionIdentities:
                 assert float(lhs.values[j]) == pytest.approx(
                     f(x), rel=1e-9, abs=1e-9
                 )
+
+
+_RAMP = GridFn(Grid(0.0, 6), np.arange(6.0))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: fractional_sum_fn(_RAMP, -0.5), ValueError, "sum order must be nonnegative"),
+        (lambda: fractional_sum(_RAMP, -0.5, 2.5), ValueError, "sum order must be nonnegative"),
+        (lambda: forward_difference_fn(GridFn(Grid(0.0, 1), [1.0])), CoverageError, "at least two samples"),
+        (lambda: caputo_difference_fn(_RAMP, 0.0), ValueError, r"must lie in \(0, 1\]"),
+        (lambda: caputo_difference_fn(_RAMP, 1.5), ValueError, r"must lie in \(0, 1\]"),
+    ],
+    ids=["negative-sum-order", "negative-point-sum-order", "one-sample-difference",
+         "caputo-order-zero", "caputo-order-past-one"],
+)
+def test_documented_errors(call, error, message):
+    with pytest.raises(error, match=message) as caught:
+        call()
+    assert type(caught.value) is error

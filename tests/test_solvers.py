@@ -893,3 +893,30 @@ class TestSeriesRoutesAgainstRecursion:
         spec = IvpSpec(0.0, steps, order, 0.8, rhs)
         ref, scale = ld_recursion(mu, order.eta, lam, 0.8, steps + 1, f)
         self._check(solve_nonhomogeneous(spec), ref, scale)
+
+
+def _with_rhs(rhs):
+    return IvpSpec(0.0, 6, HilferOrder(0.5, 0.5), 1.0, rhs)
+
+
+_CONSTANT_FORCING = GridFn(Grid(0.5, 6), np.ones(6))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: solve_linear(_with_rhs(Nonlinear(lambda w, u: u))), TypeError, "needs a Linear"),
+        (lambda: solve_linear_series(_with_rhs(NonHomogeneous(0.1, _CONSTANT_FORCING))), TypeError,
+         "needs a Linear"),
+        (lambda: solve_nonlinear(_with_rhs(Linear(0.1))), TypeError, "needs a Nonlinear"),
+        (lambda: solve_nonhomogeneous(_with_rhs(Linear(0.1))), TypeError, "needs a NonHomogeneous"),
+        (lambda: apply_summation_operator(_with_rhs(Linear(0.1)), GridFn(Grid(1.0, 6), np.ones(6))),
+         CoverageError, "u must be based at 0.0"),
+    ],
+    ids=["linear-given-nonlinear", "series-given-nonhomogeneous", "nonlinear-given-linear",
+         "nonhomogeneous-given-linear", "summation-map-off-base"],
+)
+def test_documented_errors(call, error, message):
+    with pytest.raises(error, match=message) as caught:
+        call()
+    assert type(caught.value) is error

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hilfer_dfc import (
+    CoverageError,
     Grid,
     GridFn,
     HilferOrder,
@@ -718,3 +719,34 @@ class TestResidualRoute:
         rep = ulam_experiment(spec, 0.5, epsilon=0.5, perturbation=perturbation)
         assert solve(spec).meta.overflow_at is not None
         assert rep.deviation == closure_route_deviation(spec, scalar_g(spec), perturbation)
+
+
+_SPEC = IvpSpec(0.0, 6, HilferOrder(0.5, 0.5), 1.0, Linear(0.1))
+_HALVES = GridFn(Grid(0.0, 6), np.full(6, 0.5))
+_OFF_BASE = GridFn(Grid(1.0, 6), np.full(6, 0.5))
+_RESIDUAL = GridFn(Grid(0.5, 6), np.zeros(6))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: existence_bound(0.0, 5.0, 1.0), ValueError, r"mu must lie in \(0, 1\)"),
+        (lambda: gronwall_series(1.0, _HALVES, (1.5, 0.5), 3.0), ValueError, r"mu must lie in \(0, 1\]"),
+        (lambda: gronwall_series(1.0, _HALVES, (0.5, 1.5), 3.0), ValueError, r"eta must lie in \(0, 1\]"),
+        (lambda: ev_operator(_HALVES, _OFF_BASE, 0.5, 0.0), CoverageError, "must be based at 0.0"),
+        (lambda: gronwall_check(_OFF_BASE, 1.0, _HALVES, (0.5, 0.5)), CoverageError, "u must be based at 0.0"),
+        (lambda: ulam_experiment(_SPEC, 0.1), ValueError, "exactly one of"),
+        (lambda: ulam_experiment(_SPEC, 0.1, zeta_n=1.1, perturbation=_RESIDUAL), ValueError, "exactly one of"),
+        (lambda: ulam_experiment(_SPEC, 0.1, perturbation=GridFn(Grid(0.5, 5), np.zeros(5))), CoverageError,
+         "residual must cover 6 points"),
+        (lambda: ulam_experiment(_SPEC, 0.1, perturbation=GridFn(Grid(0.0, 6), np.zeros(6))), CoverageError,
+         "residual must cover 6 points"),
+    ],
+    ids=["existence-order-one", "series-raw-mu", "series-raw-eta", "ev-operator-off-base",
+         "gronwall-check-off-base", "ulam-neither", "ulam-both", "ulam-residual-short",
+         "ulam-residual-off-base"],
+)
+def test_documented_errors(call, error, message):
+    with pytest.raises(error, match=message) as caught:
+        call()
+    assert type(caught.value) is error

@@ -290,3 +290,21 @@ class TestPrefixTransform:
         f = GridFn.from_callable(Grid(0.0, 1000), lambda x: ratio**x)
         with pytest.raises(TruncationError):
             check(f, order(0.4, 0.5), y)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: LaplaceCtl(r=1.0), ValueError, "r must exceed 1"),
+        (lambda: delta_exp(0.1, 2.5, 0.0), ValueError, "not an integer step count"),
+        (lambda: laplace_of_hilfer_check(bounded_oscillator(), HilferOrder(0.5, 0.5), -3.0, CTL),
+         TransformDomainError, r"need \(y\+1\)/y > 0"),
+        (lambda: laplace_of_integer_difference_check(bounded_oscillator(), 0, 2.0), ValueError,
+         "m must be a positive integer"),
+    ],
+    ids=["order-bound-one", "fractional-step-count", "hilfer-closed-form-at-negative-y", "difference-order-zero"],
+)
+def test_documented_errors(call, error, message):
+    with pytest.raises(error, match=message) as caught:
+        call()
+    assert type(caught.value) is error
