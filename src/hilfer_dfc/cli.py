@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .grid import Grid, GridFn, HilferOrder, LibraryError
+from .grid import Grid, GridFn, HilferOrder, LibraryError, _require_finite
 
 if TYPE_CHECKING:
     from .solvers import IvpSpec
@@ -259,6 +259,7 @@ def cmd_laplace(args: argparse.Namespace) -> int:
         LaplaceCtl, delta_laplace, laplace_of_fractional_sum_check, laplace_of_hilfer_check,
     )
 
+    _require_finite(ratio=args.ratio)  # the contour radius reads it for every kind
     f = _laplace_test_fn(args.f_kind, args.ratio, args.count)
     order_bound = max(1.0 + 1e-9, abs(args.ratio)) + 0.1
     ctl = LaplaceCtl(r=order_bound) if args.tol is None else LaplaceCtl(r=order_bound, tol=args.tol)

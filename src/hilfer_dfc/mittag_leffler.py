@@ -408,7 +408,9 @@ def ml_lattice_solution(
     denom = np.multiply(z, p.lam, out=cplx[3])  # 1 - lam z k_mu
     denom *= k_mu
     np.subtract(1.0, denom, out=denom)
-    samples = np.multiply(u_eta, zeta, out=cplx[2])
+    # a zeta near the float limit reads inf here: the trajectory overflows at index 0
+    with np.errstate(over="ignore"):
+        samples = np.multiply(u_eta, zeta, out=cplx[2])
     if forcing is not None:
         zk = np.multiply(z, k_mu, out=cplx[1])
         samples += np.multiply(zk, np.fft.rfft(f * r ** np.arange(len(f)), m, out=cplx[0]), out=zk)

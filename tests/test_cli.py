@@ -361,10 +361,13 @@ class TestLibraryErrorsExitTwo:
                 ["solve", "--linear", "--lambda", "0.2", "--mu", "0.5", "--a", "1e17", "--steps", "10"],
                 "base 1e+17",
             ),
-            (  # was exit 0 with "transform": NaN
-                ["laplace", "--f-kind", "geometric", "--ratio", "nan", "--y", "2"],
-                "the transform needs finite samples",
-            ),
+            # a non-finite ratio was exit 0 for const and ramp (the contour
+            # radius dropped nan), and blamed on the samples or on r otherwise
+            (["laplace", "--f-kind", "geometric", "--ratio", "nan", "--y", "2"], "ratio must be finite"),
+            (["laplace", "--f-kind", "const", "--ratio", "nan", "--y", "2"], "ratio must be finite"),
+            (["laplace", "--f-kind", "ramp", "--ratio", "nan", "--y", "2"], "ratio must be finite"),
+            (["laplace", "--f-kind", "const", "--ratio", "inf", "--y", "2"], "ratio must be finite"),
+            (["laplace", "--f-kind", "geometric", "--ratio=-inf", "--y", "2"], "ratio must be finite"),
             # each non-finite argument is named, not reported as an integer
             # conversion, a contour, a truncation or an overflow failure
             (["ml", "--mu", "0.7", "--lambda", "0.2", "--z", "nan"], "z must be finite"),
@@ -402,6 +405,8 @@ class TestLibraryErrorsExitTwo:
              "truncation", "ml-overflow",
              "bound-overflow", "linear-foreign-flags", "nonlinear-foreign-flags",
              "nan-forcing", "inf-zeta", "nan-base", "inf-base", "inf-lambda", "huge-base", "nan-laplace-ratio",
+             "nan-const-laplace-ratio", "nan-ramp-laplace-ratio", "inf-const-laplace-ratio",
+             "negative-inf-laplace-ratio",
              "nan-ml-z", "inf-ml-z", "nan-ml-eta", "nan-ml-gamma", "nan-ml-mu",
              "nan-laplace-y", "nan-laplace-mu",
              "nan-bound-horizon", "inf-bound-horizon", "nan-bound-base", "nan-bound-mu",

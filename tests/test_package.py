@@ -11,7 +11,8 @@ import pytest
 import hilfer_dfc
 from hilfer_dfc import cli, grid, mittag_leffler, operators, solvers, stability, transforms, verification
 
-SURFACE_MODULES = (grid, operators, mittag_leffler, transforms, solvers, stability)
+#: in the package's load order, which is dependency order
+SURFACE_MODULES = (grid, operators, transforms, mittag_leffler, solvers, stability)
 
 
 def run_fresh(code, *args):
@@ -59,8 +60,11 @@ class TestPublicSurface:
             "missing = [n for n in hilfer_dfc.__all__ if n not in listed]",
             "import hilfer_dfc\nmissing = [n for n in ('Grid', 'solve', 'ulam_experiment')\n"
             "           if not hasattr(hilfer_dfc, n)]",
+            # a first read that loads part of the package leaves the rest to load
+            "import hilfer_dfc\nhilfer_dfc.fractional_sum_fn\nfrom hilfer_dfc import *\n"
+            "missing = [n for n in hilfer_dfc.__all__ if n not in globals()]",
         ],
-        ids=["star-import", "dir", "attribute"],
+        ids=["star-import", "dir", "attribute", "star-import-after-a-partial-read"],
     )
     def test_first_read_in_a_fresh_interpreter(self, code):
         assert run_fresh(code + "\nimport json\nprint(json.dumps(missing))") == []
@@ -104,6 +108,13 @@ loaded = sorted(name.split(".", 1)[1] for name in sys.modules if name.startswith
 print(json.dumps({"code": code, "loaded": loaded, "logging": "logging" in sys.modules}))
 """
 
+_FIRST_READ = """
+import json, sys
+import hilfer_dfc
+getattr(hilfer_dfc, sys.argv[1])
+print(json.dumps(sorted(name.split(".", 1)[1] for name in sys.modules if name.startswith("hilfer_dfc."))))
+"""
+
 _ML = ["cli", "grid", "mittag_leffler"]
 _SOLVE = [*_ML, "operators", "solvers"]
 
@@ -131,6 +142,19 @@ class TestLazyImports:
         # no call enables logging, so none pays for importing it
         expect = {"code": 0, "loaded": sorted(loaded), "logging": False}
         assert run_fresh(_LOADED, json.dumps(argv)) == expect
+
+    # a name loads the modules in order up to the one that defines it
+    @pytest.mark.parametrize(
+        "name, loaded",
+        [
+            ("Grid", ["grid"]),
+            ("fractional_sum_fn", ["grid", "operators"]),
+            ("laplace_of_hilfer_check", ["grid", "operators", "transforms"]),
+            ("ulam_experiment", [module.__name__.rsplit(".", 1)[1] for module in SURFACE_MODULES]),
+        ],
+    )
+    def test_a_first_read_loads_the_modules_up_to_its_own(self, name, loaded):
+        assert run_fresh(_FIRST_READ, name) == sorted(loaded)
 
     def test_a_library_error_of_a_loaded_module_exits_two(self):
         # main catches the library's base class, which loads with grid

@@ -853,6 +853,15 @@ class TestLatticeSeries:
         # M = 9720 for N = 601
         assert solve_linear_series(linear_spec(steps=600)).meta.terms_used == 4861
 
+    @pytest.mark.parametrize("zeta", [1e308, -1.7e308])
+    def test_zeta_at_the_float_limit_overflows_at_once_without_a_warning(self, zeta):
+        # zeta U(z) reads inf on the contour; the RuntimeWarning that pytest
+        # turns into an error must not escape, and stepping stops at 0 too
+        spec = linear_spec(steps=40, mu=0.5, nu=0.0, zeta=zeta, lam=0.3)
+        ser = solve_linear_series(spec)
+        assert ser.meta.overflow_at == solve_linear(spec).meta.overflow_at == 0
+        assert ser.values.count == 0
+
     def test_overflow_is_truncated_like_the_recursion(self):
         spec = IvpSpec(0.0, 2000, HilferOrder(0.3, 0.5), 1.0, Linear(0.99))
         ser = solve_linear_series(spec)
@@ -893,6 +902,29 @@ class TestSeriesRoutesAgainstRecursion:
         spec = IvpSpec(0.0, steps, order, 0.8, rhs)
         ref, scale = ld_recursion(mu, order.eta, lam, 0.8, steps + 1, f)
         self._check(solve_nonhomogeneous(spec), ref, scale)
+
+    def _growing_forcing(self):
+        lam, mu, nu, steps = -0.5, 0.6, 0.4, 2000
+        f = 1.02 ** np.arange(steps)
+        rhs = NonHomogeneous(lam, GridFn(Grid(1.0 - mu, steps), f))
+        spec = IvpSpec(0.0, steps, HilferOrder(mu, nu), 1.0, rhs)
+        return (spec, *ld_recursion(mu, spec.order.eta, lam, 1.0, steps + 1, f))
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the forced closed form's roundoff follows its largest forcing sample (1.6e17 here), "
+        "not each output: 3.9e-1 of the term scale off at index 1",
+    )
+    def test_nonhomogeneous_under_growing_forcing(self):
+        spec, ref, scale = self._growing_forcing()
+        self._check(solve_nonhomogeneous(spec), ref, scale)
+
+    def test_stepping_under_growing_forcing(self):
+        # the same problem stepped: the twin of the expected failure above
+        spec, ref, scale = self._growing_forcing()
+        lam, f, mu = spec.rhs.lam, spec.rhs.forcing, spec.order.mu
+        stepped = replace(spec, rhs=Nonlinear(lambda w, u: -lam * u - f(w + 1.0 - mu)))
+        self._check(solve_nonlinear(stepped), ref, scale)
 
 
 def _with_rhs(rhs):
