@@ -365,31 +365,17 @@ def _contour(r: float, m: int, mu: float, eta: float) -> tuple[np.ndarray, ...]:
     return z, log_mod, arg, k_mu, k_mu if eta == mu else power(eta, cplx[2])
 
 
-def ml_lattice_solution(
-    p: MlParams, count: int, zeta: float = 1.0, forcing: np.ndarray | None = None
-) -> tuple[np.ndarray, int]:
-    """Lattice solution zeta E^gamma_[mu,eta](lam, n + eta - 1)
-    + sum_{j<n} E_[mu,mu](lam, n - j + mu - 2) forcing[j] for n < count,
-    and the number of symbol samples taken.
-
-    These are the coefficients of zeta U(z) + z K(z) F(z), with K the
-    eta = mu, gamma = 1 symbol and F(z) = sum_j forcing[j] z^j, all from
-    one transform (module docstring); a forcing needs gamma = 1.  Raises
-    ContourError when the contour is not certified, ValueError for a
-    count that is not a nonnegative integer or a non-finite zeta or
-    forcing sample.
+def ml_lattice_solution(p: MlParams, count: int, zeta: float = 1.0) -> tuple[np.ndarray, int]:
+    """Lattice solution zeta E^gamma_[mu,eta](lam, n + eta - 1) for n < count,
+    the coefficients of zeta U(z) from one transform (module docstring),
+    and the number of symbol samples taken.  Raises ContourError when the
+    contour is not certified, ValueError for a count that is not a
+    nonnegative integer or a non-finite zeta.
     """
     if not isinstance(count, (int, np.integer)) or count < 0:
         raise ValueError(f"count must be a nonnegative integer: got {count}")
     count = int(count)
     _require_finite(zeta=zeta)
-    if forcing is not None:
-        if p.gamma != 1.0:
-            raise ValueError(f"a forced solution needs gamma = 1, got {p.gamma}")
-        f = np.asarray(forcing, dtype=float)[:count]
-        bad = np.flatnonzero(~np.isfinite(f))
-        if bad.size:
-            raise ValueError(f"forcing must be finite: sample {bad[0]} is {float(f[bad[0]])!r}")
     polynomial = p.gamma <= 0.0 and float(p.gamma).is_integer()
     pole = p.lam > 0 and not polynomial
     # U's coefficients grow like n^(order-1) from its nearest singularity,
@@ -411,9 +397,6 @@ def ml_lattice_solution(
     # a zeta near the float limit reads inf here: the trajectory overflows at index 0
     with np.errstate(over="ignore"):
         samples = np.multiply(u_eta, zeta, out=cplx[2])
-    if forcing is not None:
-        zk = np.multiply(z, k_mu, out=cplx[1])
-        samples += np.multiply(zk, np.fft.rfft(f * r ** np.arange(len(f)), m, out=cplx[0]), out=zk)
     if not polynomial:  # leaves Re D, Im D and the steps' dot products in the real rows 0-2
         _certify(denom, rows[:4])
     with np.errstate(over="ignore", invalid="ignore"):

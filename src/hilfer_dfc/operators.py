@@ -351,8 +351,9 @@ def causal_convolve(kernel: np.ndarray, values: np.ndarray) -> np.ndarray:
     weights = head_cell = loose = None
     unit_err = np.finfo(float).eps * math.log2(length)
     for remedied in (False, True):
-        block_err = np.convolve(unit_err * _row_norms(k_rows), _row_norms(f_rows))[:count]
-        block_err[1:] += block_err[:-1]
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite bound takes the direct path
+            block_err = np.convolve(unit_err * _row_norms(k_rows), _row_norms(f_rows))[:count]
+            block_err[1:] += block_err[:-1]
         err = block_err[:, None]  # each block's bound, over its row
         if not math.isfinite(block_err.sum()):
             break

@@ -34,8 +34,8 @@ For the linear right-hand side two independent evaluations are provided:
 the forward recursion, and the closed-form discrete Mittag-Leffler
 solution on the lattice, taken as the Taylor coefficients of its
 generating function by one FFT (:func:`ml_lattice_solution`).  The
-non-homogeneous closed form adds the forcing's Mittag-Leffler kernel sum
-to the same generating function, so it is the same single transform.
+non-homogeneous closed form is one :func:`causal_convolve` of the
+E_[mu,mu] table, one such FFT, against zeta c_beta plus the forcing.
 
 The engine is sequential in blocks and O(steps^2) in multiply-adds,
 nearly all of them in the far-field correlations; the series solvers
@@ -54,6 +54,7 @@ import numpy as np
 from .grid import CoverageError, Grid, GridFn, HilferOrder, LibraryError
 from .mittag_leffler import MlParams, ml_lattice_solution
 from .operators import (
+    _binade,
     causal_convolve,
     fractional_sum,
     hilfer_difference_fn,
@@ -320,13 +321,6 @@ def _stepped(spec: IvpSpec, g_at: Callable[[int, float], float] | list[float], s
     return _truncated(spec, y, SolverMeta(solver_name))
 
 
-def _closed_form(spec: IvpSpec, forcing: np.ndarray | None, solver_name: str) -> Solution:
-    """The series solution of a linear right-hand side, forced or not."""
-    params = MlParams(mu=spec.order.mu, eta=spec.order.eta, lam=spec.rhs.lam)
-    y, samples = ml_lattice_solution(params, spec.steps + 1, spec.zeta, forcing)
-    return _truncated(spec, y, SolverMeta(solver_name, samples))
-
-
 def solve_linear(spec: IvpSpec) -> Solution:
     """Exact forward recursion for the linear problem, O(steps^2) multiply-adds."""
     if not isinstance(spec.rhs, Linear):
@@ -342,7 +336,9 @@ def solve_linear_series(spec: IvpSpec) -> Solution:
     """
     if not isinstance(spec.rhs, Linear):
         raise TypeError("solve_linear_series needs a Linear right-hand side")
-    return _closed_form(spec, None, "linear-series")
+    params = MlParams(mu=spec.order.mu, eta=spec.order.eta, lam=spec.rhs.lam)
+    y, samples = ml_lattice_solution(params, spec.steps + 1, spec.zeta)
+    return _truncated(spec, y, SolverMeta("linear-series", samples))
 
 
 def solve_nonlinear(spec: IvpSpec) -> Solution:
@@ -358,13 +354,30 @@ def solve_nonhomogeneous(spec: IvpSpec) -> Solution:
         u(a+n) = zeta E_[mu,eta](lam, n+eta-1)
                  + sum_{j=1}^{n} E_[mu,mu](lam, n-j+mu-1) f(a+j-mu).
 
-    Both terms come from one transform of their generating function,
-    zeta U(z) + z K(z) F(z) with F the forcing's (:func:`ml_lattice_solution`);
-    ``terms_used`` counts the symbol samples it took.
+    (1-z)^-eta / D = (1-z)^-beta (1-z)^-mu / D, beta = eta - mu the outer
+    sum order, so u is one :func:`causal_convolve` of the E_[mu,mu] table
+    against g = zeta c_beta + (0, f_0, f_1, ...).  The table is taken
+    times 2^e, e the binade of g's first nonzero sample, so that it leaves
+    the float range where the trajectory does: the outputs that read it
+    from there on are overflow.  ``terms_used`` counts its symbol samples.
     """
     if not isinstance(spec.rhs, NonHomogeneous):
         raise TypeError("solve_nonhomogeneous needs a NonHomogeneous right-hand side")
-    return _closed_form(spec, spec.rhs.forcing.values[: spec.steps], "nonhomogeneous-series")
+    mu, n = spec.order.mu, spec.steps + 1
+    # g[0] = zeta and g[j] = zeta c_beta[j] + f[j-1], c_beta[j] <= 1: these parts bound g
+    parts = np.r_[spec.zeta, spec.rhs.forcing.values[: spec.steps]]
+    first = int(np.argmax(parts != 0.0))
+    e = min(max(math.frexp(parts[first])[1], _binade(parts) - 1022), 1023)  # 2^e, g 2^-e finite
+    g = sum_kernel(spec.order.outer_sum_order, n) * math.ldexp(spec.zeta, -e)
+    g[1:] += np.ldexp(parts[1:], -e)
+    table, samples = ml_lattice_solution(MlParams(mu, mu, lam=spec.rhs.lam), n, math.ldexp(1.0, e))
+    m = int(np.argmin(np.append(np.isfinite(table), False)))  # its first entry past the float range
+    table[m:] = 0.0  # only ever times g's zeros before first
+    k = min(first + m, n)  # the outputs from k on would read the table past the float range
+    y = np.full(n, np.nan)
+    # causal_convolve rescales a rise of its values: lam > 0 puts a pole inside |z| = 1, and K rises
+    y[:k] = causal_convolve(g[:k], table[:k]) if spec.rhs.lam > 0 else causal_convolve(table[:k], g[:k])
+    return _truncated(spec, y, SolverMeta("nonhomogeneous-series", samples))
 
 
 def solve(spec: IvpSpec) -> Solution:

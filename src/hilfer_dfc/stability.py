@@ -36,8 +36,8 @@ deviation |u - v| with one pointwise envelope on the solution grid:
 
 Each envelope's Mittag-Leffler values are one :func:`ml_lattice`
 transform.  The pointwise verdict compares the deviation with the
-envelope at every point, the sup-norm one its maximum with the
-envelope's constant.
+envelope plus the rounding (eps/2)(|u| + |v|) at every point, the
+sup-norm one its maximum with the envelope's constant.
 
 Both certificates require K below the contraction threshold; otherwise
 the experiment still runs but the certificate is marked non-applicable.
@@ -380,9 +380,9 @@ def ulam_experiment(
     epsilon E_[mu,eta](K, n+eta-1) for the initial kind, epsilon C for the
     residual kind and epsilon C psi(a+n) for the Rassias variant, with C
     the report's ``constant``.  ``pointwise_ok`` compares |u - v| with the
-    envelope at every point; ``verdict`` is the sup-norm comparison
-    deviation <= epsilon * constant, or the pointwise one when psi is
-    given.
+    envelope plus (eps/2)(|u| + |v|) at every point; ``verdict`` is the
+    sup-norm comparison deviation <= epsilon * constant, or the pointwise
+    one when psi is given.
 
     When ``k`` is omitted it is estimated from sampled slopes of the
     right-hand side and the report records the estimate.
@@ -443,10 +443,12 @@ def ulam_experiment(
             shape = psi_vals * constant
 
     n_common = min(exact.values.count, perturbed.values.count)
-    gap = np.abs(exact.values.values[:n_common] - perturbed.values.values[:n_common])
+    u, v = exact.values.values[:n_common], perturbed.values.values[:n_common]
+    gap = np.abs(u - v)
     deviation = float(np.max(gap)) if n_common else math.inf
     slack = 1.0 + 1e-9
-    pointwise = bool(np.all(gap <= eps_eff * shape[:n_common] * slack + 1e-300))
+    rounding = 0.5 * np.finfo(float).eps * (np.abs(u) + np.abs(v))
+    pointwise = bool(np.all(gap <= eps_eff * shape[:n_common] * slack + rounding + 1e-300))
     verdict = pointwise if psi_vals is not None else deviation <= eps_eff * constant * slack
 
     return StabilityReport(

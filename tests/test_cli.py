@@ -148,6 +148,16 @@ class TestSolve:
         assert meta["overflow_at"] is not None
         assert meta["max_relative_residual"] is None
 
+    @pytest.mark.parametrize("zeta, at", [("1", 1), ("1e308", 0)])
+    def test_forcing_at_the_float_limit_is_overflow(self, tmp_path, zeta, at):
+        # the forcing's own transform overflowed with a numpy warning: exit 1
+        code = main(
+            ["solve", "--nonhomogeneous", "--lambda", "0.3", "--forcing-const", "1e308",
+             "--mu", "0.6", "--nu", "0.4", "--steps", "40", "--zeta", zeta, "--out", str(tmp_path)]
+        )
+        assert code == 3
+        assert json.loads((tmp_path / "solution.json").read_text())["overflow_at"] == at
+
 
 class TestFigures:
     def test_files_and_shape(self, tmp_path):

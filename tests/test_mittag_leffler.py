@@ -445,14 +445,6 @@ class TestLatticeRoute:
         assert np.array_equal(k_mu, _power_recipe(log_mod, arg, mu))
         assert np.array_equal(u_eta, _power_recipe(log_mod, arg, eta))
 
-    @pytest.mark.parametrize("lam, mu, eta, count", [
-        (lam, mu, round(mu + nu - mu * nu, 4), steps + 1) for lam, mu, nu, steps in stratified_cases(13, 8, 1.0)
-    ])
-    def test_gamma_one_forced_solution_is_the_plain_symbol_bit_for_bit(self, lam, mu, eta, count):
-        forcing = np.random.default_rng(count).uniform(-1.0, 1.0, count)
-        got, _ = ml_lattice_solution(MlParams(mu, eta, 1.0, lam), count, 0.7, forcing)
-        assert np.array_equal(got, _inverse_d_transform(mu, eta, lam, count, 0.7, forcing))
-
     def test_negative_index_is_zero(self):
         p = MlParams(mu=0.7, eta=0.4, gamma=1.3, lam=-0.6)
         for ev in (ml_eval(p, -3.0 + 0.4 - 1.0), ml_eval(p, -1.0, bold=True)):
@@ -478,10 +470,9 @@ def _power_recipe(log_mod, arg, e):
     return out
 
 
-def _inverse_d_transform(mu, eta, lam, count, zeta=1.0, forcing=None):
+def _inverse_d_transform(mu, eta, lam, count):
     """The gamma = 1 lattice as transformed before gamma was supported:
-    the coefficients of zeta (1-z)^-eta / D(z), plus z (1-z)^-mu F(z) / D(z)
-    for a forcing F(z) = sum_j forcing[j] z^j, on the same contour samples."""
+    the coefficients of (1-z)^-eta / D(z), on the same contour samples."""
     if eta > 1.0:
         with np.errstate(over="ignore"):
             return np.cumsum(_inverse_d_transform(mu, eta - 1.0, lam, count))
@@ -490,13 +481,10 @@ def _inverse_d_transform(mu, eta, lam, count, zeta=1.0, forcing=None):
     m = 2 * _smooth_length(8 * n)
     z, _, _, k_mu, u_eta = _contour(r, m, mu, eta)
     denom = 1.0 - lam * z * k_mu
-    symbol = u_eta * zeta
-    if forcing is not None:
-        symbol += z * k_mu * np.fft.rfft(forcing * r ** np.arange(count), m)
     with np.errstate(over="ignore", invalid="ignore"):
         half = np.power(r, -0.5 * np.arange(count))
-        out = np.fft.irfft(symbol / denom, m)[:count] * half * half
-    out[:1] = zeta
+        out = np.fft.irfft(u_eta / denom, m)[:count] * half * half
+    out[:1] = 1.0
     return out
 
 
@@ -546,10 +534,6 @@ class TestLatticeTable:
         assert ml_lattice(p, 1).tolist() == [1.0]
         assert ml_lattice(MlParams(mu=0.7, eta=0.4, lam=0.0), 1).tolist() == [1.0]
 
-    def test_forcing_needs_gamma_one(self):
-        with pytest.raises(ValueError, match="gamma = 1"):
-            ml_lattice_solution(MlParams(mu=0.7, gamma=1.3, lam=0.2), 5, forcing=np.ones(5))
-
     @pytest.mark.parametrize("call, message", [
         (lambda p: ml_lattice(p, -2), "count must be a nonnegative integer: got -2"),
         (lambda p: ml_lattice(replace(p, eta=1.6), -2), "count must be a nonnegative integer: got -2"),
@@ -557,12 +541,8 @@ class TestLatticeTable:
         (lambda p: ml_lattice_solution(p, 2.5), "count must be a nonnegative integer: got 2.5"),
         (lambda p: ml_lattice_solution(p, 5, math.inf), "zeta must be finite: got inf"),
         (lambda p: ml_lattice_solution(p, 5, math.nan), "zeta must be finite: got nan"),
-        (lambda p: ml_lattice_solution(p, 5, forcing=[0.1, math.nan, 0.2, 0.3, 0.4]),
-         "forcing must be finite: sample 1 is nan"),
-        (lambda p: ml_lattice_solution(p, 5, forcing=np.r_[np.ones(4), -math.inf]),
-         "forcing must be finite: sample 4 is -inf"),
     ], ids=["negative-count", "negative-count-eta-above-one", "negative-solution-count",
-            "fractional-count", "inf-zeta", "nan-zeta", "nan-forcing", "inf-forcing"])
+            "fractional-count", "inf-zeta", "nan-zeta"])
     def test_bad_arguments_are_named(self, call, message):
         # these failed inside numpy (a broadcast or slice error) or gave a
         # row of inf and nan with a RuntimeWarning, or none at all
@@ -570,36 +550,35 @@ class TestLatticeTable:
             call(MlParams(mu=0.7, eta=0.4, lam=0.5))
         assert str(info.value) == message
 
-    def test_numpy_integer_counts_and_unread_forcing(self):
+    def test_numpy_integer_counts(self):
         p = MlParams(mu=0.7, eta=0.4, lam=0.5)
         assert np.array_equal(ml_lattice(p, np.int64(40)), ml_lattice(p, 40))
-        forcing = np.r_[np.linspace(0.1, 0.5, 5), math.nan]  # the last sample is never read
-        got, _ = ml_lattice_solution(p, np.int32(5), 1.5, forcing)
-        assert np.array_equal(got, ml_lattice_solution(p, 5, 1.5, forcing[:5])[0])
+        got, _ = ml_lattice_solution(p, np.int32(5), 1.5)
+        assert np.array_equal(got, ml_lattice_solution(p, 5, 1.5)[0])
 
 
 def transform_cases(rng):
-    """(params, count, zeta, forcing) at 50, 2000, 400, 3000 and again 2000
-    points: unforced at gamma 1 and 2.5, and forced with eta = mu and not."""
+    """(params, count, zeta) at 50, 2000, 400, 3000 and again 2000 points:
+    gamma 1 and 2.5, with eta = mu and not, and zeta drawn at each count."""
     cases = []
     for count in (50, 2000, 400, 3000, 2000):
-        forcing = rng.uniform(-1.0, 1.0, count)
+        zeta = rng.uniform(0.5, 1.5)
         cases += [
-            (MlParams(0.6, 0.8, 1.0, 0.3), count, 1.3, None),
-            (MlParams(0.6, 0.8, 2.5, 0.3), count, 1.0, None),
-            (MlParams(0.4, 1.7, 2.5, -0.5), count, 0.6, None),
-            (MlParams(0.45, 0.45, 1.0, 0.5), count, 0.7, forcing),
-            (MlParams(0.7, 0.9, 1.0, -0.6), count, 1.1, forcing),
+            (MlParams(0.6, 0.8, 1.0, 0.3), count, 1.3),
+            (MlParams(0.6, 0.8, 2.5, 0.3), count, 1.0),
+            (MlParams(0.4, 1.7, 2.5, -0.5), count, 0.6),
+            (MlParams(0.45, 0.45, 1.0, 0.5), count, zeta),
+            (MlParams(0.7, 0.9, 1.0, -0.6), count, zeta),
         ]
     return cases
 
 
 class TestTransformWorkspace:
     def test_results_do_not_alias_the_workspace(self, rng):
-        for p, count, zeta, forcing in transform_cases(rng)[5:10]:
-            out, _ = ml_lattice_solution(p, count, zeta, forcing)
+        for p, count, zeta in transform_cases(rng)[5:10]:
+            out, _ = ml_lattice_solution(p, count, zeta)
             kept = out.copy()
-            ml_lattice_solution(p, count, -zeta, forcing)
+            ml_lattice_solution(p, count, -zeta)
             assert np.array_equal(out, kept)
             assert not any(np.shares_memory(out, array) for array in _workspace.kept.values())
 
@@ -624,16 +603,15 @@ class TestTransformWorkspace:
             assert np.array_equal(out, serial[i]), i
 
     @pytest.mark.parametrize("gamma, lam", [(1.0, 0.5), (2.5, 0.5), (2.5, -0.5)])
-    def test_a_repeated_call_allocates_little_beyond_its_result(self, rng, gamma, lam):
-        # a forced 1943-point call allocated 2.0-2.2 MB of half-circle
-        # arrays before it reused the workspace's rows, and D^(1-gamma)
-        # took about six more of 250 kB each
+    def test_a_repeated_call_allocates_little_beyond_its_result(self, gamma, lam):
+        # a 1943-point call allocated 2.0-2.2 MB of half-circle arrays
+        # before it reused the workspace's rows, and D^(1-gamma) took about
+        # six more of 250 kB each
         p = MlParams(0.45, 0.45, gamma, lam)
-        forcing = rng.uniform(-1.0, 1.0, 1943) if gamma == 1.0 else None
-        ml_lattice_solution(p, 1943, 0.7, forcing)
+        ml_lattice_solution(p, 1943, 0.7)
         tracemalloc.start()
         try:
-            ml_lattice_solution(p, 1943, 0.7, forcing)
+            ml_lattice_solution(p, 1943, 0.7)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

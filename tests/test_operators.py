@@ -256,11 +256,14 @@ class TestCausalConvolve:
 
     @pytest.mark.parametrize("n", [1500, 3000])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_input_matches_direct_pattern(self, rng, bad, n):
-        kernel = sum_kernel(0.4, n)
-        f = rng.uniform(-1.0, 1.0, n)
+    @pytest.mark.parametrize("large", [None, "values", "kernel"])
+    def test_non_finite_input_matches_direct_pattern(self, rng, bad, n, large):
+        # next to values of 1e200, or in a kernel of 1e300, the bad sample
+        # overflowed the error bound's row norms with a numpy warning
+        kernel = sum_kernel(0.4, n) * (1e300 if large == "kernel" else 1.0)
+        f = rng.uniform(-1.0, 1.0, n) * (1e200 if large == "values" else 1.0)
         at = 3 * n // 5
-        f[at] = bad
+        (kernel if large == "kernel" else f)[at] = bad
         out = causal_convolve(kernel, f)
         direct = np.convolve(kernel, f)[:n]
         assert np.array_equal(np.isnan(out), np.isnan(direct))

@@ -35,6 +35,7 @@ from hilfer_dfc import (
     hilfer_difference_fn,
     initial_condition_value,
     ml_eval,
+    ml_lattice,
     ml_plain,
     residual_scale,
     rl_difference_fn,
@@ -910,21 +911,91 @@ class TestSeriesRoutesAgainstRecursion:
         spec = IvpSpec(0.0, steps, HilferOrder(mu, nu), 1.0, rhs)
         return (spec, *ld_recursion(mu, spec.order.eta, lam, 1.0, steps + 1, f))
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the forced closed form's roundoff follows its largest forcing sample (1.6e17 here), "
-        "not each output: 3.9e-1 of the term scale off at index 1",
-    )
     def test_nonhomogeneous_under_growing_forcing(self):
+        # one transform of zeta U + z K F read 3.9e-1 of the term scale off
+        # at index 1: its roundoff followed the largest forcing sample, 1.6e17
         spec, ref, scale = self._growing_forcing()
         self._check(solve_nonhomogeneous(spec), ref, scale)
 
     def test_stepping_under_growing_forcing(self):
-        # the same problem stepped: the twin of the expected failure above
+        # the same problem stepped: the twin of the test above
         spec, ref, scale = self._growing_forcing()
-        lam, f, mu = spec.rhs.lam, spec.rhs.forcing, spec.order.mu
-        stepped = replace(spec, rhs=Nonlinear(lambda w, u: -lam * u - f(w + 1.0 - mu)))
-        self._check(solve_nonlinear(stepped), ref, scale)
+        self._check(solve_nonlinear(_stepped_twin(spec)), ref, scale)
+
+    @pytest.mark.parametrize("forcing, mu, nu, steps", [
+        (lambda j: 1.02**j, 0.6, 0.4, 2000),
+        (lambda j: 1.05**j, 0.6, 0.4, 600),
+        (lambda j: np.where(j == 500, 1e10, 1.0), 0.6, 0.4, 600),
+        (lambda j: np.full(len(j), 0.2), 0.6, 0.4, 3000),
+        (lambda j: 0.5 * (-1.0) ** j + 0.001 * j, 0.6, 0.4, 300),
+        (lambda j: np.full(len(j), 0.2), 0.5, 0.5, 20000),
+    ], ids=["rising-1.02", "rising-1.05", "spike-1e10", "constant", "alternating", "constant-20000"])
+    def test_forced_closed_form_to_the_term_scale(self, forcing, mu, nu, steps):
+        # the one-transform route read 3.9e-1, 1.1e-5, 2.5e-7, 1.3e-15,
+        # 2.9e-16 and 9.7e-16 of the term scale on these rows
+        f = forcing(np.arange(steps))
+        order = HilferOrder(mu, nu)
+        spec = IvpSpec(0.0, steps, order, 1.0, NonHomogeneous(-0.5, GridFn(Grid(1.0 - mu, steps), f)))
+        ref, scale = ld_recursion(mu, order.eta, -0.5, 1.0, steps + 1, f)
+        u = solve_nonhomogeneous(spec).values.values
+        assert len(u) == steps + 1
+        assert np.max(np.abs(u - ref) / scale) <= 1e-14
+
+    @pytest.mark.parametrize("zeta, lam, mu, nu, steps, forcing", [
+        (1e-20, 0.9, 0.9, 0.5, 2400, lambda j: 0.0 * j),
+        (1e-300, 0.9, 0.9, 0.5, 2400, lambda j: 0.0 * j),
+        (1e250, 0.9, 0.9, 0.5, 2400, lambda j: 0.0 * j),
+        (1e-300, 0.9, 0.9, 0.5, 2400, lambda j: np.full(len(j), 0.3)),
+        (0.0, 0.9, 0.9, 0.5, 2400, lambda j: np.where(j >= 100, 1.0, 0.0)),
+        (1.0, 0.9, 0.9, 0.5, 2000, lambda j: 1.02**j),
+        (1.0, -0.5, 0.4, 0.5, 60, lambda j: np.where(j == 50, 1e308, 1.0)),
+        (0.0, 0.0, 0.6, 0.4, 40, lambda j: 0.0 * j),
+    ], ids=["zeta-1e-20", "zeta-1e-300", "zeta-1e250", "forced-from-zeta-1e-300", "forced-from-j-100",
+            "rising-forcing-growing-table", "spike-1e308", "zero"])
+    def test_forced_overflow_index_matches_the_recursion_and_stepping(self, zeta, lam, mu, nu, steps, forcing):
+        # the table is scaled by g's first nonzero sample, so it leaves the
+        # float range where the trajectory does; on the 1e308 spike at j = 50
+        # the one transform of zeta U + z K F read overflow at index 3, not 51
+        f = forcing(np.arange(steps))
+        order = HilferOrder(mu, nu)
+        spec = IvpSpec(0.0, steps, order, zeta, NonHomogeneous(lam, GridFn(Grid(1.0 - mu, steps), f)))
+        ref, scale = ld_recursion(mu, order.eta, lam, zeta, steps + 1, f)
+        sol = solve_nonhomogeneous(spec)
+        self._check(sol, ref, np.maximum(scale, 1e-300))
+        assert sol.meta.overflow_at == solve_nonlinear(_stepped_twin(spec)).meta.overflow_at
+
+    def test_forced_table_rising_to_its_pole_stays_on_the_transform(self, caplog):
+        # at lam > 0 the E_[mu,mu] table rises like z*^-n: as the kernel it
+        # failed every block's bound, and all 1348 points were summed directly
+        lam, mu, nu, steps = 0.338, 0.716, 0.25, 1347
+        f = 0.3 * np.cos(0.4 * np.arange(steps) + 1.0)
+        order = HilferOrder(mu, nu)
+        spec = IvpSpec(0.0, steps, order, 1.2, NonHomogeneous(lam, GridFn(Grid(1.0 - mu, steps), f)))
+        with caplog.at_level(logging.DEBUG, logger="hilfer_dfc"):
+            sol = solve_nonhomogeneous(spec)
+        records = [r.args for r in caplog.records if r.name == "hilfer_dfc.operators"]
+        assert len(records) == 1 and records[0][3] == 0
+        self._check(sol, *ld_recursion(mu, order.eta, lam, 1.2, steps + 1, f))
+
+    @pytest.mark.parametrize("lam, mu, nu, steps", stratified_cases(13, 8, 0.95))
+    def test_forced_closed_form_is_one_convolution_bit_for_bit(self, lam, mu, nu, steps):
+        # u = K * (zeta c_beta + (0, f)), K the E_[mu,mu] table, as the
+        # values where it rises (lam > 0): the table's 2^e scaling and g's
+        # 2^-e are exact, so the bits do not depend on e
+        f = np.random.default_rng(steps).uniform(-1.0, 1.0, steps)
+        order = HilferOrder(mu, nu)
+        spec = IvpSpec(0.0, steps, order, 3.7, NonHomogeneous(lam, GridFn(Grid(1.0 - mu, steps), f)))
+        g = 3.7 * sum_kernel(order.outer_sum_order, steps + 1)
+        g[1:] += f
+        table = ml_lattice(MlParams(mu, mu, 1.0, lam), steps + 1)
+        expect = causal_convolve(g, table) if lam > 0 else causal_convolve(table, g)
+        assert np.array_equal(solve_nonhomogeneous(spec).values.values, expect)
+
+
+def _stepped_twin(spec):
+    """The NonHomogeneous spec as a Nonlinear one, for the stepping route."""
+    lam, f, mu = spec.rhs.lam, spec.rhs.forcing, spec.order.mu
+    return replace(spec, rhs=Nonlinear(lambda w, u: -lam * u - f(w + 1.0 - mu)))
 
 
 def _with_rhs(rhs):

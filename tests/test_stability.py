@@ -24,6 +24,7 @@ from hilfer_dfc import (
     fractional_sum_fn,
     gronwall_check,
     gronwall_series,
+    ml_lattice,
     ml_plain,
     solve,
     solve_linear,
@@ -33,6 +34,7 @@ from hilfer_dfc import (
     uniqueness_report,
     verify_contraction,
 )
+from hilfer_dfc import stability
 from hilfer_dfc.solvers import NonFiniteError
 
 
@@ -332,6 +334,24 @@ class TestUlamExperiments:
     def _spec(self, k=0.15, zeta=1.0):
         return IvpSpec(0.3, 9, desk_order(), zeta, Nonlinear(lambda w, u: k * u))
 
+    @pytest.mark.parametrize("over, ok", [(0.5, True), (2.0, False)])
+    def test_rounding_allowance_is_a_floor_not_a_slack(self, monkeypatch, over, ok):
+        # |u - v| may pass the envelope by the rounding of the two stored
+        # trajectories, (eps/2)(|u| + |v|), and not by twice that
+        spec = IvpSpec(0.3, 9, desk_order(), 1.0, Linear(0.15))
+        dz = 2.0**-40
+        exact = solve(spec)
+        u = exact.values.values
+        envelope = dz * ml_lattice(MlParams(0.7, spec.order.eta, lam=0.15), 10)
+        v = u.copy()
+        v[4] += envelope[4] + over * np.finfo(float).eps * abs(u[4])
+        allowance = 0.5 * np.finfo(float).eps * (abs(u[4]) + abs(v[4]))
+        beyond = (abs(u[4] - v[4]) - envelope[4]) / allowance
+        assert (beyond <= 1.0) if ok else (beyond >= 1.5)
+        perturbed = replace(exact, values=GridFn(exact.values.grid, v))
+        monkeypatch.setattr(stability, "solve", lambda s: exact if s.zeta == 1.0 else perturbed)
+        assert ulam_experiment(spec, 0.15, zeta_n=1.0 + dz).pointwise_ok is ok
+
     def test_unperturbed_run_has_zero_deviation(self):
         rep = ulam_experiment(self._spec(), 0.15, zeta_n=1.0)
         assert rep.deviation == 0.0
@@ -565,20 +585,13 @@ def stability_cases(seed=9, count=9):
 RHS_KINDS = ("linear", "nonlinear", "nonhomogeneous")
 #: initial gaps of the sweep; at 1e-15 the two solves' roundoff exceeds dz * C
 INITIAL_GAPS = (1e-1, 1e-3, 1e-6)
-#: the certificate has no roundoff allowance: here a forcing-dominated
-#: trajectory (|u| 0.62) meets a decaying envelope (dz E = 2.0e-8 at eta =
-#: 0.155), and the two series solves' roundoff, 1.6e-16, passes the 1e-9
-#: relative slack
-NO_ROUNDOFF_ALLOWANCE = {(stability_cases()[3], "nonhomogeneous", 1e-6)}
 
 
 def initial_params():
     for case in stability_cases():
         for kind in RHS_KINDS:
             for dz in INITIAL_GAPS:
-                known = (case, kind, dz) in NO_ROUNDOFF_ALLOWANCE
-                marks = [pytest.mark.xfail(strict=True, reason="no roundoff allowance")] if known else []
-                yield pytest.param(*case, kind, dz, marks=marks)
+                yield (*case, kind, dz)
 
 
 def stability_spec(kind, k, base, steps, order):
